@@ -92,11 +92,7 @@ def run_pipeline(config: RunConfig, table: PredictionTable | None = None) -> Pip
         raw_p = {
             (e.reference, e.competitor): e.p for e in matrix.entries.values()
         }
-        adjusted = (
-            adjust_all(build_families(ranked, raw_p, config.family), methods)
-            if methods
-            else {pair: {} for pair in raw_p}
-        )
+        adjusted = adjust_all(build_families(ranked, raw_p, config.family), methods)
         comparisons = []
         for j in range(len(ranked) - 1):
             for i in range(j + 1, len(ranked)):

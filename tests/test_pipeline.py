@@ -296,11 +296,17 @@ def test_cli_custom_metric_and_formats(tmp_path):
     assert manifest["metric"] == "marginal"
 
 
-def test_vs_winner_pvalues_only_winner_rows(tmp_path):
+@pytest.mark.parametrize(
+    "corrections", [("bonferroni", "holm", "bh"), ("none",)], ids=["corrected", "none"]
+)
+def test_vs_winner_pvalues_only_winner_rows(tmp_path, corrections):
     csv = write_classification_csv(tmp_path / "comp.csv", noises=(0.1, 0.25, 0.4))
     out = tmp_path / "out"
     result = run_pipeline(
-        RunConfig(input=str(csv), samples=300, seed=8, family="vs_winner", out_dir=str(out))
+        RunConfig(
+            input=str(csv), samples=300, seed=8, family="vs_winner",
+            corrections=corrections, out_dir=str(out),
+        )
     )
     payload = json.loads((out / "pvalues.json").read_text())
     winner = result.ranking[0]
