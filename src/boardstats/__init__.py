@@ -27,7 +27,6 @@ from .errors import (
     TableValidationError,
 )
 from .inference import (
-    DifferenceCI,
     DifferenceMatrix,
     PairedDelta,
     difference_ci,
@@ -78,7 +77,6 @@ __all__ = [
     "ConfigError",
     "ConfusionCounts",
     "DataFormatError",
-    "DifferenceCI",
     "DifferenceMatrix",
     "DifferenceSummary",
     "LabelNoise",

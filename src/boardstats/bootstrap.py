@@ -62,6 +62,10 @@ class CI(NamedTuple):
     mean: float
     uci: float
 
+    @property
+    def contains_zero(self) -> bool:
+        return self.lci <= 0.0 <= self.uci
+
 
 def resample_indices(plan: ResamplePlan, replicate_id: int) -> np.ndarray:
     """The n resample indices of one replicate.

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation failure in the input data, 2
-configuration error, 3 I/O error.
+configuration error or a metric that cannot be evaluated on the data, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .dataio import FORMATS, RunConfig
-from .errors import ConfigError, DataFormatError, TableValidationError
+from .errors import ConfigError, DataFormatError, MetricError, TableValidationError
 from .pipeline import run_pipeline
 
 
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
         stage = getattr(exc, "_stage", "input")
         print(f"boardstats: {stage}: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, MetricError, ValueError) as exc:
         stage = getattr(exc, "_stage", "configuration")
         print(f"boardstats: {stage}: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import SamplingDistribution, distributions, percentile_ci
+from .bootstrap import CI, SamplingDistribution, distributions, percentile_ci
 from .table import LOWER, BootstrapPlan, PredictionTable, ScoreSpec
 
 STAR_LEVELS = (
@@ -43,17 +43,6 @@ class PairedDelta:
 
     def __post_init__(self):
         self.delta_values.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class DifferenceCI:
-    lci: float
-    mean: float
-    uci: float
-
-    @property
-    def contains_zero(self) -> bool:
-        return self.lci <= 0.0 <= self.uci
 
 
 def delta_from_distributions(
@@ -106,13 +95,12 @@ def paired_difference(
     )
 
 
-def difference_ci(pd: PairedDelta, confidence: float) -> DifferenceCI:
+def difference_ci(pd: PairedDelta, confidence: float) -> CI:
     """Percentile CI of the difference distribution."""
-    ci = percentile_ci(
+    return percentile_ci(
         SamplingDistribution(values=pd.delta_values, observed=pd.observed_delta),
         confidence,
     )
-    return DifferenceCI(lci=ci.lci, mean=ci.mean, uci=ci.uci)
 
 
 def p_value(pd: PairedDelta, smoothed: bool = False) -> float:
@@ -145,6 +133,7 @@ class MatrixEntry:
     delta: float
     p: float
     stars: str
+    ci: CI  # percentile CI of the difference distribution
 
 
 @dataclass(frozen=True)
@@ -188,8 +177,14 @@ def matrix_from_distributions(
     dists: dict[str, SamplingDistribution],
     spec: ScoreSpec,
     column_order: tuple[str, ...],
+    confidence: float,
 ) -> DifferenceMatrix:
-    """Difference matrix over precomputed per-system distributions."""
+    """Difference matrix over precomputed per-system distributions.
+
+    The one pass over ranked pairs: each pair's delta vector is built once,
+    reduced to its observed delta, p-value, stars and CI, and dropped, so
+    memory stays independent of the number of pairs.
+    """
     if len(dists) < 2:
         raise ValueError("need at least 2 systems for a difference matrix")
     ranked = rank_systems(
@@ -209,6 +204,7 @@ def matrix_from_distributions(
                 delta=pd.observed_delta,
                 p=p,
                 stars=significance_stars(p),
+                ci=difference_ci(pd, confidence),
             )
     return DifferenceMatrix(systems=tuple(ranked), entries=entries)
 
@@ -222,5 +218,5 @@ def difference_matrix(
     if len(table.names) < 2:
         raise ValueError("need at least 2 systems for a difference matrix")
     return matrix_from_distributions(
-        distributions(table, spec, plan), spec, table.names
+        distributions(table, spec, plan), spec, table.names, plan.confidence
     )

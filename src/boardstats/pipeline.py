@@ -15,18 +15,12 @@ from pathlib import Path
 
 from . import __version__, rng
 from .bootstrap import QUANTILE_RULE, distributions, percentile_ci
-from .corrections import adjust_all, build_families
 from .dataio import RunConfig, fmt_float, load_table, parse_metric, write_csv, write_json, write_md
 from .errors import ConfigError
-from .inference import (
-    delta_from_distributions,
-    difference_ci,
-    matrix_from_distributions,
-    significance_stars,
-)
+from .inference import delta_from_distributions
 from .plots import render_delta_histogram, render_difference_plot, render_forest_plot
 from .report import build_report
-from .table import BootstrapPlan, DifferenceSummary, PerformanceSummary, PredictionTable
+from .table import BootstrapPlan, PerformanceSummary, PredictionTable
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -52,7 +46,6 @@ def run_pipeline(config: RunConfig, table: PredictionTable | None = None) -> Pip
             alpha=config.alpha,
             workers=config.workers,
         )
-        methods = tuple(m for m in config.corrections if m != "none")
 
         stage = "input"
         if table is None:
@@ -68,65 +61,20 @@ def run_pipeline(config: RunConfig, table: PredictionTable | None = None) -> Pip
 
         stage = "bootstrap"
         dists = distributions(table, spec, plan, systems=competitors)
+
+        stage = "inference"
         rep = build_report(
             table, spec, plan, family_policy=config.family,
             gold_alias=config.gold_alias, dists=dists,
         )
-        ranked = list(rep.ranking)
-
-        stage = "inference"
-        summaries = {}
-        for name in ranked:
-            ci = percentile_ci(dists[name], plan.confidence)
-            summaries[name] = (dists[name].observed, ci)
-        winner = ranked[0]
-        deltas = {}
-        for comp in ranked[1:]:
-            pd = delta_from_distributions(
-                winner, comp, dists[winner], dists[comp], spec, reorient=False
-            )
-            deltas[comp] = (pd, difference_ci(pd, plan.confidence))
-        matrix = matrix_from_distributions(dists, spec, table.names)
-
-        stage = "corrections"
-        raw_p = {
-            (e.reference, e.competitor): e.p for e in matrix.entries.values()
-        }
-        adjusted = adjust_all(build_families(ranked, raw_p, config.family), methods)
-        comparisons = []
-        for j in range(len(ranked) - 1):
-            for i in range(j + 1, len(ranked)):
-                entry = matrix.entry(i, j)
-                pair = (entry.reference, entry.competitor)
-                if pair not in adjusted:  # vs_winner policy covers winner pairs only
-                    continue
-                pd = delta_from_distributions(
-                    entry.reference, entry.competitor,
-                    dists[entry.reference], dists[entry.competitor],
-                    spec, reorient=False,
-                )
-                ci = difference_ci(pd, plan.confidence)
-                comparisons.append(
-                    DifferenceSummary(
-                        reference=entry.reference,
-                        competitor=entry.competitor,
-                        observed_delta=entry.delta,
-                        lci=ci.lci,
-                        uci=ci.uci,
-                        p_value=entry.p,
-                        adjusted_p=adjusted[pair],
-                    )
-                )
+        summaries = {name: percentile_ci(dists[name], plan.confidence) for name in rep.ranking}
 
         stage = "output"
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        artifacts = _write_artifacts(
-            out, config, spec, plan, table, rep, ranked, summaries, deltas,
-            matrix, comparisons, excluded,
-        )
+        artifacts = _write_artifacts(out, config, spec, plan, table, rep, dists, summaries)
         return PipelineResult(
-            out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=tuple(ranked)
+            out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=rep.ranking
         )
     except Exception as exc:
         if not getattr(exc, "_stage", None):
@@ -134,13 +82,12 @@ def run_pipeline(config: RunConfig, table: PredictionTable | None = None) -> Pip
         raise
 
 
-def _write_artifacts(
-    out, config, spec, plan, table, rep, ranked, summaries, deltas, matrix,
-    comparisons, excluded,
-):
+def _write_artifacts(out, config, spec, plan, table, rep, dists, summaries):
     artifacts = []
     formats = set(config.formats)
     methods = tuple(m for m in config.corrections if m != "none")
+    ranked = rep.ranking
+    matrix = rep.matrix
 
     def emit(stem, payload, header, rows, title):
         if "json" in formats:
@@ -153,55 +100,39 @@ def _write_artifacts(
             write_md(out / f"{stem}.md", title, header, rows)
             artifacts.append(f"{stem}.md")
 
-    # performance table, best system first
-    perf_rows = [
-        [name, fmt_float(obs), fmt_float(ci.lci), fmt_float(ci.mean), fmt_float(ci.uci)]
-        for name, (obs, ci) in ((n, summaries[n]) for n in ranked)
-    ]
-    emit(
+    def emit_records(stem, payload, key, records, columns, title):
+        """A table whose JSON entries are ``records`` and whose CSV/MD rows
+        format the record values named by ``columns`` (JSON key, header,
+        formatter); record keys without a column are JSON only."""
+        rows = [[fmt(r[k]) for k, _, fmt in columns] for r in records]
+        emit(stem, {**payload, key: records}, [h for _, h, _ in columns], rows, title)
+
+    ci_columns = [(k, k, fmt_float) for k in ("lci", "mean", "uci")]
+    emit_records(
         "performance",
-        {
-            "metric": spec.display_name,
-            "systems": [
-                {
-                    "system": name,
-                    "observed": summaries[name][0],
-                    "lci": summaries[name][1].lci,
-                    "mean": summaries[name][1].mean,
-                    "uci": summaries[name][1].uci,
-                }
-                for name in ranked
-            ],
-        },
-        ["system", "observed", "lci", "mean", "uci"],
-        perf_rows,
+        {"metric": spec.display_name},
+        "systems",
+        [
+            {"system": s, "observed": dists[s].observed, **summaries[s]._asdict()}
+            for s in ranked
+        ],
+        [("system", "system", str), ("observed", "observed", fmt_float), *ci_columns],
         "Bootstrap confidence intervals",
     )
 
-    # differences from the best
-    diff_rows = [
-        [comp, fmt_float(pd.observed_delta), fmt_float(ci.lci), fmt_float(ci.mean),
-         fmt_float(ci.uci), str(ci.contains_zero).lower()]
-        for comp, (pd, ci) in ((c, deltas[c]) for c in ranked[1:])
-    ]
-    emit(
+    # differences from the best: column 0 of the matrix
+    best = [matrix.entry(i, 0) for i in range(1, len(ranked))]
+    emit_records(
         "differences",
-        {
-            "reference": ranked[0],
-            "comparisons": [
-                {
-                    "competitor": comp,
-                    "observed_delta": deltas[comp][0].observed_delta,
-                    "lci": deltas[comp][1].lci,
-                    "mean": deltas[comp][1].mean,
-                    "uci": deltas[comp][1].uci,
-                    "contains_zero": deltas[comp][1].contains_zero,
-                }
-                for comp in ranked[1:]
-            ],
-        },
-        ["competitor", "delta", "lci", "mean", "uci", "contains_zero"],
-        diff_rows,
+        {"reference": ranked[0]},
+        "comparisons",
+        [
+            {"competitor": e.competitor, "observed_delta": e.delta, **e.ci._asdict(),
+             "contains_zero": e.ci.contains_zero}
+            for e in best
+        ],
+        [("competitor", "competitor", str), ("observed_delta", "delta", fmt_float),
+         *ci_columns, ("contains_zero", "contains_zero", lambda b: str(b).lower())],
         f"Differences from the best ({ranked[0]})",
     )
 
@@ -237,34 +168,35 @@ def _write_artifacts(
         "Score differences (column - row) with significance",
     )
 
-    # p-values with corrections; the FDR column mirrors BH row for row
+    # p-values of the family's pairs, by reference rank; FDR mirrors BH
     columns = [
         m for m in ("bonferroni", "fdr", "holm", "bh")
         if m in methods or (m == "fdr" and "bh" in methods)
     ]
-    pv_header = ["reference", "competitor", "delta", "p-value"] + columns
-    pv_rows = []
-    pv_payload = []
-    for c in comparisons:
-        row = [c.reference, c.competitor, f"{c.observed_delta:.3f}", fmt_float(c.p_value)]
-        entry = {
-            "reference": c.reference,
-            "competitor": c.competitor,
-            "delta": c.observed_delta,
-            "p_value": c.p_value,
-            "stars": significance_stars(c.p_value),
-        }
-        for m in columns:
-            value = c.adjusted_p["bh" if m == "fdr" else m]
-            row.append(fmt_float(value))
-            entry[m] = value
-        pv_rows.append(row)
-        pv_payload.append(entry)
-    emit(
+    family = [
+        matrix.entry(i, j)
+        for j in range(len(ranked) - 1)
+        for i in range(j + 1, len(ranked))
+        if (ranked[j], ranked[i]) in rep.adjusted
+    ]
+    emit_records(
         "pvalues",
-        {"family_policy": config.family, "comparisons": pv_payload},
-        pv_header,
-        pv_rows,
+        {"family_policy": config.family},
+        "comparisons",
+        [
+            {
+                "reference": e.reference, "competitor": e.competitor, "delta": e.delta,
+                "p_value": e.p, "stars": e.stars,
+                **{
+                    m: rep.adjusted[(e.reference, e.competitor)]["bh" if m == "fdr" else m]
+                    for m in columns
+                },
+            }
+            for e in family
+        ],
+        [("reference", "reference", str), ("competitor", "competitor", str),
+         ("delta", "delta", "{:.3f}".format), ("p_value", "p-value", fmt_float)]
+        + [(m, m, fmt_float) for m in columns],
         "Estimated p-values with multiple-comparison adjustments",
     )
 
@@ -301,7 +233,8 @@ def _write_artifacts(
         ["possible comparisons", rep.possible_comparisons],
         ["ties all pairs (" + "/".join(("none",) + methods) + ")", tie_a],
         ["|win - med|", f"{rep.win_med_gap:.3f}"],
-        ["cv", f"{rep.cv:.3f}" + ("" if rep.cv_comparable else " (not comparable)")],
+        ["cv", "-" if rep.cv is None
+         else f"{rep.cv:.3f}" + ("" if rep.cv_comparable else " (not comparable)")],
         ["ppi", f"{rep.ppi:.3f}" if rep.ppi is not None else "-"],
     ]
     emit("report", rep_payload, ["statistic", "value"], rep_rows, "Competition summary")
@@ -310,24 +243,27 @@ def _write_artifacts(
     if "svg" in formats:
         perf_summaries = [
             PerformanceSummary(
-                system=name, observed=summaries[name][0],
-                boot_mean=summaries[name][1].mean, lci=summaries[name][1].lci,
-                uci=summaries[name][1].uci,
+                system=s, observed=dists[s].observed, boot_mean=summaries[s].mean,
+                lci=summaries[s].lci, uci=summaries[s].uci,
             )
-            for name in ranked
+            for s in ranked
         ]
+        runner_up = ranked[1]
         figures = {
             "plot_forest": render_forest_plot(
                 perf_summaries, higher_better=spec.higher_is_better
             ),
             "plot_differences": render_difference_plot(
-                [(c, deltas[c][1]) for c in ranked[1:]], reference=ranked[0]
+                [(e.competitor, e.ci) for e in best], reference=ranked[0]
+            ),
+            "plot_delta_hist": render_delta_histogram(
+                delta_from_distributions(
+                    ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec,
+                    reorient=False,
+                ),
+                bins=config.bins,
             ),
         }
-        if ranked[1:]:
-            figures["plot_delta_hist"] = render_delta_histogram(
-                deltas[ranked[1]][0], bins=config.bins
-            )
         for stem, figure in figures.items():
             (out / f"{stem}.svg").write_text(figure.svg, encoding="utf-8")
             write_json(out / f"{stem}.json", figure.data)
@@ -348,7 +284,7 @@ def _write_artifacts(
         "corrections": list(methods),
         "family_policy": config.family,
         "gold_alias": config.gold_alias,
-        "excluded_systems": list(excluded),
+        "excluded_systems": list(rep.excluded_systems),
         "quantile_rule": QUANTILE_RULE,
         "rng_family": rng.RNG_FAMILY,
         "n": table.n,

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .inference import DifferenceCI, PairedDelta, p_value
+from .bootstrap import CI
+from .inference import PairedDelta, p_value
 from .table import PerformanceSummary
 
 RED = "#c0392b"
@@ -172,7 +173,7 @@ def render_forest_plot(
 
 
 def render_difference_plot(
-    diffs: Sequence[tuple[str, DifferenceCI]], reference: str = ""
+    diffs: Sequence[tuple[str, CI]], reference: str = ""
 ) -> SvgFigure:
     """Difference-to-best intervals; red straddles zero, green does not."""
     if not diffs:

@@ -16,7 +16,7 @@ import numpy as np
 from . import rng
 from .bootstrap import QUANTILE_RULE, SamplingDistribution, distributions
 from .corrections import METHODS, adjust_all, build_families
-from .inference import comparison_p_value, delta_from_distributions, rank_systems
+from .inference import DifferenceMatrix, matrix_from_distributions
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 GOLD_ALIAS = "Gold_Standard"
@@ -26,7 +26,13 @@ CORRECTION_KEYS = ("none",) + METHODS
 
 @dataclass(frozen=True)
 class CompetitionReport:
-    """The per-competition summary panel plus reproducibility provenance."""
+    """The per-competition summary panel plus reproducibility provenance.
+
+    ``cv`` is None when the mean competitor score is 0.  ``matrix`` and
+    ``adjusted`` carry the pairwise comparisons the panel was counted from:
+    every ranked pair, and the adjusted p-values under every method of the
+    pairs in the chosen family.
+    """
 
     n: int
     m: int
@@ -34,7 +40,7 @@ class CompetitionReport:
     ties_with_winner: dict[str, int]
     ties_all_pairs: Optional[dict[str, int]]
     win_med_gap: float
-    cv: float
+    cv: Optional[float]
     cv_comparable: bool
     ppi: Optional[float]
     alpha: float
@@ -50,6 +56,10 @@ class CompetitionReport:
     ranking_ties: tuple[str, ...] = ()
     ranking: tuple[str, ...] = ()
     observed_scores: dict[str, float] = field(default_factory=dict)
+    matrix: Optional[DifferenceMatrix] = field(default=None, repr=False)
+    adjusted: dict[tuple[str, str], dict[str, float]] = field(
+        default_factory=dict, repr=False
+    )
 
 
 def cv(scores: Sequence[float]) -> float:
@@ -118,7 +128,8 @@ def build_report(
     gold_alias: str = GOLD_ALIAS,
     dists: Optional[dict[str, SamplingDistribution]] = None,
 ) -> CompetitionReport:
-    """Run the full comparison pipeline and assemble the summary panel.
+    """Rank, compare every pair once, correct each family once, and
+    assemble the summary panel.
 
     A system whose name equals ``gold_alias`` is excluded from the competitor
     count, ranking, dispersion and every comparison; exclusion is by explicit
@@ -138,7 +149,8 @@ def build_report(
     else:
         dists = {name: dists[name] for name in competitors}
     observed = {name: d.observed for name, d in dists.items()}
-    ranked = rank_systems(observed, spec, table.names)
+    matrix = matrix_from_distributions(dists, spec, table.names, plan.confidence)
+    ranked = list(matrix.systems)
     ranked_scores = [observed[name] for name in ranked]
     ties = tuple(
         name
@@ -147,26 +159,13 @@ def build_report(
         or (k + 1 < len(ranked) and observed[ranked[k + 1]] == observed[name])
     )
 
-    pairs = [
-        (ranked[i], ranked[j])
-        for i in range(len(ranked) - 1)
-        for j in range(i + 1, len(ranked))
-    ]
-    raw = {}
-    for ref, comp in pairs:
-        pd = delta_from_distributions(
-            ref, comp, dists[ref], dists[comp], spec, reorient=False
-        )
-        raw[(ref, comp)] = comparison_p_value(pd)
-
-    families = build_families(ranked, raw, policy=family_policy)
-    adjusted = adjust_all(families)
+    raw = {(e.reference, e.competitor): e.p for e in matrix.entries.values()}
+    adjusted = adjust_all(build_families(ranked, raw, policy=family_policy))
+    with_winner, all_pairs = tie_counts(
+        list(adjusted), raw, adjusted, ranked[0], plan.alpha
+    )
     if family_policy == "vs_winner":
-        winner_pairs = [p for p in pairs if p[0] == ranked[0]]
-        with_winner, _ = tie_counts(winner_pairs, raw, adjusted, ranked[0], plan.alpha)
         all_pairs = None
-    else:
-        with_winner, all_pairs = tie_counts(pairs, raw, adjusted, ranked[0], plan.alpha)
 
     m = len(competitors)
     return CompetitionReport(
@@ -176,7 +175,7 @@ def build_report(
         ties_with_winner=with_winner,
         ties_all_pairs=all_pairs,
         win_med_gap=win_med_gap(ranked_scores),
-        cv=cv(ranked_scores),
+        cv=cv(ranked_scores) if np.mean(ranked_scores) != 0.0 else None,
         cv_comparable=spec.capped_at_one and spec.higher_is_better,
         ppi=ppi(ranked_scores[0], spec),
         alpha=plan.alpha,
@@ -190,4 +189,6 @@ def build_report(
         ranking_ties=ties,
         ranking=tuple(ranked),
         observed_scores=observed,
+        matrix=matrix,
+        adjusted=adjusted,
     )

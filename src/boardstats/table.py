@@ -272,8 +272,8 @@ class BootstrapPlan:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if self.replicates < 2:
+            raise ValueError("replicates must be >= 2 for percentile intervals")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
         if not 0.0 < self.alpha < 1.0:

@@ -70,9 +70,9 @@ def test_perfect_system_is_perfect_on_every_resample():
 
 def test_b_one_with_single_row_is_identity():
     table = PredictionTable.build(["a"], {"s": ["a"]})
-    plan = BootstrapPlan(replicates=1, seed=8)
+    plan = BootstrapPlan(replicates=2, seed=8)
     dist = distribution(table, "s", ScoreSpec.accuracy(), plan)
-    assert dist.values.tolist() == [dist.observed] == [1.0]
+    assert dist.values.tolist() == [dist.observed] * 2 == [1.0, 1.0]
 
 
 def test_distribution_matches_per_replicate_scoring_exactly():

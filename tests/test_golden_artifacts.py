@@ -88,7 +88,7 @@ def golden_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_artifacts_match_golden_digests(case, golden_dir, monkeypatch, capsys):
+def test_artifacts_match_golden_digests(case, golden_dir, monkeypatch):
     monkeypatch.chdir(golden_dir)
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[case]
     assert run_case(case, golden_dir) == expected

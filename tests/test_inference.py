@@ -169,6 +169,7 @@ def test_difference_matrix_matches_pairwise_recomputation():
         pd = paired_difference(table, spec, plan, dm.systems[j], dm.systems[i])
         assert entry.delta == pytest.approx(pd.observed_delta, abs=1e-12)
         assert entry.p == p_value(pd)
+        assert entry.ci == difference_ci(pd, plan.confidence)
     # ranked best first
     observed = [
         float(np.mean(table.systems[name] == table.gold)) for name in dm.systems

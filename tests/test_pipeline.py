@@ -267,6 +267,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     # metric classes must exist in the data
     assert main(["--input", str(csv), "--metric", "f1:zzz"]) == 2
 
+    # rejected with the plan, before any resampling
+    assert main(["--input", str(csv), "--samples", "1"]) == 2
+    assert "boardstats: configuration: replicates must be >= 2" in capsys.readouterr().err
+
+    assert main(["--input", str(csv), "--metric", "mae", "--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "boardstats: bootstrap: mae requires numeric outcomes"
+
     with pytest.raises(SystemExit) as exc:
         main(["--input", str(csv), "--family", "ladder"])
     assert exc.value.code == 2
@@ -312,3 +320,15 @@ def test_vs_winner_pvalues_only_winner_rows(tmp_path, corrections):
     winner = result.ranking[0]
     assert all(r["reference"] == winner for r in payload["comparisons"])
     assert len(payload["comparisons"]) == 2
+
+
+def test_zero_mean_competition_reports_undefined_cv(tmp_path):
+    csv = tmp_path / "all_wrong.csv"
+    csv.write_text("y,A,B\n" + "x,z,z\ny,x,x\n" * 5, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--samples", "50", "--out-dir", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["cv"] is None
+    assert rep["observed_scores"] == {"A": 0.0, "B": 0.0}
+    for fmt in ("csv", "md"):
+        assert "cv,-" in (out / f"report.{fmt}").read_text().replace(" | ", ",")

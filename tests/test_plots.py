@@ -3,7 +3,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from boardstats.inference import DifferenceCI, PairedDelta, p_value
+from boardstats.bootstrap import CI
+from boardstats.inference import PairedDelta, p_value
 from boardstats.plots import render_delta_histogram, render_difference_plot, render_forest_plot
 from boardstats.table import PerformanceSummary
 
@@ -59,9 +60,9 @@ def test_forest_sidecar_matches_svg():
 
 def test_difference_plot_colors_by_zero_straddle():
     diffs = [
-        ("straddles", DifferenceCI(lci=-0.0371, mean=0.0269, uci=0.0910)),
-        ("clear", DifferenceCI(lci=0.0211, mean=0.0680, uci=0.1149)),
-        ("self", DifferenceCI(lci=0.0, mean=0.0, uci=0.0)),
+        ("straddles", CI(lci=-0.0371, mean=0.0269, uci=0.0910)),
+        ("clear", CI(lci=0.0211, mean=0.0680, uci=0.1149)),
+        ("self", CI(lci=0.0, mean=0.0, uci=0.0)),
     ]
     fig = render_difference_plot(diffs, reference="winner")
     rows = groups(fig.svg, "comparison")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boardstats.corrections import adjust_all, build_families
+from boardstats.inference import difference_matrix
 from boardstats.report import build_report, cv, ppi, tie_counts, win_med_gap
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 
@@ -128,6 +129,10 @@ def test_build_report_matches_component_recomputation():
     # adjusted p-values only grow, so corrected ties can never drop
     assert rep.ties_with_winner["bonferroni"] >= rep.ties_with_winner["none"]
     assert rep.ties_all_pairs["bonferroni"] >= rep.ties_all_pairs["holm"] >= rep.ties_all_pairs["bh"] - 1
+    # the pairwise comparisons and corrections the panel was counted from
+    assert rep.matrix == difference_matrix(table, spec, plan)
+    raw = {(e.reference, e.competitor): e.p for e in rep.matrix.entries.values()}
+    assert rep.adjusted == adjust_all(build_families(ranked, raw, "per_reference"))
 
 
 def test_gold_alias_exclusion():
@@ -152,6 +157,7 @@ def test_vs_winner_policy_omits_all_pairs_counts():
     )
     assert rep.ties_all_pairs is None
     assert set(rep.ties_with_winner) == {"none", "bonferroni", "holm", "bh"}
+    assert set(rep.adjusted) == {(rep.ranking[0], s) for s in rep.ranking[1:]}
 
 
 def test_single_competitor_is_an_error():

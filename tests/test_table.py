@@ -144,6 +144,8 @@ def test_bootstrap_plan_invariants():
     with pytest.raises(ValueError):
         BootstrapPlan(replicates=0)
     with pytest.raises(ValueError):
+        BootstrapPlan(replicates=1)  # a percentile CI needs two values
+    with pytest.raises(ValueError):
         BootstrapPlan(confidence=1.0)
     with pytest.raises(ValueError):
         BootstrapPlan(confidence=0.0)
