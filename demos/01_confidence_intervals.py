@@ -48,11 +48,13 @@ plan = BootstrapPlan(replicates=10_000, seed=7)
 summaries = summarize(table, spec, plan)
 
 print(f"{'system':<14} {'observed':>9} {'lci':>8} {'mean':>8} {'uci':>8}")
-for name, s in sorted(summaries.items(), key=lambda kv: -kv[1].observed):
-    print(f"{name:<14} {s.observed:>9.4f} {s.lci:>8.4f} {s.boot_mean:>8.4f} {s.uci:>8.4f}")
+for name, (observed, ci) in sorted(summaries.items(), key=lambda kv: -kv[1][0]):
+    print(f"{name:<14} {observed:>9.4f} {ci.lci:>8.4f} {ci.mean:>8.4f} {ci.uci:>8.4f}")
 
 # Overlapping intervals hint that two systems may be statistically tied;
 # the paired analysis in demo 02 makes that precise.
-figure = render_forest_plot(list(summaries.values()))
+figure = render_forest_plot(
+    [(name, observed, ci) for name, (observed, ci) in summaries.items()]
+)
 (OUT / "confidence_intervals.svg").write_text(figure.svg)
 print(f"\nwrote {OUT / 'confidence_intervals.svg'}")

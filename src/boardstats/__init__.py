@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .bootstrap import (
     CI,
-    ResamplePlan,
     SamplingDistribution,
     distribution,
     distributions,
@@ -51,16 +50,11 @@ from .synth import (
     ValueNoise,
     calibrate,
     expected_score,
-    fit_confusion_matrix,
-    fit_pair_coupling,
     generate,
     synth_config_from_json,
-    table_from_confusions,
 )
 from .table import (
     BootstrapPlan,
-    DifferenceSummary,
-    PerformanceSummary,
     PredictionTable,
     ScoreSpec,
     TaskKind,
@@ -78,15 +72,12 @@ __all__ = [
     "ConfusionCounts",
     "DataFormatError",
     "DifferenceMatrix",
-    "DifferenceSummary",
     "LabelNoise",
     "MetricError",
     "PValueFamily",
     "PairedDelta",
-    "PerformanceSummary",
     "PipelineResult",
     "PredictionTable",
-    "ResamplePlan",
     "RunConfig",
     "SamplingDistribution",
     "ScoreSpec",
@@ -108,8 +99,6 @@ __all__ = [
     "distribution",
     "distributions",
     "expected_score",
-    "fit_confusion_matrix",
-    "fit_pair_coupling",
     "generate",
     "load_table",
     "p_value",
@@ -128,7 +117,6 @@ __all__ = [
     "significance_stars",
     "summarize",
     "synth_config_from_json",
-    "table_from_confusions",
     "tie_counts",
     "validate",
     "win_med_gap",

@@ -23,27 +23,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import rng
+from .errors import MetricError
 from .metrics import ResampleScorer
-from .table import BootstrapPlan, PerformanceSummary, PredictionTable, ScoreSpec
+from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
 
 _BLOCK = 512  # replicates evaluated per batch; fixed so results never depend on workers
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    """Size, replicate count and seed of one resampling run."""
-
-    n: int
-    replicates: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,8 +53,8 @@ class CI(NamedTuple):
         return self.lci <= 0.0 <= self.uci
 
 
-def resample_indices(plan: ResamplePlan, replicate_id: int) -> np.ndarray:
-    """The n resample indices of one replicate.
+def resample_indices(plan: BootstrapPlan, n: int, replicate_id: int) -> np.ndarray:
+    """The n resample indices of one replicate of the plan.
 
     Fully determined by (seed, replicate_id); n independent uniform draws
     from [0, n).
@@ -77,7 +63,7 @@ def resample_indices(plan: ResamplePlan, replicate_id: int) -> np.ndarray:
         raise ValueError(
             f"replicate_id {replicate_id} outside [0, {plan.replicates})"
         )
-    return rng.index_block(plan.seed, plan.n, replicate_id, replicate_id + 1)[0]
+    return rng.index_block(plan.seed, n, replicate_id, replicate_id + 1)[0]
 
 
 def _evaluate(
@@ -114,7 +100,9 @@ def distributions(
     """Sampling distribution of the score of each system.
 
     value[r] of every system is computed on the same resample indices, which
-    is what makes paired differences between systems valid.
+    is what makes paired differences between systems valid.  A score that is
+    not finite, on the original data or on any replicate, raises
+    ``MetricError``.
     """
     names = list(table.names if systems is None else systems)
     for name in names:
@@ -124,10 +112,17 @@ def distributions(
         name: ResampleScorer(table.gold, table.systems[name], spec) for name in names
     }
     values = _evaluate(scorers, table.n, plan)
-    return {
-        name: SamplingDistribution(values=values[name], observed=scorers[name].observed())
-        for name in names
-    }
+    out = {}
+    for name in names:
+        observed = scorers[name].observed()
+        bad = np.flatnonzero(~np.isfinite(values[name]))
+        if not np.isfinite(observed) or bad.size:
+            where = "the original data" if not np.isfinite(observed) else f"replicate {bad[0]}"
+            raise MetricError(
+                f"{spec.display_name} is not finite for system {name!r} on {where}"
+            )
+        out[name] = SamplingDistribution(values=values[name], observed=observed)
+    return out
 
 
 def distribution(
@@ -162,19 +157,10 @@ def summarize(
     spec: ScoreSpec,
     plan: BootstrapPlan,
     systems: Optional[Sequence[str]] = None,
-    keep_samples: bool = False,
-) -> dict[str, PerformanceSummary]:
-    """Observed score, bootstrap mean and CI for each system."""
+) -> dict[str, tuple[float, CI]]:
+    """Observed score and bootstrap CI (with its mean) for each system."""
     dists = distributions(table, spec, plan, systems=systems)
-    out = {}
-    for name, dist in dists.items():
-        ci = percentile_ci(dist, plan.confidence)
-        out[name] = PerformanceSummary(
-            system=name,
-            observed=dist.observed,
-            boot_mean=ci.mean,
-            lci=ci.lci,
-            uci=ci.uci,
-            boot_samples=dist.values if keep_samples else None,
-        )
-    return out
+    return {
+        name: (dist.observed, percentile_ci(dist, plan.confidence))
+        for name, dist in dists.items()
+    }

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .corrections import METHODS, POLICIES
 from .errors import ConfigError, DataFormatError
 from .report import GOLD_ALIAS
 from .table import HIGHER, LOWER, PredictionTable, ScoreSpec, TaskKind
@@ -58,12 +59,14 @@ class RunConfig:
         if self.task not in ("auto", "classification", "regression"):
             raise ConfigError(f"unknown task {self.task!r}")
         for method in self.corrections:
-            if method not in ("none", "bonferroni", "holm", "bh"):
+            if method not in ("none",) + METHODS:
                 raise ConfigError(f"unknown correction {method!r}")
         if self.direction not in (None, HIGHER, LOWER):
             raise ConfigError(f"unknown direction {self.direction!r}")
-        if self.family not in ("vs_winner", "per_reference", "global"):
+        if self.family not in POLICIES:
             raise ConfigError(f"unknown family policy {self.family!r}")
+        if self.bins is not None and self.bins < 1:
+            raise ConfigError(f"bins must be >= 1, got {self.bins}")
 
 
 def _numeric(cell: str) -> bool:

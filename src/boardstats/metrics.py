@@ -20,8 +20,6 @@ import numpy as np
 from .errors import MetricError
 from .table import ScoreSpec
 
-_IDENT = object()  # sentinel: score the original, unresampled vectors
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -102,19 +100,19 @@ class ResampleScorer:
         else:  # pragma: no cover - ScoreSpec already rejects unknown metrics
             raise MetricError(f"unknown metric {spec.metric!r}")
 
-    def _gather_sum(self, weights: np.ndarray, idx) -> np.ndarray:
-        if idx is _IDENT:
-            return np.atleast_1d(np.add.reduce(weights))
+    def _gather_sum(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.add.reduce(weights[idx], axis=1)
 
     def scores(self, idx) -> np.ndarray:
         """Score each row of a (k, n) index matrix."""
-        if idx is not _IDENT:
-            idx = np.asarray(idx)
-            if idx.ndim == 1:
-                idx = idx[None, :]
-            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise MetricError(f"resample index outside [0, {self.n})")
+        idx = np.asarray(idx)
+        if idx.ndim == 1:
+            idx = idx[None, :]
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise MetricError(f"resample index outside [0, {self.n})")
+        return self._score_rows(idx)
+
+    def _score_rows(self, idx: np.ndarray) -> np.ndarray:
         spec = self.spec
         if spec.metric == "accuracy":
             return self._gather_sum(self._correct, idx) / self.n
@@ -136,15 +134,17 @@ class ResampleScorer:
         if spec.metric == "mae":
             return self._gather_sum(self._abserr, idx) / self.n
         # custom: hand the resampled vectors to the user function row by row
-        if idx is _IDENT:
-            return np.array([float(spec.fn(self._gold, self._pred))])
         return np.array(
             [float(spec.fn(self._gold[row], self._pred[row])) for row in idx]
         )
 
     def observed(self) -> float:
-        """Score of the original, unresampled data."""
-        return float(self.scores(_IDENT)[0])
+        """Score of the original, unresampled data: the identity row.
+
+        Bypasses ``scores``, which takes resamples and checks their range;
+        the identity row is neither.
+        """
+        return float(self._score_rows(np.arange(self.n)[None])[0])
 
 
 def _looks_numeric(arr: np.ndarray) -> bool:

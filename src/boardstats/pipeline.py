@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .inference import delta_from_distributions
 from .plots import render_delta_histogram, render_difference_plot, render_forest_plot
 from .report import build_report
-from .table import BootstrapPlan, PerformanceSummary, PredictionTable
+from .table import BootstrapPlan, PredictionTable
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -241,17 +241,11 @@ def _write_artifacts(out, config, spec, plan, table, rep, dists, summaries):
 
     # figures
     if "svg" in formats:
-        perf_summaries = [
-            PerformanceSummary(
-                system=s, observed=dists[s].observed, boot_mean=summaries[s].mean,
-                lci=summaries[s].lci, uci=summaries[s].uci,
-            )
-            for s in ranked
-        ]
         runner_up = ranked[1]
         figures = {
             "plot_forest": render_forest_plot(
-                perf_summaries, higher_better=spec.higher_is_better
+                [(s, dists[s].observed, summaries[s]) for s in ranked],
+                higher_better=spec.higher_is_better,
             ),
             "plot_differences": render_difference_plot(
                 [(e.competitor, e.ci) for e in best], reference=ranked[0]

@@ -22,7 +22,6 @@ import numpy as np
 
 from .bootstrap import CI
 from .inference import PairedDelta, p_value
-from .table import PerformanceSummary
 
 RED = "#c0392b"
 GREEN = "#1e8449"
@@ -132,42 +131,33 @@ def _axis(canvas: _Canvas, to_x, lo: float, hi: float, y: float):
 
 
 def render_forest_plot(
-    summaries: Sequence[PerformanceSummary], higher_better: bool = True
+    systems: Sequence[tuple[str, float, CI]], higher_better: bool = True
 ) -> SvgFigure:
-    """Interval-per-system forest plot, best system on top."""
-    if not summaries:
+    """Interval-per-system forest plot of (name, observed score, CI), best
+    system on top."""
+    if not systems:
         raise ValueError("need at least one system to plot")
-    ordered = sorted(
-        summaries, key=lambda s: s.observed, reverse=higher_better
-    )
+    ordered = sorted(systems, key=lambda s: s[1], reverse=higher_better)
     height = _TOP + _ROW_H * len(ordered) + _BOTTOM
     canvas = _Canvas(_WIDTH, height)
     canvas.text(_MARGIN_LEFT, 18, "Bootstrap confidence intervals", cls="title")
     to_x, lo, hi = _x_scale(
-        min(s.lci for s in ordered), max(s.uci for s in ordered)
+        min(ci.lci for _, _, ci in ordered), max(ci.uci for _, _, ci in ordered)
     )
     rows = []
-    for k, s in enumerate(ordered):
+    for k, (name, observed, ci) in enumerate(ordered):
         y = _TOP + _ROW_H * (k + 0.5)
         canvas.group_open(
-            "system", name=s.system, observed=f"{s.observed:.6f}",
-            lci=f"{s.lci:.6f}", mean=f"{s.boot_mean:.6f}", uci=f"{s.uci:.6f}",
+            "system", name=name, observed=f"{observed:.6f}",
+            lci=f"{ci.lci:.6f}", mean=f"{ci.mean:.6f}", uci=f"{ci.uci:.6f}",
         )
-        canvas.text(_MARGIN_LEFT - 8, y + 4, s.system, anchor="end")
-        canvas.line(to_x(s.lci), y, to_x(s.uci), y, cls="interval")
-        canvas.line(to_x(s.lci), y - 5, to_x(s.lci), y + 5, width=1)
-        canvas.line(to_x(s.uci), y - 5, to_x(s.uci), y + 5, width=1)
-        canvas.circle(to_x(s.boot_mean), y, 3.5, cls="mean")
+        canvas.text(_MARGIN_LEFT - 8, y + 4, name, anchor="end")
+        canvas.line(to_x(ci.lci), y, to_x(ci.uci), y, cls="interval")
+        canvas.line(to_x(ci.lci), y - 5, to_x(ci.lci), y + 5, width=1)
+        canvas.line(to_x(ci.uci), y - 5, to_x(ci.uci), y + 5, width=1)
+        canvas.circle(to_x(ci.mean), y, 3.5, cls="mean")
         canvas.group_close()
-        rows.append(
-            {
-                "system": s.system,
-                "observed": s.observed,
-                "lci": s.lci,
-                "mean": s.boot_mean,
-                "uci": s.uci,
-            }
-        )
+        rows.append({"system": name, "observed": observed, **ci._asdict()})
     _axis(canvas, to_x, lo, hi, _TOP + _ROW_H * len(ordered) + 6)
     return SvgFigure(svg=canvas.render(), data={"kind": "forest", "systems": rows})
 

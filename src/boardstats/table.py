@@ -8,7 +8,7 @@ immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -158,23 +158,20 @@ def validate(table: PredictionTable) -> list[Violation]:
                         Violation("missing", "prediction is missing", system=name, row=row)
                     )
     else:
-        def numeric_or_none(values, system):
+        columns = [(None, "gold value", table.gold)]
+        columns += [(name, "prediction", col) for name, col in table.systems.items()]
+        for system, what, col in columns:
             try:
-                return values.astype(float)
+                values = col.astype(float)
             except (TypeError, ValueError):
                 out.append(Violation("type", "values are not numeric", system=system))
-                return None
-
-        gold_values = numeric_or_none(table.gold, None)
-        if gold_values is not None:
-            for row in np.flatnonzero(np.isnan(gold_values)):
-                out.append(Violation("missing", "gold value is NaN", row=int(row)))
-        for name, col in table.systems.items():
-            col_values = numeric_or_none(col, name)
-            if col_values is None:
                 continue
-            for row in np.flatnonzero(np.isnan(col_values)):
-                out.append(Violation("missing", "prediction is NaN", system=name, row=int(row)))
+            for row in np.flatnonzero(np.isnan(values)):
+                out.append(Violation("missing", f"{what} is NaN", system=system, row=int(row)))
+            for row in np.flatnonzero(np.isinf(values)):
+                out.append(
+                    Violation("non-finite", f"{what} is {values[row]}", system=system, row=int(row))
+                )
 
     return out
 
@@ -282,51 +279,3 @@ class BootstrapPlan:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class PerformanceSummary:
-    """Per-system bootstrap summary: observed score, mean and percentile CI."""
-
-    system: str
-    observed: float
-    boot_mean: float
-    lci: float
-    uci: float
-    boot_samples: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.lci > self.uci:
-            raise ValueError(f"lci {self.lci} exceeds uci {self.uci}")
-
-
-@dataclass(frozen=True)
-class DifferenceSummary:
-    """One reference-vs-competitor comparison with raw and adjusted p-values.
-
-    ``observed_delta`` is sign-adjusted so that a positive value always means
-    the reference performed better under the spec's direction.
-    """
-
-    reference: str
-    competitor: str
-    observed_delta: float
-    lci: float
-    uci: float
-    p_value: float
-    adjusted_p: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.lci > self.uci:
-            raise ValueError(f"lci {self.lci} exceeds uci {self.uci}")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p_value must lie in [0, 1]")
-        for method, value in self.adjusted_p.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"adjusted p for {method} outside [0, 1]")
-            if value < self.p_value:
-                raise ValueError(f"adjusted p for {method} below the raw p-value")
-
-    @property
-    def contains_zero(self) -> bool:
-        return self.lci <= 0.0 <= self.uci

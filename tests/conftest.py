@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic competitions calibrated to known score layouts.
+"""Shared fixtures: synthetic competitions calibrated to known score 
 
 The two stance-style fixtures reproduce a five-system, three-class
 competition at two test sizes.  Per-system confusion matrices are fitted so
@@ -11,7 +11,7 @@ system and the winner.
 import numpy as np
 import pytest
 
-from boardstats import synth
+from confusion_layouts import fit_confusion_matrix, fit_pair_coupling, table_from_confusions
 
 STANCE_LABELS = ("favor", "none", "against")
 STANCE_SUBSET = ("favor", "against")
@@ -52,17 +52,17 @@ LARGE_PAIR_SD = {
 def build_stance_table(counts, targets, pair_sd, seed, gold_row=False):
     winner = next(iter(targets))
     mats = {
-        name: synth.fit_confusion_matrix(counts, STANCE_SUBSET, score, target_sd=sd)
+        name: fit_confusion_matrix(counts, STANCE_SUBSET, score, target_sd=sd)
         for name, (score, sd) in targets.items()
     }
     joints = {
-        name: synth.fit_pair_coupling(counts, mats[winner], mats[name], STANCE_SUBSET, sd)
+        name: fit_pair_coupling(counts, mats[winner], mats[name], STANCE_SUBSET, sd)
         for name, sd in pair_sd.items()
     }
     if gold_row:
         diag = np.diag([counts[c] for c in counts]).astype(int)
         mats = {"Gold_Standard": diag, **mats}
-    return synth.table_from_confusions(
+    return table_from_confusions(
         counts, mats, seed=seed, reference=winner, couplings=joints
     )
 

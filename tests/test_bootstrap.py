@@ -3,7 +3,6 @@ import pytest
 
 from boardstats import rng
 from boardstats.bootstrap import (
-    ResamplePlan,
     SamplingDistribution,
     distribution,
     distributions,
@@ -11,6 +10,7 @@ from boardstats.bootstrap import (
     resample_indices,
     summarize,
 )
+from boardstats.errors import MetricError
 from boardstats.metrics import score_on_indices
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 
@@ -25,32 +25,32 @@ def make_table(n=60, seed=3):
 
 
 def test_single_replicate_is_slice_of_stream():
-    plan = ResamplePlan(n=37, replicates=50, seed=99)
+    plan = BootstrapPlan(replicates=50, seed=99)
     block = rng.index_block(99, 37, 0, 50)
     for r in (0, 1, 17, 49):
-        assert np.array_equal(resample_indices(plan, r), block[r])
+        assert np.array_equal(resample_indices(plan, 37, r), block[r])
 
 
 def test_indices_deterministic_and_in_range():
-    plan = ResamplePlan(n=11, replicates=5, seed=123)
-    a = resample_indices(plan, 3)
-    b = resample_indices(plan, 3)
+    plan = BootstrapPlan(replicates=5, seed=123)
+    a = resample_indices(plan, 11, 3)
+    b = resample_indices(plan, 11, 3)
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 11 and len(a) == 11
 
 
 def test_n_one_always_yields_zero():
-    plan = ResamplePlan(n=1, replicates=10, seed=1)
+    plan = BootstrapPlan(replicates=10, seed=1)
     for r in range(10):
-        assert resample_indices(plan, r).tolist() == [0]
+        assert resample_indices(plan, 1, r).tolist() == [0]
 
 
 def test_replicate_id_out_of_range():
-    plan = ResamplePlan(n=5, replicates=3, seed=0)
+    plan = BootstrapPlan(replicates=3, seed=0)
     with pytest.raises(ValueError):
-        resample_indices(plan, 3)
+        resample_indices(plan, 5, 3)
     with pytest.raises(ValueError):
-        resample_indices(plan, -1)
+        resample_indices(plan, 5, -1)
 
 
 def test_index_frequencies_are_uniform():
@@ -80,23 +80,21 @@ def test_distribution_matches_per_replicate_scoring_exactly():
     # at a time, for integer-count and float metrics alike
     table = make_table()
     plan = BootstrapPlan(replicates=64, seed=21)
-    rplan = ResamplePlan(n=table.n, replicates=64, seed=21)
     for spec in (ScoreSpec.accuracy(), ScoreSpec.macro_f1(["a", "b"])):
         dist = distribution(table, "noisy", spec, plan)
         for r in range(64):
             manual = score_on_indices(
-                table.gold, table.systems["noisy"], spec, resample_indices(rplan, r)
+                table.gold, table.systems["noisy"], spec, resample_indices(plan, table.n, r)
             )
             assert dist.values[r] == manual
 
     reg = PredictionTable.build(
         np.linspace(0, 5, 40), {"s": np.linspace(0.3, 4.6, 40)}, "regression"
     )
-    rplan = ResamplePlan(n=40, replicates=64, seed=21)
     dist = distribution(reg, "s", ScoreSpec.mae(), plan)
     for r in range(64):
         manual = score_on_indices(
-            reg.gold, reg.systems["s"], ScoreSpec.mae(), resample_indices(rplan, r)
+            reg.gold, reg.systems["s"], ScoreSpec.mae(), resample_indices(plan, 40, r)
         )
         assert dist.values[r] == manual
 
@@ -182,13 +180,25 @@ def test_unknown_system():
         distribution(table, "ghost", ScoreSpec.accuracy(), BootstrapPlan(replicates=10, seed=0))
 
 
+def test_non_finite_scores_raise_metric_error():
+    table = make_table(n=30)
+    plan = BootstrapPlan(replicates=50, seed=2)
+    always_nan = ScoreSpec.custom("nan", lambda g, p: float("nan"))
+    with pytest.raises(MetricError, match="'noisy' on the original data"):
+        distributions(table, always_nan, plan)
+    first_row = table.gold[0]
+    resampled_inf = ScoreSpec.custom(
+        "inf", lambda g, p: 1.0 if g[0] == first_row else float("inf")
+    )
+    with pytest.raises(MetricError, match=r"inf is not finite for system 'noisy' on replicate \d+"):
+        distributions(table, resampled_inf, plan)
+
+
 def test_summarize_invariants():
     table = make_table(n=120)
     plan = BootstrapPlan(replicates=2000, seed=13)
-    summaries = summarize(table, ScoreSpec.accuracy(), plan, keep_samples=True)
-    for s in summaries.values():
-        assert s.lci <= s.boot_mean <= s.uci
-        assert s.lci <= s.observed <= s.uci
-        assert s.boot_samples is not None and len(s.boot_samples) == 2000
-    light = summarize(table, ScoreSpec.accuracy(), plan)
-    assert all(s.boot_samples is None for s in light.values())
+    summaries = summarize(table, ScoreSpec.accuracy(), plan)
+    assert list(summaries) == list(table.names)
+    for observed, ci in summaries.values():
+        assert ci.lci <= ci.mean <= ci.uci
+        assert ci.lci <= observed <= ci.uci

@@ -275,9 +275,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == "boardstats: bootstrap: mae requires numeric outcomes"
 
+    # a bad bin count fails before anything is written
+    for bins in ("-3", "0"):
+        bad_out = tmp_path / f"bins{bins}"
+        assert main([
+            "--input", str(csv), "--bins", bins, "--out-dir", str(bad_out),
+        ]) == 2
+        assert "boardstats: configuration: bins must be >= 1" in capsys.readouterr().err
+        assert not bad_out.exists()
+
     with pytest.raises(SystemExit) as exc:
         main(["--input", str(csv), "--family", "ladder"])
     assert exc.value.code == 2
+
+
+def test_cli_rejects_infinite_regression_value(tmp_path, capsys):
+    csv = tmp_path / "values.csv"
+    csv.write_text("y,s1,s2\n1.0,1.1,0.9\n2.0,2.2,inf\n3.0,2.9,3.1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--metric", "mae", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[non-finite] prediction is inf (system='s2', row=1)" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_non_finite_custom_metric(tmp_path, capsys):
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    plugin = tmp_path / "nan_metric.py"
+    plugin.write_text("def score(gold, pred):\n    return float('nan')\n")
+    out = tmp_path / "out"
+    assert main([
+        "--input", str(csv), "--metric", f"custom:{plugin}", "--samples", "20",
+        "--out-dir", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boardstats: bootstrap: nan_metric is not finite for system 'sys0'")
+    assert "original data" in err
+    assert not out.exists()
 
 
 def test_cli_custom_metric_and_formats(tmp_path):

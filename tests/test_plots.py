@@ -6,7 +6,6 @@ import pytest
 from boardstats.bootstrap import CI
 from boardstats.inference import PairedDelta, p_value
 from boardstats.plots import render_delta_histogram, render_difference_plot, render_forest_plot
-from boardstats.table import PerformanceSummary
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -17,9 +16,7 @@ def groups(svg_text, cls):
 
 
 def summary(name, observed, lci, uci):
-    return PerformanceSummary(
-        system=name, observed=observed, boot_mean=(lci + uci) / 2, lci=lci, uci=uci
-    )
+    return name, observed, CI(lci=lci, mean=(lci + uci) / 2, uci=uci)
 
 
 def test_forest_plot_orders_best_first():

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from boardstats import synth
 from boardstats.bootstrap import distributions
 from boardstats.metrics import confusion_counts, score
 from boardstats.synth import (
     LabelNoise,
     SynthConfig,
     ValueNoise,
-    bootstrap_sd,
     calibrate,
     expected_score,
+    generate,
+)
+from confusion_layouts import (
+    bootstrap_sd,
     fit_confusion_matrix,
     fit_pair_coupling,
-    generate,
+    paired_f1_delta_stat,
     subset_f1_stat,
     table_from_confusions,
 )
@@ -189,7 +191,7 @@ def test_table_from_confusions_deterministic_and_seed_sensitive():
 def test_coupling_margins_and_effect_on_delta_spread():
     ref = fit_confusion_matrix(COUNTS, SUBSET, 0.61)
     other = fit_confusion_matrix(COUNTS, SUBSET, 0.55)
-    delta_stat = synth.paired_f1_delta_stat(tuple(COUNTS), SUBSET)
+    delta_stat = paired_f1_delta_stat(tuple(COUNTS), SUBSET)
     tight = fit_pair_coupling(COUNTS, ref, other, SUBSET, target_sd_delta=0.02)
     loose = fit_pair_coupling(COUNTS, ref, other, SUBSET, target_sd_delta=0.09)
     assert np.array_equal(tight.sum(axis=2), ref)

@@ -4,8 +4,6 @@ import pytest
 from boardstats.errors import TableValidationError
 from boardstats.table import (
     BootstrapPlan,
-    DifferenceSummary,
-    PerformanceSummary,
     PredictionTable,
     ScoreSpec,
     TaskKind,
@@ -85,6 +83,20 @@ def test_nan_predictions_are_violations_for_regression():
     assert violations[0].row == 1
 
 
+def test_infinite_values_are_located_violations_for_regression():
+    table = PredictionTable(
+        task_kind=TaskKind.REGRESSION,
+        gold=np.array([1.0, -np.inf, np.nan]),
+        systems={"s": np.array([np.inf, 2.0, 3.0])},
+    )
+    kinds = [(v.kind, v.system, v.row, v.message) for v in validate(table)]
+    assert kinds == [
+        ("missing", None, 2, "gold value is NaN"),
+        ("non-finite", None, 1, "gold value is -inf"),
+        ("non-finite", "s", 0, "prediction is inf"),
+    ]
+
+
 def test_non_numeric_regression_column_is_a_violation_not_a_crash():
     table = PredictionTable(
         task_kind=TaskKind.REGRESSION,
@@ -158,17 +170,3 @@ def test_bootstrap_plan_invariants():
     assert plan.confidence == 0.95
     assert plan.alpha == 0.05
 
-
-def test_summary_invariants():
-    with pytest.raises(ValueError):
-        PerformanceSummary(system="s", observed=0.5, boot_mean=0.5, lci=0.6, uci=0.4)
-    with pytest.raises(ValueError):
-        DifferenceSummary(
-            reference="a", competitor="b", observed_delta=0.1,
-            lci=0.0, uci=0.2, p_value=0.5, adjusted_p={"bonferroni": 0.2},
-        )
-    ok = DifferenceSummary(
-        reference="a", competitor="b", observed_delta=0.1,
-        lci=-0.05, uci=0.2, p_value=0.1, adjusted_p={"bonferroni": 0.4},
-    )
-    assert ok.contains_zero
