@@ -66,6 +66,18 @@ def resample_indices(plan: BootstrapPlan, n: int, replicate_id: int) -> np.ndarr
     return rng.index_block(plan.seed, n, replicate_id, replicate_id + 1)[0]
 
 
+def _scored(spec: ScoreSpec, system: str, fn, *args):
+    """``fn(*args)``; a custom metric's exception becomes a located MetricError."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        if spec.metric != "custom":
+            raise
+        raise MetricError(
+            f"{spec.display_name} raised {type(exc).__name__} for system {system!r}: {exc}"
+        ) from exc
+
+
 def _evaluate(
     scorers: dict[str, ResampleScorer],
     n: int,
@@ -79,7 +91,7 @@ def _evaluate(
         stop = min(start + _BLOCK, B)
         idx = rng.index_block(plan.seed, n, start, stop)
         for name, scorer in scorers.items():
-            out[name][start:stop] = scorer.scores(idx)
+            out[name][start:stop] = _scored(scorer.spec, name, scorer.scores, idx)
 
     starts = range(0, B, _BLOCK)
     if plan.workers > 1:
@@ -101,8 +113,8 @@ def distributions(
 
     value[r] of every system is computed on the same resample indices, which
     is what makes paired differences between systems valid.  A score that is
-    not finite, on the original data or on any replicate, raises
-    ``MetricError``.
+    not finite, on the original data or on any replicate, or a custom
+    metric's ``score`` raising, is a ``MetricError``.
     """
     names = list(table.names if systems is None else systems)
     for name in names:
@@ -114,7 +126,7 @@ def distributions(
     values = _evaluate(scorers, table.n, plan)
     out = {}
     for name in names:
-        observed = scorers[name].observed()
+        observed = _scored(spec, name, scorers[name].observed)
         bad = np.flatnonzero(~np.isfinite(values[name]))
         if not np.isfinite(observed) or bad.size:
             where = "the original data" if not np.isfinite(observed) else f"replicate {bad[0]}"

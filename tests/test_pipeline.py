@@ -250,7 +250,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().out
 
     assert main(["--input", str(tmp_path / "missing.csv")]) == 3
-    assert "i" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("boardstats: i/o: ")
 
     assert main(["--input", str(csv), "--metric", "bleu"]) == 2
 
@@ -263,9 +263,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     single = tmp_path / "single.csv"
     single.write_text("y,A\nx,x\n", encoding="utf-8")
     assert main(["--input", str(single)]) == 2  # fewer than 2 competitors
+    assert capsys.readouterr().err.startswith("boardstats: configuration: need at least 2")
 
     # metric classes must exist in the data
     assert main(["--input", str(csv), "--metric", "f1:zzz"]) == 2
+    assert capsys.readouterr().err.startswith("boardstats: configuration: metric classes")
 
     # rejected with the plan, before any resampling
     assert main(["--input", str(csv), "--samples", "1"]) == 2
@@ -274,15 +276,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--input", str(csv), "--metric", "mae", "--samples", "10"]) == 2
     err = capsys.readouterr().err
     assert err.strip() == "boardstats: bootstrap: mae requires numeric outcomes"
-
-    # a bad bin count fails before anything is written
-    for bins in ("-3", "0"):
-        bad_out = tmp_path / f"bins{bins}"
-        assert main([
-            "--input", str(csv), "--bins", bins, "--out-dir", str(bad_out),
-        ]) == 2
-        assert "boardstats: configuration: bins must be >= 1" in capsys.readouterr().err
-        assert not bad_out.exists()
 
     with pytest.raises(SystemExit) as exc:
         main(["--input", str(csv), "--family", "ladder"])
@@ -312,6 +305,62 @@ def test_cli_rejects_non_finite_custom_metric(tmp_path, capsys):
     assert err.startswith("boardstats: bootstrap: nan_metric is not finite for system 'sys0'")
     assert "original data" in err
     assert not out.exists()
+
+
+def test_cli_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes("y,A,B\nsí,sí,no\nno,no,no\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"boardstats: input: {csv}: ")
+    assert not out.exists()
+
+
+def test_cli_crashing_custom_metric_is_located(tmp_path, capsys):
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    plugin = tmp_path / "crash_metric.py"
+    plugin.write_text("def score(gold, pred):\n    return 1 / 0\n")
+    out = tmp_path / "out"
+    assert main([
+        "--input", str(csv), "--metric", f"custom:{plugin}", "--samples", "20",
+        "--out-dir", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "boardstats: bootstrap: crash_metric raised ZeroDivisionError for system 'sys0'"
+    )
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_unimportable_custom_metric_is_a_configuration_error(tmp_path, capsys):
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    plugin = tmp_path / "broken_metric.py"
+    plugin.write_text("def score(gold, pred)\n    return 1.0\n")
+    assert main(["--input", str(csv), "--metric", f"custom:{plugin}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"boardstats: configuration: cannot import custom metric {plugin}: SyntaxError")
+    assert "Traceback" not in err
+
+
+def test_histogram_and_pvalues_agree_on_identical_top_two(tmp_path):
+    g = np.random.default_rng(4)
+    gold = g.choice(["p", "n"], size=200)
+    top = gold.copy()
+    top[:20] = np.where(gold[:20] == "p", "n", "p")
+    worse = gold.copy()
+    worse[:60] = np.where(gold[:60] == "p", "n", "p")
+    lines = ["y,A,B,C"] + [f"{gold[i]},{top[i]},{top[i]},{worse[i]}" for i in range(200)]
+    csv = tmp_path / "twins.csv"
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--samples", "200", "--out-dir", str(out)]) == 0
+    hist = json.loads((out / "plot_delta_hist.json").read_text())
+    rows = json.loads((out / "pvalues.json").read_text())["comparisons"]
+    pair = [r for r in rows if (r["reference"], r["competitor"]) == ("A", "B")]
+    assert (hist["reference"], hist["competitor"]) == ("A", "B")
+    assert hist["p_value"] == pair[0]["p_value"] == 1.0
 
 
 def test_cli_custom_metric_and_formats(tmp_path):

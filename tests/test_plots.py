@@ -119,13 +119,6 @@ def test_histogram_degenerate_all_equal():
     assert len(xs) == 1
 
 
-def test_histogram_explicit_bin_count():
-    pd = make_pd(np.linspace(-1, 1, 100), 0.2)
-    fig = render_delta_histogram(pd, bins=10)
-    # 10 requested plus inserted reference boundaries
-    assert 10 <= len(fig.data["counts"]) <= 13
-
-
 def test_render_is_deterministic():
     g = np.random.default_rng(1)
     pd = make_pd(g.normal(0.1, 0.03, 500), 0.1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boardstats.corrections import adjust_all, build_families
+from boardstats.errors import ConfigError
 from boardstats.inference import difference_matrix
 from boardstats.report import build_report, cv, ppi, tie_counts, win_med_gap
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
@@ -145,6 +146,7 @@ def test_gold_alias_exclusion():
     assert rep.m == 2
     assert rep.excluded_systems == ("Gold_Standard",)
     assert "Gold_Standard" not in rep.ranking
+    assert list(rep.distributions) == ["a", "b"]
     # "a" is a legitimately perfect competitor and must stay
     assert rep.ranking[0] == "a"
 
@@ -163,10 +165,10 @@ def test_vs_winner_policy_omits_all_pairs_counts():
 def test_single_competitor_is_an_error():
     gold = ["x", "y"] * 5
     table = PredictionTable.build(gold, {"only": gold})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_report(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=50, seed=1))
     with_gold = PredictionTable.build(gold, {"Gold_Standard": gold, "only": gold})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_report(with_gold, ScoreSpec.accuracy(), BootstrapPlan(replicates=50, seed=1))
 
 
