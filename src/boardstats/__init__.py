@@ -34,7 +34,7 @@ from .inference import (
     paired_difference,
     significance_stars,
 )
-from .metrics import ConfusionCounts, confusion_counts, score, score_on_indices
+from .metrics import score, score_on_indices
 from .pipeline import PipelineResult, run_pipeline
 from .plots import (
     SvgFigure,
@@ -69,7 +69,6 @@ __all__ = [
     "CalibrationSummary",
     "CompetitionReport",
     "ConfigError",
-    "ConfusionCounts",
     "DataFormatError",
     "DifferenceMatrix",
     "LabelNoise",
@@ -92,7 +91,6 @@ __all__ = [
     "build_families",
     "build_report",
     "calibrate",
-    "confusion_counts",
     "cv",
     "difference_ci",
     "difference_matrix",

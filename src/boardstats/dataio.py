@@ -142,8 +142,10 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
     "lower") and ``CAPPED_AT_ONE`` refine the spec.
     """
     path = Path(path)
+    module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
+    if module_spec is None:
+        raise ConfigError(f"cannot import custom metric {path}: not a .py file")
     try:
-        module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
         module = importlib.util.module_from_spec(module_spec)
         module_spec.loader.exec_module(module)
     except Exception as exc:  # whatever the user's file raises
@@ -201,6 +203,14 @@ def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
     return spec
 
 
+def read_json_config(path: Path):
+    """Parse a UTF-8 JSON config file; undecodable or malformed text is a ConfigError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+
+
 def run_config_from_json(path: str | Path) -> RunConfig:
     """Read a RunConfig from a JSON file keyed by the config field names.
 
@@ -208,10 +218,7 @@ def run_config_from_json(path: str | Path) -> RunConfig:
     strings; unknown keys are rejected so typos fail loudly.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json_config(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     known = set(RunConfig.__dataclass_fields__)

@@ -103,17 +103,10 @@ def difference_ci(pd: PairedDelta, confidence: float) -> CI:
     )
 
 
-def p_value(pd: PairedDelta, smoothed: bool = False) -> float:
-    """Fraction of replicates whose difference strictly exceeds 2x observed.
-
-    ``smoothed`` switches to the add-one estimate (count + 1) / (B + 1),
-    which can never return an exact zero.
-    """
+def p_value(pd: PairedDelta) -> float:
+    """Fraction of replicates whose difference strictly exceeds 2x observed."""
     count = int(np.sum(pd.delta_values > 2.0 * pd.observed_delta))
-    B = len(pd.delta_values)
-    if smoothed:
-        return (count + 1) / (B + 1)
-    return count / B
+    return count / len(pd.delta_values)
 
 
 def significance_stars(p: float) -> str:

@@ -45,8 +45,16 @@ def index_block(seed: int, n: int, start: int, stop: int) -> np.ndarray:
         return np.empty((0, n), dtype=np.int64)
     k = stop - start
     bpr = _blocks_per_replicate(n)
-    words = _raw_words(seed, start * bpr, 0, k * bpr * _WORDS_PER_BLOCK)
-    words = words.reshape(k, bpr * _WORDS_PER_BLOCK)[:, :n]
+    stride = bpr * _WORDS_PER_BLOCK
+    words = _raw_words(seed, start * bpr, 0, k * stride)
+    # Drop each replicate's padding words (fewer than four) by moving rows
+    # down in place (numpy copies overlapping slices correctly), so the block
+    # is one contiguous (k, n) array: gathers through a strided index array
+    # are markedly slower.
+    if stride != n:
+        for row in range(1, k):
+            words[row * n:(row + 1) * n] = words[row * stride:row * stride + n]
+    words = words[:k * n].reshape(k, n)
 
     # Exact uniformity: redraw words that would bias the modulo.  The redraw
     # lane is disjoint from the main stream and keyed by (replicate, slot,
@@ -64,4 +72,6 @@ def index_block(seed: int, n: int, start: int, stop: int) -> np.ndarray:
                 words[row, slot] = redraw
             bad = words >= limit
 
-    return (words % n_u).astype(np.int64)
+    # Every value is below n < 2**63, so the uint64 bits read as the same int64.
+    np.remainder(words, n_u, out=words)
+    return words.view(np.int64)

@@ -9,7 +9,6 @@ calibration can be measured against the truth (``calibrate``).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .bootstrap import distributions, percentile_ci
+from .dataio import read_json_config
 from .errors import ConfigError
 from .inference import delta_from_distributions, p_value
 from .table import BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
@@ -236,10 +236,7 @@ def synth_config_from_json(path) -> SynthConfig:
     "sd": 0.8}``; the kind may be omitted when it is implied by the fields.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json_config(path)
     if not isinstance(payload, dict) or "systems" not in payload:
         raise ConfigError(f"{path}: expected a JSON object with a 'systems' map")
 

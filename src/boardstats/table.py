@@ -181,10 +181,7 @@ class ScoreSpec:
     """Which metric to compute, over which classes, and which way is up.
 
     ``capped_at_one`` marks metrics whose ideal value is 1; the improvement
-    headroom statistic is only defined for those.  ``empty_class_f1`` picks
-    the convention for a class with tp = fp = fn = 0 in a resample: score it
-    0 and keep it in the macro average ("zero", default) or drop it from the
-    average ("exclude").
+    headroom statistic is only defined for those.
     """
 
     metric: str
@@ -193,7 +190,6 @@ class ScoreSpec:
     capped_at_one: bool = True
     name: str = ""
     fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    empty_class_f1: str = "zero"
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -209,8 +205,6 @@ class ScoreSpec:
                 raise ValueError("mae has no upper cap of 1")
         if self.metric == "custom" and self.fn is None:
             raise ValueError("custom metric requires a scoring function")
-        if self.empty_class_f1 not in ("zero", "exclude"):
-            raise ValueError("empty_class_f1 must be 'zero' or 'exclude'")
 
     @property
     def display_name(self) -> str:

@@ -31,6 +31,17 @@ def test_single_replicate_is_slice_of_stream():
         assert np.array_equal(resample_indices(plan, 37, r), block[r])
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 37, 64, 1001])
+def test_index_block_is_raw_stream_modulo_n(n):
+    start, stop = 7, 19
+    bpr = (n + 3) // 4
+    raw = rng._raw_words(5, start * bpr, 0, (stop - start) * bpr * 4)
+    raw = raw.reshape(stop - start, bpr * 4)[:, :n]
+    block = rng.index_block(5, n, start, stop)
+    assert block.dtype == np.int64 and block.flags.c_contiguous
+    assert np.array_equal(block, (raw % np.uint64(n)).astype(np.int64))
+
+
 def test_indices_deterministic_and_in_range():
     plan = BootstrapPlan(replicates=5, seed=123)
     a = resample_indices(plan, 11, 3)

@@ -45,6 +45,17 @@ def test_run_config_rejects_unknown_keys_and_bad_json(tmp_path):
         run_config_from_json(dump(tmp_path, [1, 2], name="list.json"))
 
 
+@pytest.mark.parametrize("reader", [run_config_from_json, synth_config_from_json])
+@pytest.mark.parametrize(
+    "content", [b'{"input": "caf\xe9.csv"}\n', b"{not json\n"], ids=["latin-1", "malformed"]
+)
+def test_unreadable_config_is_a_config_error_naming_the_file(tmp_path, reader, content):
+    p = tmp_path / "unreadable.json"
+    p.write_bytes(content)
+    with pytest.raises(ConfigError, match="unreadable.json: not valid UTF-8 JSON"):
+        reader(p)
+
+
 def test_synth_config_classification(tmp_path):
     p = dump(tmp_path, {
         "n": 60,

@@ -152,7 +152,7 @@ def test_custom_metric_plugin(tmp_path):
         parse_metric(f"custom:{bad}")
     not_python = tmp_path / "metric.txt"
     not_python.write_text("def score(gold, pred):\n    return 1.0\n")
-    with pytest.raises(ConfigError, match="metric.txt"):
+    with pytest.raises(ConfigError, match="metric.txt: not a .py file"):
         parse_metric(f"custom:{not_python}")
 
 

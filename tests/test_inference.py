@@ -57,14 +57,6 @@ def test_zero_observed_delta_counts_strictly_positive():
     assert p_value(pd) == 0.5
 
 
-def test_smoothed_p_value():
-    pd = make_pd([0.5, 0.5, 0.1, 0.1], 0.1)
-    assert p_value(pd) == 0.5
-    assert p_value(pd, smoothed=True) == 3 / 5
-    none_exceed = make_pd([0.1] * 9, 0.1)
-    assert p_value(none_exceed, smoothed=True) == 0.1
-
-
 def test_significance_stars():
     assert significance_stars(0.0005) == "***"
     assert significance_stars(0.0012) == "**"

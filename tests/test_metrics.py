@@ -1,27 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boardstats.errors import MetricError
-from boardstats.metrics import confusion_counts, score, score_on_indices
+from boardstats.metrics import ResampleScorer, score, score_on_indices
 from boardstats.table import ScoreSpec
 
 
-def naive_subset_macro_f1(gold, pred, subset, empty="zero"):
+def naive_subset_macro_f1(gold, pred, subset):
     """Independent oracle: plain-python confusion count enumeration."""
     f1s = []
     for c in subset:
         tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
         fp = sum(1 for g, p in zip(gold, pred) if g != c and p == c)
         fn = sum(1 for g, p in zip(gold, pred) if g == c and p != c)
-        if tp + fp + fn == 0:
-            if empty == "exclude":
-                continue
-            f1s.append(0.0)
-        else:
-            f1s.append(2 * tp / (2 * tp + fp + fn))
-    return sum(f1s) / len(f1s) if f1s else 0.0
+        f1s.append(2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0)
+    return sum(f1s) / len(f1s)
+
+
+def naive_accuracy(gold, pred):
+    return sum(1 for g, p in zip(gold, pred) if g == p) / len(gold)
+
+
+def naive_mae(gold, pred):
+    return math.fsum(abs(g - p) for g, p in zip(gold, pred)) / len(gold)
 
 
 def test_perfect_predictor_scores_one():
@@ -55,17 +60,6 @@ def test_accuracy():
                  ScoreSpec.accuracy()) == 0.5
 
 
-def test_confusion_counts():
-    cc = confusion_counts(
-        np.array(["F", "F", "F", "N", "A", "A"], dtype=object),
-        np.array(["F", "F", "A", "F", "A", "N"], dtype=object),
-    )
-    assert cc.tp["F"] == 2 and cc.fp["F"] == 1 and cc.fn["F"] == 1
-    assert cc.tp["A"] == 1 and cc.fp["A"] == 1 and cc.fn["A"] == 1
-    # per-label tp + fn equals the gold count of that label
-    assert cc.tp["N"] + cc.fn["N"] == 1
-
-
 def test_identity_resample_equals_plain_score():
     gold = ["F", "F", "F", "N", "A", "A"]
     pred = ["F", "F", "A", "F", "A", "N"]
@@ -91,11 +85,8 @@ def test_resample_matches_bruteforce_enumeration():
 
 
 def test_empty_class_conventions():
-    gold, pred = ["A", "A"], ["A", "A"]
-    zero = ScoreSpec.macro_f1(["A", "B"])
-    assert score(gold, pred, zero) == 0.5
-    exclude = ScoreSpec(metric="macro_f1", labels=("A", "B"), empty_class_f1="exclude")
-    assert score(gold, pred, exclude) == 1.0
+    # an empty class scores 0 and stays in the average
+    assert score(["A", "A"], ["A", "A"], ScoreSpec.macro_f1(["A", "B"])) == 0.5
 
 
 def test_custom_metric_receives_resampled_vectors():
@@ -141,16 +132,55 @@ def test_f1_bounds_and_full_set_mean(pair):
     assert macro == pytest.approx(float(np.mean(per_class)), abs=1e-12)
 
 
-@given(vectors)
+def resampled_tables(values):
+    """(gold, pred, idx): two length-n columns and a (k, n) index matrix."""
+    return st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.lists(values, min_size=n, max_size=n),
+            st.lists(values, min_size=n, max_size=n),
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                min_size=1, max_size=6,
+            ),
+        )
+    )
+
+
+# "w" never occurs in the data, so it always has tp = fp = fn = 0.
+subsets = st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=4, unique=True)
+
+
+@given(resampled_tables(labels3), subsets)
+@settings(max_examples=150, deadline=None)
+def test_scorer_rows_match_row_by_row_oracle(table, subset):
+    gold, pred, idx = table
+    g, p = np.array(gold, dtype=object), np.array(pred, dtype=object)
+    cases = [
+        (ScoreSpec.accuracy(), naive_accuracy),
+        (ScoreSpec.macro_f1(subset), lambda a, b: naive_subset_macro_f1(a, b, subset)),
+    ]
+    for spec, oracle in cases:
+        scorer = ResampleScorer(g, p, spec)
+        got = scorer.scores(np.array(idx))
+        for r, row in enumerate(idx):
+            want = oracle([gold[i] for i in row], [pred[i] for i in row])
+            assert got[r] == pytest.approx(want, abs=1e-12)
+        assert scorer.observed() == pytest.approx(oracle(gold, pred), abs=1e-12)
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@given(resampled_tables(finite))
 @settings(max_examples=100, deadline=None)
-def test_confusion_count_invariants(pair):
-    gold, pred = pair
-    cc = confusion_counts(np.array(gold, dtype=object), np.array(pred, dtype=object))
-    correct = sum(1 for g, p in zip(gold, pred) if g == p)
-    assert sum(cc.tp.values()) == correct
-    for label in cc.labels:
-        assert cc.tp[label] + cc.fn[label] == gold.count(label)
-        assert cc.tp[label] + cc.fp[label] == pred.count(label)
+def test_scorer_rows_match_row_by_row_oracle_for_mae(table):
+    gold, pred, idx = table
+    scorer = ResampleScorer(np.array(gold), np.array(pred), ScoreSpec.mae())
+    got = scorer.scores(np.array(idx))
+    for r, row in enumerate(idx):
+        want = naive_mae([gold[i] for i in row], [pred[i] for i in row])
+        assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert scorer.observed() == pytest.approx(naive_mae(gold, pred), rel=1e-12, abs=1e-12)
 
 
 @given(vectors, st.randoms(use_true_random=False))
