@@ -34,7 +34,7 @@ from .inference import (
     paired_difference,
     significance_stars,
 )
-from .metrics import score, score_on_indices
+from .metrics import score
 from .pipeline import PipelineResult, run_pipeline
 from .plots import (
     SvgFigure,
@@ -111,7 +111,6 @@ __all__ = [
     "run_config_from_json",
     "run_pipeline",
     "score",
-    "score_on_indices",
     "significance_stars",
     "summarize",
     "synth_config_from_json",

@@ -147,8 +147,8 @@ def distribution(
     return distributions(table, spec, plan, systems=[system])[system]
 
 
-def percentile_ci(dist: SamplingDistribution, confidence: float) -> CI:
-    """Percentile confidence interval and mean of a sampling distribution.
+def percentile_rows(values: np.ndarray, confidence: float) -> tuple[np.ndarray, ...]:
+    """(lci, mean, uci) of each row of ``values``, replicates on the last axis.
 
     The bounds are the (1 - confidence)/2 and 1 - (1 - confidence)/2
     empirical quantiles, taken with linear interpolation between order
@@ -156,12 +156,17 @@ def percentile_ci(dist: SamplingDistribution, confidence: float) -> CI:
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
-    values = np.asarray(dist.values, dtype=float)
-    if values.size < 2:
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or values.shape[-1] < 2:
         raise ValueError("need at least 2 bootstrap values for quantiles")
     tail = (1.0 - confidence) / 2.0
-    lci, uci = np.quantile(values, [tail, 1.0 - tail], method=QUANTILE_RULE)
-    return CI(float(lci), float(values.mean()), float(uci))
+    lci, uci = np.quantile(values, [tail, 1.0 - tail], axis=-1, method=QUANTILE_RULE)
+    return lci, values.mean(axis=-1), uci
+
+
+def percentile_ci(dist: SamplingDistribution, confidence: float) -> CI:
+    """Percentile confidence interval and mean of a sampling distribution."""
+    return CI(*map(float, percentile_rows(dist.values, confidence)))
 
 
 def summarize(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,6 +27,10 @@ from .table import HIGHER, LOWER, PredictionTable, ScoreSpec, TaskKind
 
 FORMATS = ("json", "csv", "md", "svg")
 TABLE_PRECISION = 4
+
+# accepted value types per RunConfig field annotation; a bool is never a number
+_FIELD_TYPES = {"str": str, "Optional[str]": (str, type(None)), "int": int,
+                "float": (int, float), "tuple[str, ...]": tuple}
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,10 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
         if not self.formats:
             raise ConfigError("at least one output format is required")
         for fmt in self.formats:
@@ -232,7 +240,7 @@ def run_config_from_json(path: str | Path) -> RunConfig:
             payload[key] = tuple(payload[key])
     try:
         return RunConfig(**payload)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -261,13 +269,3 @@ def write_md(path: Path, title: str, header: Sequence[str], rows: Sequence[Seque
     for row in rows:
         lines.append("| " + " | ".join(str(c) for c in row) + " |")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_md_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Parse back a markdown table written by ``write_md`` (for round trips)."""
-    lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("|")]
-    cells = [
-        [c.strip() for c in line.strip("|").split("|")]
-        for line in lines
-    ]
-    return cells[0], cells[2:]

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import CI, SamplingDistribution, distributions, percentile_ci
+from .bootstrap import CI, SamplingDistribution, distributions, percentile_rows
 from .table import LOWER, BootstrapPlan, PredictionTable, ScoreSpec
+
+# bytes of competitor values per pair-kernel call; bounds the matrix pass's memory
+_PAIR_BLOCK_BYTES = 1 << 20
 
 STAR_LEVELS = (
     (0.001, "***"),
@@ -45,6 +48,37 @@ class PairedDelta:
         self.delta_values.flags.writeable = False
 
 
+def _sign(spec: ScoreSpec) -> float:
+    """+1 where higher scores are better, -1 where lower ones are."""
+    return -1.0 if spec.direction == LOWER else 1.0
+
+
+def _deltas(ref: SamplingDistribution, values, observed, spec: ScoreSpec):
+    """Observed and per-replicate deltas of ``ref`` over competitor values and
+    observed scores, signed so that positive means the reference did better."""
+    sign = _sign(spec)
+    return sign * (ref.observed - observed), sign * (ref.values - values)
+
+
+def _p_values(values: np.ndarray, observed, guard: bool):
+    """Per row of ``values``: the share of replicates (last axis) whose delta
+    strictly exceeds twice ``observed``.  With ``guard``, identical systems
+    (every delta 0) get 1, as equality can never be rejected for them."""
+    observed = np.asarray(observed)
+    p = np.count_nonzero(values > 2.0 * observed[..., None], axis=-1) / values.shape[-1]
+    if guard:
+        p = np.where((observed == 0.0) & ~values.any(axis=-1), 1.0, p)
+    return p
+
+
+def _pair_kernel(ref: SamplingDistribution, comps: list, spec: ScoreSpec, confidence: float):
+    """Compare ``ref`` with all of ``comps`` at once: arrays over ``comps`` of
+    the signed observed deltas, the guarded p-values and (lci, mean, uci)."""
+    values, observed = np.stack([c.values for c in comps]), np.array([c.observed for c in comps])
+    observed, deltas = _deltas(ref, values, observed, spec)
+    return observed, _p_values(deltas, observed, guard=True), percentile_rows(deltas, confidence)
+
+
 def delta_from_distributions(
     reference: str,
     competitor: str,
@@ -59,9 +93,7 @@ def delta_from_distributions(
     the swap is recorded; pass False to keep the caller's orientation, e.g.
     for calibration studies where the sign must stay fixed.
     """
-    sign = -1.0 if spec.direction == LOWER else 1.0
-    observed = sign * (dist_ref.observed - dist_comp.observed)
-    values = sign * (dist_ref.values - dist_comp.values)
+    observed, values = _deltas(dist_ref, dist_comp.values, dist_comp.observed, spec)
     if reorient and observed < 0.0:
         return PairedDelta(
             reference=competitor,
@@ -97,16 +129,12 @@ def paired_difference(
 
 def difference_ci(pd: PairedDelta, confidence: float) -> CI:
     """Percentile CI of the difference distribution."""
-    return percentile_ci(
-        SamplingDistribution(values=pd.delta_values, observed=pd.observed_delta),
-        confidence,
-    )
+    return CI(*map(float, percentile_rows(pd.delta_values, confidence)))
 
 
 def p_value(pd: PairedDelta) -> float:
     """Fraction of replicates whose difference strictly exceeds 2x observed."""
-    count = int(np.sum(pd.delta_values > 2.0 * pd.observed_delta))
-    return count / len(pd.delta_values)
+    return float(_p_values(pd.delta_values, pd.observed_delta, guard=False))
 
 
 def significance_stars(p: float) -> str:
@@ -148,22 +176,14 @@ def rank_systems(
     observed: dict[str, float], spec: ScoreSpec, order: tuple[str, ...]
 ) -> list[str]:
     """Names sorted best-first; ties keep the given (column) order."""
-    sign = 1.0 if spec.higher_is_better else -1.0
+    sign = _sign(spec)
     pos = {name: k for k, name in enumerate(order)}
     return sorted(observed, key=lambda s: (-sign * observed[s], pos[s]))
 
 
 def comparison_p_value(pd: PairedDelta) -> float:
-    """p-value for ranked comparisons, guarding the indistinguishable pair.
-
-    When no replicate carries any evidence (every delta exactly zero and the
-    observed delta zero, i.e. identical predictions) equality can never be
-    rejected, so the comparison reports 1 instead of the degenerate 0 the
-    literal exceedance count would give.
-    """
-    if pd.observed_delta == 0.0 and not pd.delta_values.any():
-        return 1.0
-    return p_value(pd)
+    """``p_value``, but 1 for two systems with identical predictions."""
+    return float(_p_values(pd.delta_values, pd.observed_delta, guard=True))
 
 
 def matrix_from_distributions(
@@ -174,31 +194,26 @@ def matrix_from_distributions(
 ) -> DifferenceMatrix:
     """Difference matrix over precomputed per-system distributions.
 
-    The one pass over ranked pairs: each pair's delta vector is built once,
-    reduced to its observed delta, p-value, stars and CI, and dropped, so
-    memory stays independent of the number of pairs.
+    The one pass over ranked pairs: ``_pair_kernel`` compares each reference
+    rank with the systems below it, ``_PAIR_BLOCK_BYTES`` of their values at a
+    time, so memory does not grow with the number of systems.
     """
     if len(dists) < 2:
         raise ValueError("need at least 2 systems for a difference matrix")
     ranked = rank_systems(
         {name: d.observed for name, d in dists.items()}, spec, column_order
     )
+    m = len(ranked)
+    step = max(1, _PAIR_BLOCK_BYTES // max(dists[ranked[0]].values.nbytes, 1))
     entries = {}
-    for i in range(1, len(ranked)):
-        for j in range(i):
-            pd = delta_from_distributions(
-                ranked[j], ranked[i], dists[ranked[j]], dists[ranked[i]], spec,
-                reorient=False,
-            )
-            p = comparison_p_value(pd)
-            entries[(i, j)] = MatrixEntry(
-                reference=ranked[j],
-                competitor=ranked[i],
-                delta=pd.observed_delta,
-                p=p,
-                stars=significance_stars(p),
-                ci=difference_ci(pd, confidence),
-            )
+    for j in range(m - 1):
+        for start in range(j + 1, m, step):
+            comps = [dists[name] for name in ranked[start:start + step]]
+            delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence)
+            for i, d, pi, *bounds in zip(range(start, m), *(a.tolist() for a in (delta, p, *ci))):
+                entries[(i, j)] = MatrixEntry(
+                    ranked[j], ranked[i], d, pi, significance_stars(pi), CI(*bounds)
+                )
     return DifferenceMatrix(systems=tuple(ranked), entries=entries)
 
 
@@ -208,8 +223,6 @@ def difference_matrix(
     plan: BootstrapPlan,
 ) -> DifferenceMatrix:
     """All pairwise deltas with significance markers, ranked best-first."""
-    if len(table.names) < 2:
-        raise ValueError("need at least 2 systems for a difference matrix")
     return matrix_from_distributions(
         distributions(table, spec, plan), spec, table.names, plan.confidence
     )

@@ -70,7 +70,8 @@ class ResampleScorer:
                 pf = pred.astype(float)
             except (TypeError, ValueError) as exc:
                 raise MetricError("mae requires numeric outcomes") from exc
-            self._columns = [np.abs(gf - pf)]
+            with np.errstate(over="ignore"):  # an overflow is reported as a non-finite score
+                self._columns = [np.abs(gf - pf)]
             self._finish = self._mean
         elif spec.metric != "custom":  # pragma: no cover - ScoreSpec rejects it
             raise MetricError(f"unknown metric {spec.metric!r}")
@@ -89,7 +90,8 @@ class ResampleScorer:
 
     def _score_rows(self, idx: np.ndarray) -> np.ndarray:
         if self.spec.metric != "custom":
-            return self._finish([np.add.reduce(w[idx], axis=1) for w in self._columns])
+            with np.errstate(over="ignore"):
+                return self._finish([np.add.reduce(w[idx], axis=1) for w in self._columns])
         # custom: hand the resampled vectors to the user function row by row
         return np.array(
             [float(self.spec.fn(self._gold[row], self._pred[row])) for row in idx]
@@ -126,13 +128,3 @@ def score(gold, pred, spec: ScoreSpec) -> float:
     mae = mean absolute error.
     """
     return ResampleScorer(np.asarray(gold), np.asarray(pred), spec).observed()
-
-
-def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
-    """Score of the resample ``gold[indices]`` vs ``pred[indices]``.
-
-    Equivalent to ``score(gold[indices], pred[indices], spec)`` but avoids
-    materializing the resampled outcome vectors.
-    """
-    scorer = ResampleScorer(np.asarray(gold), np.asarray(pred), spec)
-    return float(scorer.scores(np.asarray(indices, dtype=np.int64))[0])

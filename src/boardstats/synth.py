@@ -237,8 +237,9 @@ def synth_config_from_json(path) -> SynthConfig:
     """
     path = Path(path)
     payload = read_json_config(path)
-    if not isinstance(payload, dict) or "systems" not in payload:
-        raise ConfigError(f"{path}: expected a JSON object with a 'systems' map")
+    systems = payload.get("systems") if isinstance(payload, dict) else None
+    if not isinstance(systems, dict) or not all(isinstance(e, dict) for e in systems.values()):
+        raise ConfigError(f"{path}: expected a JSON object with a 'systems' map of objects")
 
     def noise_from(entry) -> LabelNoise | ValueNoise:
         kind = entry.get("kind") or ("value_noise" if "sd" in entry else "label_noise")
@@ -249,16 +250,15 @@ def synth_config_from_json(path) -> SynthConfig:
         raise ConfigError(f"{path}: unknown noise kind {kind!r}")
 
     try:
-        systems = {name: noise_from(entry) for name, entry in payload["systems"].items()}
         return SynthConfig(
             n=payload["n"],
             seed=payload.get("seed", 0),
-            systems=systems,
+            systems={name: noise_from(entry) for name, entry in systems.items()},
             labels=tuple(payload.get("labels", ())),
             label_probs=tuple(payload.get("label_probs", ())),
             gold_mean=payload.get("gold_mean", 0.0),
             gold_sd=payload.get("gold_sd", 1.0),
             task_kind=TaskKind(payload.get("task", "classification")),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

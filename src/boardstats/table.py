@@ -112,11 +112,6 @@ class PredictionTable:
             seen.update(dict.fromkeys(col))
         return tuple(seen)
 
-    def predictions(self, system: str) -> np.ndarray:
-        if system not in self.systems:
-            raise KeyError(f"unknown system {system!r}")
-        return self.systems[system]
-
 
 def validate(table: PredictionTable) -> list[Violation]:
     """Check every table invariant; returns an empty list for valid tables.

@@ -11,8 +11,8 @@ from boardstats.bootstrap import (
     summarize,
 )
 from boardstats.errors import MetricError
-from boardstats.metrics import score_on_indices
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
+from helpers import score_on_indices
 
 
 def make_table(n=60, seed=3):

@@ -30,6 +30,8 @@ def test_run_config_round_trip(tmp_path):
         input="comp.csv", metric="macro-f1:favor,against", samples=5000, seed=11,
         corrections=("bonferroni", "bh"), formats=("json", "svg"), family="global",
     )
+    # an int is accepted where a float is expected
+    assert run_config_from_json(dump(tmp_path, {"input": "x.csv", "alpha": 1}, "int.json")).alpha == 1
 
 
 def test_run_config_rejects_unknown_keys_and_bad_json(tmp_path):
@@ -43,6 +45,16 @@ def test_run_config_rejects_unknown_keys_and_bad_json(tmp_path):
         run_config_from_json(bad)
     with pytest.raises(ConfigError, match="object"):
         run_config_from_json(dump(tmp_path, [1, 2], name="list.json"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", "many"), ("alpha", True), ("workers", "2"), ("seed", 1.5), ("input", 3),
+     ("direction", 1), ("corrections", {"bh": 1})],
+)
+def test_run_config_rejects_mistyped_fields(tmp_path, field, value):
+    with pytest.raises(ConfigError, match=f"config.json: {field} must be "):
+        run_config_from_json(dump(tmp_path, {"input": "cls.csv", field: value}))
 
 
 @pytest.mark.parametrize("reader", [run_config_from_json, synth_config_from_json])
@@ -94,8 +106,14 @@ def test_synth_config_regression_kind_inferred(tmp_path):
 
 
 def test_synth_config_errors(tmp_path):
-    with pytest.raises(ConfigError, match="systems"):
-        synth_config_from_json(dump(tmp_path, {"n": 10}))
+    for payload in ({"n": 10}, {"n": 10, "systems": [1, 2]}, {"n": 10, "systems": {"a": 0.2}}):
+        with pytest.raises(ConfigError, match="config.json: .*'systems' map"):
+            synth_config_from_json(dump(tmp_path, payload))
+    with pytest.raises(ConfigError, match="config.json: '<' not supported"):
+        synth_config_from_json(dump(tmp_path, {
+            "n": "10", "labels": ["a", "b"], "label_probs": [0.5, 0.5],
+            "systems": {"s": {"rate": 0.1}},
+        }))
     with pytest.raises(ConfigError, match="kind"):
         synth_config_from_json(dump(tmp_path, {
             "n": 10, "labels": ["a", "b"], "label_probs": [0.5, 0.5],

@@ -6,12 +6,12 @@ from boardstats.dataio import (
     fmt_float,
     load_table,
     parse_metric,
-    read_md_table,
     write_csv,
     write_md,
 )
 from boardstats.errors import ConfigError, DataFormatError, TableValidationError
 from boardstats.table import TaskKind
+from helpers import read_md_table
 
 
 def write(tmp_path, text, name="data.csv"):

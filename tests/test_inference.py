@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from boardstats import inference
 from boardstats.bootstrap import SamplingDistribution
 from boardstats.inference import (
     PairedDelta,
+    comparison_p_value,
     delta_from_distributions,
     difference_ci,
     difference_matrix,
@@ -141,30 +143,47 @@ def test_difference_matrix_two_identical_systems():
     assert entry.stars == ""
 
 
-def test_difference_matrix_matches_pairwise_recomputation():
+@pytest.mark.parametrize("metric", ["accuracy", "mae"])
+def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
+    # two competitors per kernel call, so the winner's three span two calls
+    monkeypatch.setattr(inference, "_PAIR_BLOCK_BYTES", 2 * 8 * 800)
     g = np.random.default_rng(11)
-    gold = g.choice(["p", "q", "r"], size=90)
+    if metric == "accuracy":
+        spec, kind = ScoreSpec.accuracy(), "classification"
+        gold = g.choice(["p", "q", "r"], size=90)
+    else:
+        spec, kind = ScoreSpec.mae(), "regression"
+        gold = g.normal(size=90)
     systems = {}
     for k, noise in enumerate((0.1, 0.25, 0.45)):
         pred = gold.copy()
         flips = g.random(90) < noise
-        pred[flips] = g.choice(["p", "q", "r"], size=int(flips.sum()))
+        if metric == "accuracy":
+            pred[flips] = g.choice(["p", "q", "r"], size=int(flips.sum()))
+        else:
+            pred[flips] += g.normal(size=int(flips.sum()))
         systems[f"s{k}"] = pred
-    table = PredictionTable.build(gold, systems)
-    spec = ScoreSpec.accuracy()
+    systems["s1_copy"] = systems["s1"].copy()  # identical pair: the guard gives p = 1
+    table = PredictionTable.build(gold, systems, task_kind=kind)
     plan = BootstrapPlan(replicates=800, seed=3)
 
     dm = difference_matrix(table, spec, plan)
-    assert len(dm.entries) == 3
+    assert len(dm.entries) == 6
     for (i, j), entry in dm.entries.items():
         assert j < i
-        pd = paired_difference(table, spec, plan, dm.systems[j], dm.systems[i])
-        assert entry.delta == pytest.approx(pd.observed_delta, abs=1e-12)
-        assert entry.p == p_value(pd)
+        pd = paired_difference(
+            table, spec, plan, dm.systems[j], dm.systems[i], reorient=False
+        )
+        assert entry.delta == pd.observed_delta
+        assert entry.p == comparison_p_value(pd)
         assert entry.ci == difference_ci(pd, plan.confidence)
+    copy = dm.entry(dm.systems.index("s1_copy"), dm.systems.index("s1"))
+    assert (copy.delta, copy.p, copy.stars) == (0.0, 1.0, "")
     # ranked best first
     observed = [
-        float(np.mean(table.systems[name] == table.gold)) for name in dm.systems
+        float(np.mean(table.systems[name] == table.gold)) if metric == "accuracy"
+        else -float(np.mean(np.abs(table.systems[name] - table.gold)))
+        for name in dm.systems
     ]
     assert observed == sorted(observed, reverse=True)
 

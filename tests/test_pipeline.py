@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from boardstats.cli import main
-from boardstats.dataio import RunConfig, read_md_table
+from boardstats.dataio import RunConfig
 from boardstats.pipeline import run_pipeline
+from helpers import read_md_table
 
 TABLE_FILES = ["performance", "differences", "difference_matrix", "pvalues", "report"]
 
@@ -289,6 +290,19 @@ def test_cli_rejects_infinite_regression_value(tmp_path, capsys):
     assert main(["--input", str(csv), "--metric", "mae", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert "[non-finite] prediction is inf (system='s2', row=1)" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_reports_overflowing_mae_without_numpy_warnings(tmp_path, capsys):
+    csv = tmp_path / "values.csv"
+    csv.write_text("y,a,b\n1e308,-1e308,1.0\n2.0,2.0,2.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([
+        "--input", str(csv), "--metric", "mae", "--samples", "20", "--out-dir", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == "boardstats: bootstrap: mae is not finite for system 'a' on the original data\n"
     assert not out.exists()
 
 

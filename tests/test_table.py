@@ -131,12 +131,6 @@ def test_perfect_system_is_permitted():
     assert validate(table) == []
 
 
-def test_unknown_system_lookup():
-    table = PredictionTable.build(["a"], {"s": ["a"]})
-    with pytest.raises(KeyError):
-        table.predictions("nope")
-
-
 def test_scorespec_invariants():
     with pytest.raises(ValueError):
         ScoreSpec(metric="mae", direction="higher")
