@@ -29,7 +29,10 @@ from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
 
-_BLOCK = 512  # replicates evaluated per batch; fixed so results never depend on workers
+# Bytes of int64 resample indices evaluated per batch.  Each row is scored on
+# its own from a stream fixed by (seed, replicate), so values never depend on
+# the batch size or the worker count.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,16 @@ def _evaluate(
 ) -> dict[str, np.ndarray]:
     """Evaluate all scorers over every replicate, sharing index vectors."""
     B = plan.replicates
+    rows = max(1, _BLOCK_BYTES // (8 * n))
     out = {name: np.empty(B) for name in scorers}
 
     def run_block(start: int) -> None:
-        stop = min(start + _BLOCK, B)
+        stop = min(start + rows, B)
         idx = rng.index_block(plan.seed, n, start, stop)
         for name, scorer in scorers.items():
             out[name][start:stop] = _scored(scorer.spec, name, scorer.scores, idx)
 
-    starts = range(0, B, _BLOCK)
+    starts = range(0, B, rows)
     if plan.workers > 1:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
             list(pool.map(run_block, starts))

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation failure in the input data, 2
 configuration error or a metric that cannot be evaluated on the data, 3 I/O
-error.  A package error carries its own stage and code.
+error, 4 out of memory.  A package error carries its own stage and code.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"boardstats: i/o: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("boardstats: memory: out of memory; try fewer --samples or systems", file=sys.stderr)
+        return 4
     print(f"wrote {len(result.artifacts)} artifacts to {result.out_dir}")
     for name in result.artifacts:
         print(f"  {name}")

@@ -10,6 +10,7 @@ nothing volatile (timestamps, machine state, worker count) is written.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,10 +46,27 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_listed_artifacts(out)
     artifacts = _write_artifacts(out, config, spec, plan, table, rep)
     return PipelineResult(
         out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=rep.ranking
     )
+
+
+def _remove_listed_artifacts(out: Path) -> None:
+    """Delete the files that a previous run's manifest lists as artifacts,
+    so the directory holds exactly what the new manifest lists plus files
+    no run wrote.  A missing or unreadable manifest deletes nothing, and a
+    listed name that is not a bare file name is left alone."""
+    try:
+        listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    if not isinstance(listed, list):
+        return
+    for name in listed:
+        if isinstance(name, str) and name == Path(name).name and (out / name).is_file():
+            (out / name).unlink()
 
 
 def _plan(config: RunConfig) -> BootstrapPlan:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boardstats import rng
+from boardstats import bootstrap, rng
 from boardstats.bootstrap import (
     SamplingDistribution,
     distribution,
@@ -120,6 +120,51 @@ def test_worker_count_never_changes_values():
         )
         for name in table.names:
             assert np.array_equal(base[name].values, par[name].values)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScoreSpec.accuracy(),
+        ScoreSpec.macro_f1(["a", "c"]),
+        ScoreSpec.mae(),
+        ScoreSpec.custom("agree", lambda g, p: float(np.mean(g == p))),
+    ],
+    ids=["accuracy", "macro_f1", "mae", "custom"],
+)
+def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
+    n, B = 90, 50
+    if spec.metric == "mae":
+        g = np.random.default_rng(5)
+        gold = g.normal(size=n)
+        table = PredictionTable.build(
+            gold, {"near": gold + g.normal(scale=0.3, size=n), "far": gold + 1.0}, "regression"
+        )
+    else:
+        table = make_table(n=n)
+    plan = BootstrapPlan(replicates=B, seed=13)
+    base = distributions(table, spec, plan)
+
+    spans = []
+    index_block = rng.index_block
+
+    def recording_block(seed, size, start, stop):
+        spans.append((start, stop))
+        return index_block(seed, size, start, stop)
+
+    monkeypatch.setattr(rng, "index_block", recording_block)
+    for budget, rows in [(8 * n - 1, 1), (8 * n, 1), (8 * n * 3, 3), (8 * n * 7, 7)]:
+        monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", budget)
+        for workers in (1, 3):
+            spans.clear()
+            got = distributions(table, spec, BootstrapPlan(replicates=B, seed=13, workers=workers))
+            for name in table.names:
+                assert np.array_equal(got[name].values, base[name].values)
+            # the blocks tile [0, B), each within the budget or one row
+            spans.sort()
+            assert [s for s, _ in spans] == list(range(0, B, rows))
+            assert [e for _, e in spans] == [min(s + rows, B) for s, _ in spans]
+            assert all((e - s) * 8 * n <= budget or e - s == 1 for s, e in spans)
 
 
 def test_agreement_rate_against_binomial_oracle():

@@ -111,6 +111,66 @@ def test_errors():
         score_on_indices(["a", "b"], ["a", "b"], ScoreSpec.accuracy(), [0, 2])
     with pytest.raises(MetricError):
         score_on_indices(["a", "b"], ["a", "b"], ScoreSpec.accuracy(), [-1, 0])
+    scorer = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec.accuracy())
+    for bad in ([0, 2], [-1, 0]):
+        with pytest.raises(MetricError):
+            scorer.scores(np.array(bad, dtype=np.int32))
+    assert scorer.scores(np.array([1, 1], dtype=np.int32)).tolist() == [1.0]
+
+
+def unpacked_f1_sums(gold, pred, labels, idx):
+    """(tp, pred + gold) sums per class, reduced column by column."""
+    sums = []
+    for c in labels:
+        g, p = gold == c, pred == c
+        for col in ((g & p).astype(np.int64), p.astype(np.int64) + g):
+            sums.append(np.add.reduce(col[idx], axis=1))
+    return sums
+
+
+# bits = (2n).bit_length() goes 14 -> 15 at n = 8192, and the lanes per word
+# 63 // bits go 4 -> 3 at n = 16384
+@pytest.mark.parametrize(
+    "n,bits,lanes", [(50, 7, 9), (8191, 14, 4), (8192, 15, 4), (16383, 15, 4), (16384, 16, 3)]
+)
+@pytest.mark.parametrize("labels", [["a"], ["a", "b"], ["a", "b", "c"]])
+def test_packed_tally_sums_equal_unpacked_sums(n, bits, lanes, labels):
+    g = np.random.default_rng(n)
+    gold = g.choice(list("abcd"), size=n)
+    pred = np.where(g.random(n) < 0.4, g.choice(list("abcd"), size=n), gold)
+    idx = np.vstack([np.arange(n), g.integers(0, n, size=(3, n))])
+    for spec in (ScoreSpec.f1(labels[0]), ScoreSpec.macro_f1(labels)):
+        scorer = ResampleScorer(gold, pred, spec)
+        assert (scorer._bits, scorer._lanes) == (bits, lanes)
+        assert len(scorer._words) == -(-2 * len(spec.labels) // lanes)
+        got = scorer._sums(idx)
+        want = unpacked_f1_sums(gold, pred, spec.labels, idx)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
+    assert np.array_equal(acc._sums(idx)[0], np.add.reduce((gold == pred)[idx], axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8191, 16383])
+def test_packed_lanes_hold_their_largest_sums(n):
+    # gold = pred = c on every row and every index 0: each lane of class c
+    # reaches its largest value, tp = n and pred + gold = 2n
+    labels = ["a", "b", "c", "d"]
+    gold = pred = np.full(n, "c")
+    idx = np.zeros((2, n), dtype=np.int64)
+    for shift in range(len(labels)):
+        order = labels[shift:] + labels[:shift]
+        scorer = ResampleScorer(gold, pred, ScoreSpec.macro_f1(order))
+        pos = order.index("c")
+        want = [np.zeros(2, dtype=np.int64)] * (2 * len(order))
+        want[2 * pos] = np.full(2, n)
+        want[2 * pos + 1] = np.full(2, 2 * n)
+        for a, b in zip(scorer._sums(idx), want, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(scorer.scores(idx), np.full(2, 1 / len(order)))
+    acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
+    assert np.array_equal(acc._sums(idx)[0], np.full(2, n))
 
 
 labels3 = st.sampled_from(["x", "y", "z"])

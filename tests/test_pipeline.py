@@ -283,6 +283,50 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_maps_out_of_memory_to_exit_4(tmp_path, capsys, monkeypatch):
+    import boardstats.cli as cli
+
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_pipeline", exhausted)
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    assert main(["--input", str(csv), "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("boardstats: memory: out of memory")
+
+
+def test_rerun_removes_the_previous_runs_artifacts(tmp_path):
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    out = tmp_path / "out"
+    args = ["--input", str(csv), "--samples", "50", "--out-dir", str(out)]
+    assert main(args) == 0
+    assert len(list(out.iterdir())) == 22
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert main(args + ["--formats", "json"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["artifacts"]) == 6
+    on_disk = sorted(p.name for p in out.iterdir())
+    assert on_disk == sorted(manifest["artifacts"] + ["notes.txt"])
+
+
+def test_rerun_without_a_readable_manifest_deletes_nothing(tmp_path):
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{not json", encoding="utf-8")
+    (out / "performance.csv").write_text("old\n", encoding="utf-8")
+    assert main(["--input", str(csv), "--samples", "50", "--formats", "json",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "performance.csv").read_text() == "old\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "stray.md").write_text("x\n", encoding="utf-8")
+    manifest["artifacts"] += ["../comp.csv", "stray.md/"]
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["--input", str(csv), "--samples", "50", "--formats", "json",
+                 "--out-dir", str(out)]) == 0
+    assert csv.exists() and (out / "stray.md").exists()
+
+
 def test_cli_rejects_infinite_regression_value(tmp_path, capsys):
     csv = tmp_path / "values.csv"
     csv.write_text("y,s1,s2\n1.0,1.1,0.9\n2.0,2.2,inf\n3.0,2.9,3.1\n", encoding="utf-8")
