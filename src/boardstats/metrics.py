@@ -126,7 +126,7 @@ class ResampleScorer:
         """Each tally column's sum over every index row: one gather and one
         reduction per word, then integer columns unpacked from their lanes."""
         with np.errstate(over="ignore"):
-            sums = [np.add.reduce(w[idx], axis=1) for w in self._words]
+            sums = [np.add.reduce(np.take(w, idx), axis=1) for w in self._words]
         if self._bits is None:
             return sums
         mask = (1 << self._bits) - 1

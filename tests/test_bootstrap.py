@@ -31,15 +31,84 @@ def test_single_replicate_is_slice_of_stream():
         assert np.array_equal(resample_indices(plan, 37, r), block[r])
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 37, 64, 1001])
-def test_index_block_is_raw_stream_modulo_n(n):
+def _python_draws(seed, counter_lo, lane, count):
+    """32-bit draws of one lane as Python ints: each word's low half, then its high half."""
+    draws = []
+    for word in rng._raw_words(seed, counter_lo, lane, (count + 1) // 2).tolist():
+        draws += [word & 0xFFFFFFFF, word >> 32]
+    return draws[:count]
+
+
+def _python_index_row(seed, n, replicate):
+    """Replicate's indices by multiply-shift with rejection, in plain Python ints.
+
+    Lane 0 gives one draw per slot; each later lane refills the slots the
+    previous one rejected, in slot order, from the replicate's first counter.
+    """
+    counter_lo = replicate * ((n + 7) // 8)
+    threshold = 2**32 % n
+    row = [None] * n
+    pending, lane = list(range(n)), 0
+    while pending:
+        rejected = []
+        for slot, x in zip(pending, _python_draws(seed, counter_lo, lane, len(pending))):
+            if (x * n) % 2**32 < threshold:
+                rejected.append(slot)
+            else:
+                row[slot] = (x * n) >> 32
+        pending, lane = rejected, lane + 1
+    return row
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 37, 64, 1001])
+def test_index_block_is_multiply_shift_of_raw_stream(n):
     start, stop = 7, 19
-    bpr = (n + 3) // 4
-    raw = rng._raw_words(5, start * bpr, 0, (stop - start) * bpr * 4)
-    raw = raw.reshape(stop - start, bpr * 4)[:, :n]
     block = rng.index_block(5, n, start, stop)
     assert block.dtype == np.int64 and block.flags.c_contiguous
-    assert np.array_equal(block, (raw % np.uint64(n)).astype(np.int64))
+    expected = [_python_index_row(5, n, r) for r in range(start, stop)]
+    assert np.array_equal(block, np.array(expected, dtype=np.int64))
+
+
+def test_rejected_draws_are_redrawn_from_later_lanes(monkeypatch):
+    # n = 3: the threshold 2**32 % 3 is 1, so exactly the draw x = 0 is
+    # rejected.  Each replicate is one counter block of eight draws.
+    seed, n, start, stop = 11, 3, 7, 10
+    before = rng.index_block(seed, n, start, stop)
+    zeros = {(0, 8 * 8 + 0), (0, 8 * 8 + 2), (0, 9 * 8 + 1), (1, 8 * 8 + 0)}  # (lane, draw)
+    raw_words = rng._raw_words
+
+    def zeroed(seed_, counter_lo, lane, count):
+        words = raw_words(seed_, counter_lo, lane, count)
+        for zero_lane, draw in zeros:
+            i = draw - 8 * counter_lo
+            if zero_lane == lane and 0 <= i < 2 * count:
+                words[i // 2] &= np.uint64(0xFFFFFFFF00000000 if i % 2 == 0 else 0xFFFFFFFF)
+        return words
+
+    monkeypatch.setattr(rng, "_raw_words", zeroed)
+    after = rng.index_block(seed, n, start, stop)
+
+    def redraw(replicate, lane, i):
+        return (_python_draws(seed, replicate, lane, i + 1)[i] * n) >> 32
+
+    monkeypatch.setattr(rng, "_raw_words", raw_words)
+    # replicate 8: slot 0 takes lane-1 draw 0, which is zeroed too, so lane-2
+    # draw 0; slot 2 takes lane-1 draw 1.  replicate 9: slot 1 takes lane-1 draw 0.
+    expected = {(1, 0): redraw(8, 2, 0), (1, 2): redraw(8, 1, 1), (2, 1): redraw(9, 1, 0)}
+    assert all(expected.values())  # a kept x = 0 would give index 0 and fail below
+    for (row, slot), index in expected.items():
+        assert after[row, slot] == index
+        after[row, slot] = before[row, slot]
+    assert np.array_equal(after, before)
+
+
+def test_index_block_rejects_sample_size_beyond_32_bits(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("no words may be drawn")
+
+    monkeypatch.setattr(rng, "_raw_words", unreachable)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        rng.index_block(0, 2**32, 0, 1)
 
 
 def test_indices_deterministic_and_in_range():
