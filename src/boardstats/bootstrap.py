@@ -24,14 +24,15 @@ import numpy as np
 
 from . import rng
 from .errors import MetricError
-from .metrics import ResampleScorer
+from .metrics import ResampleScorer, resample_counts
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
 
-# Bytes of int64 resample indices evaluated per batch.  Each row is scored on
-# its own from a stream fixed by (seed, replicate), so values never depend on
-# the batch size or the worker count.
+# Bytes of int64 resample indices evaluated per batch (integer metrics add a
+# count matrix of the same size).  Each row is scored on its own from a stream
+# fixed by (seed, replicate), so values never depend on the batch size or the
+# worker count.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -86,16 +87,22 @@ def _evaluate(
     n: int,
     plan: BootstrapPlan,
 ) -> dict[str, np.ndarray]:
-    """Evaluate all scorers over every replicate, sharing index vectors."""
+    """Evaluate all scorers over every replicate, sharing index vectors.
+
+    A block's resample counts are built once, when some scorer reads them,
+    and shared by every system.
+    """
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
     out = {name: np.empty(B) for name in scorers}
+    counted = any(scorer.uses_counts for scorer in scorers.values())
 
     def run_block(start: int) -> None:
         stop = min(start + rows, B)
         idx = rng.index_block(plan.seed, n, start, stop)
+        counts = resample_counts(idx, n) if counted else None
         for name, scorer in scorers.items():
-            out[name][start:stop] = _scored(scorer.spec, name, scorer.scores, idx)
+            out[name][start:stop] = _scored(scorer.spec, name, scorer.scores, idx, counts)
 
     starts = range(0, B, rows)
     if plan.workers > 1:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import boardstats
 from boardstats import bootstrap, rng
 from boardstats.bootstrap import (
     SamplingDistribution,
@@ -234,6 +240,50 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
             assert [s for s, _ in spans] == list(range(0, B, rows))
             assert [e for _, e in spans] == [min(s + rows, B) for s, _ in spans]
             assert all((e - s) * 8 * n <= budget or e - s == 1 for s, e in spans)
+
+
+# Prints one sha256 over every system's bootstrap values and observed score,
+# for accuracy, macro-F1 and MAE on small seeded tables.
+_DISTRIBUTION_DIGEST = """
+import hashlib
+import numpy as np
+from boardstats.bootstrap import distributions
+from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
+
+g = np.random.default_rng(21)
+n = 400
+gold = g.choice(["a", "b", "c"], size=n)
+labels = {f"s{i}": np.where(g.random(n) < 0.2 * i, g.choice(["a", "b", "c"], size=n), gold)
+          for i in range(3)}
+real = g.normal(size=n)
+values = {f"s{i}": real + g.normal(scale=0.5 * i + 0.1, size=n) for i in range(3)}
+cases = [
+    (PredictionTable.build(gold, labels), ScoreSpec.accuracy()),
+    (PredictionTable.build(gold, labels), ScoreSpec.macro_f1(["a", "c"])),
+    (PredictionTable.build(real, values, "regression"), ScoreSpec.mae()),
+]
+digest = hashlib.sha256()
+for table, spec in cases:
+    for name, dist in distributions(table, spec, BootstrapPlan(replicates=300, seed=4)).items():
+        digest.update(name.encode() + dist.values.tobytes() + np.float64(dist.observed).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_never_changes_values():
+    src = str(Path(boardstats.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _DISTRIBUTION_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_agreement_rate_against_binomial_oracle():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boardstats.errors import MetricError
-from boardstats.metrics import ResampleScorer, score
+from boardstats import metrics
+from boardstats.metrics import ResampleScorer, resample_counts, score
 from boardstats.table import ScoreSpec
 from helpers import score_on_indices
 
@@ -111,21 +112,68 @@ def test_errors():
         score_on_indices(["a", "b"], ["a", "b"], ScoreSpec.accuracy(), [0, 2])
     with pytest.raises(MetricError):
         score_on_indices(["a", "b"], ["a", "b"], ScoreSpec.accuracy(), [-1, 0])
-    scorer = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec.accuracy())
-    for bad in ([0, 2], [-1, 0]):
-        with pytest.raises(MetricError):
-            scorer.scores(np.array(bad, dtype=np.int32))
-    assert scorer.scores(np.array([1, 1], dtype=np.int32)).tolist() == [1.0]
+    acc = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec.accuracy())
+    mae = ResampleScorer(np.array([1.0, 2.0]), np.array([1.0, 3.0]), ScoreSpec.mae())
+    for dtype in (np.int32, np.int64):
+        for bad in ([0, 2], [-1, 0], [[0, 1], [1, 2]], [[0, 1], [-1, 1]]):
+            bad = np.array(bad, dtype=dtype)
+            for scorer in (acc, mae):
+                with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
+                    scorer.scores(bad)
+            with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
+                resample_counts(bad)
+            with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
+                resample_counts(bad, 2)
+        ok = np.array([1, 1], dtype=dtype)
+        assert acc.scores(ok).tolist() == [1.0]
+        assert acc.scores(ok, resample_counts(ok)).tolist() == [1.0]
+        assert mae.scores(ok).tolist() == [1.0]
+    with pytest.raises(ValueError, match="do not match"):
+        acc.scores(np.array([[0, 1]]), resample_counts(np.array([[0, 1], [1, 1]])))
+
+
+# rows per bincount group, and the group boundaries around it
+@pytest.mark.parametrize("n", [1, 2, 125, 1000, 5000])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_resample_counts_equal_per_row_bincount(n, dtype):
+    rows = metrics._COUNT_CELLS // n
+    g = np.random.default_rng(n)
+    for k in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0}):
+        idx = g.integers(0, n, size=(k, n)).astype(dtype)
+        counts = resample_counts(idx)
+        assert counts.dtype == np.int64 and counts.flags.c_contiguous
+        want = np.array([np.bincount(row, minlength=n) for row in idx])
+        assert np.array_equal(counts, want)
+        assert np.array_equal(counts.sum(axis=1), np.full(k, n))
+    assert np.array_equal(resample_counts(idx[0]), want[:1])
+
+
+def test_resample_counts_of_a_narrower_index_matrix():
+    idx = np.array([[4, 4, 0], [1, 2, 3]])
+    assert resample_counts(idx, 5).tolist() == [[1, 0, 0, 0, 2], [0, 1, 1, 1, 0]]
+    assert resample_counts(np.empty((0, 3), dtype=np.int64), 3).shape == (0, 3)
 
 
 def unpacked_f1_sums(gold, pred, labels, idx):
-    """(tp, pred + gold) sums per class, reduced column by column."""
+    """(tp, pred + gold) sums per class, gathered and reduced column by column."""
     sums = []
     for c in labels:
         g, p = gold == c, pred == c
         for col in ((g & p).astype(np.int64), p.astype(np.int64) + g):
             sums.append(np.add.reduce(col[idx], axis=1))
     return sums
+
+
+def gathered_f1_scores(sums):
+    """Class mean of 2 tp / max(pred + gold, 1) over (classes, k) stacked sums."""
+    tp, denom = np.stack(sums[0::2]), np.stack(sums[1::2])
+    return (2.0 * tp / np.maximum(denom, 1)).mean(axis=0)
+
+
+def assert_scores_equal(scorer, idx, want):
+    """Both entry points, counts built inside and passed in, give ``want``."""
+    assert np.array_equal(scorer.scores(idx), want)
+    assert np.array_equal(scorer.scores(idx, resample_counts(idx)), want)
 
 
 # bits = (2n).bit_length() goes 14 -> 15 at n = 8192, and the lanes per word
@@ -143,13 +191,16 @@ def test_packed_tally_sums_equal_unpacked_sums(n, bits, lanes, labels):
         scorer = ResampleScorer(gold, pred, spec)
         assert (scorer._bits, scorer._lanes) == (bits, lanes)
         assert len(scorer._words) == -(-2 * len(spec.labels) // lanes)
-        got = scorer._sums(idx)
+        got = scorer._sums(idx, resample_counts(idx))
         want = unpacked_f1_sums(gold, pred, spec.labels, idx)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        assert_scores_equal(scorer, idx, gathered_f1_scores(want))
     acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
-    assert np.array_equal(acc._sums(idx)[0], np.add.reduce((gold == pred)[idx], axis=1))
+    correct = np.add.reduce((gold == pred)[idx], axis=1)
+    assert np.array_equal(acc._sums(idx, resample_counts(idx))[0], correct)
+    assert_scores_equal(acc, idx, correct / n)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8191, 16383])
@@ -166,11 +217,13 @@ def test_packed_lanes_hold_their_largest_sums(n):
         want = [np.zeros(2, dtype=np.int64)] * (2 * len(order))
         want[2 * pos] = np.full(2, n)
         want[2 * pos + 1] = np.full(2, 2 * n)
-        for a, b in zip(scorer._sums(idx), want, strict=True):
+        for a, b in zip(scorer._sums(idx, resample_counts(idx)), want, strict=True):
             assert np.array_equal(a, b)
+        assert_scores_equal(scorer, idx, gathered_f1_scores(want))
         assert np.array_equal(scorer.scores(idx), np.full(2, 1 / len(order)))
     acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
-    assert np.array_equal(acc._sums(idx)[0], np.full(2, n))
+    assert np.array_equal(acc._sums(idx, resample_counts(idx))[0], np.full(2, n))
+    assert_scores_equal(acc, idx, np.full(2, 1.0))
 
 
 labels3 = st.sampled_from(["x", "y", "z"])
