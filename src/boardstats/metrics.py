@@ -12,12 +12,13 @@ in a resample scores 0 and stays in the average.
 Each built-in metric is a few per-row tally columns plus one finish step that
 turns the columns' sums over a resample into the score.  A resample is a
 multinomial count vector over the n rows, so an integer column's resampled
-sum is the count-weighted sum of the column.  ``resample_counts`` builds a
-block's (k, n) count matrix once, to be shared by every system scored on the
-block; integer columns share int64 words, one lane each, and each word takes
-one ``np.einsum`` with the counts, after which the lanes are unpacked.  MAE's
-float column is gathered through the index rows instead, and only ``custom``
-metrics see the resampled vectors themselves.
+sum is the count-weighted sum of the column.  Integer columns share int64
+words, one lane each.  A word's resampled sums come either from one gather
+through the index rows or, given the block's (k, n) count matrix from
+``resample_counts``, from one ``np.einsum`` with the counts; the lanes are
+then unpacked.  Counting costs about two gathers, so it pays only when
+several words share one count matrix.  MAE's float column is always
+gathered, and only ``custom`` metrics see the resampled vectors themselves.
 """
 
 from __future__ import annotations
@@ -35,17 +36,15 @@ from .table import ScoreSpec
 _COUNT_CELLS = 1 << 14
 
 
-def resample_counts(idx, n: int | None = None) -> np.ndarray:
+def resample_counts(idx, n: int) -> np.ndarray:
     """Multiplicity of each of the n data rows in every row of an index matrix.
 
     Returns a (k, n) int64 matrix whose row r is ``np.bincount(idx[r],
-    minlength=n)``; n defaults to the width of ``idx``.  Each group of about
-    ``_COUNT_CELLS`` cells is counted by one bincount, with row j of the group
-    offset to the cells [j n, (j + 1) n).  An index outside [0, n) is a
-    ``MetricError``.
+    minlength=n)``.  Each group of about ``_COUNT_CELLS`` cells is counted
+    by one bincount, with row j of the group offset to the cells
+    [j n, (j + 1) n).  An index outside [0, n) is a ``MetricError``.
     """
     idx = _index_rows(idx)
-    n = idx.shape[1] if n is None else n
     _check_range(idx, n)
     counts = np.empty((len(idx), n), dtype=np.int64)
     rows = max(1, _COUNT_CELLS // max(n, 1))
@@ -79,11 +78,10 @@ class ResampleScorer:
     """Evaluates one (gold, pred, spec) triple over batches of index rows.
 
     Precomputes the metric's per-row tally columns once, packing integer
-    columns into int64 lane words.  Integer metrics (``uses_counts``) then
-    score a block of resamples from its count matrix with one einsum per
-    word; MAE gathers and reduces its float column.  No resampled label
-    vector is materialized.  ``scores`` accepts a (k, n) index matrix and
-    returns k scores; row r equals the plain score of ``gold[idx[r]]`` vs
+    columns into int64 lane words; ``count_words`` is the number of such
+    words (0 for MAE and ``custom``).  No resampled label vector is
+    materialized.  ``scores`` accepts a (k, n) index matrix and returns k
+    scores; row r equals the plain score of ``gold[idx[r]]`` vs
     ``pred[idx[r]]``.
     """
 
@@ -100,7 +98,7 @@ class ResampleScorer:
         self.spec = spec
         self._gold = gold
         self._pred = pred
-        self.uses_counts = False
+        self.count_words = 0
         self._setup()
 
     def _setup(self):
@@ -142,7 +140,6 @@ class ResampleScorer:
         sum overflows, so one count-weighted sum per word yields every column
         sum exactly (SWAR: SIMD within a register).
         """
-        self.uses_counts = True
         self._bits = (top * self.n).bit_length()
         self._lanes = 63 // self._bits
         self._ncols = len(columns)
@@ -150,6 +147,7 @@ class ResampleScorer:
             sum(col << (self._bits * j) for j, col in enumerate(columns[i:i + self._lanes]))
             for i in range(0, len(columns), self._lanes)
         ]
+        self.count_words = len(self._words)
         # (lanes, 1): unpacking broadcasts (words, 1, k) sums to (words, lanes, k)
         self._shifts = self._bits * np.arange(min(self._lanes, self._ncols))[:, None]
         self._mask = (1 << self._bits) - 1
@@ -160,18 +158,17 @@ class ResampleScorer:
     def scores(self, idx, counts=None) -> np.ndarray:
         """Score each row of a (k, n) index matrix.
 
-        Integer metrics read only the block's resample counts, one einsum
-        per packed word.  Pass ``counts = resample_counts(idx, n)`` to share
-        one count matrix among the scorers of a block, whose range check
-        then stands for this call; when None, the counts are built here.
-        MAE and ``custom`` metrics gather through ``idx`` and ignore
-        ``counts``.
+        With ``counts = resample_counts(idx, n)``, integer metrics read only
+        the counts, one einsum per packed word, and the range check made by
+        ``resample_counts`` stands for this call; one count matrix can serve
+        every scorer of a block.  Without counts, each word is gathered
+        through ``idx``.  MAE and ``custom`` metrics always gather and ignore
+        ``counts``.  Both ways give the same integer sums, so the same bits.
         """
         idx = _index_rows(idx)
-        if not self.uses_counts:
+        if not self.count_words or counts is None:
             _check_range(idx, self.n)
-        elif counts is None:
-            counts = resample_counts(idx, self.n)
+            counts = None
         elif np.shape(counts) != (len(idx), self.n):
             raise ValueError(
                 f"counts of shape {np.shape(counts)} do not match "
@@ -190,26 +187,29 @@ class ResampleScorer:
     def _sums(self, idx: np.ndarray, counts) -> np.ndarray | list[np.ndarray]:
         """Each tally column's sum over every resample.
 
-        Integer words: one einsum with the (k, n) counts per word, numpy's
-        own single-threaded integer loop, then every lane unpacked in one
-        broadcast, giving a (columns, k) array.  MAE's float column: one
-        gather through ``idx`` and one reduction.
+        Each word is gathered through ``idx`` and reduced, or, given the
+        (k, n) counts, weighted by one einsum (numpy's own single-threaded
+        integer loop).  Integer words then have every lane unpacked in one
+        broadcast, giving a (columns, k) array; MAE gives its float sums.
         """
-        if not self.uses_counts:
+        if counts is None:
             with np.errstate(over="ignore"):
-                return [np.add.reduce(np.take(w, idx), axis=1) for w in self._words]
-        words = np.array([np.einsum("kn,n->k", counts, w) for w in self._words])
+                sums = [np.add.reduce(np.take(w, idx), axis=1) for w in self._words]
+            if not self.count_words:
+                return sums
+            words = np.array(sums)
+        else:
+            words = np.array([np.einsum("kn,n->k", counts, w) for w in self._words])
         lanes = (words[:, None, :] >> self._shifts) & self._mask
-        return lanes.reshape(-1, len(counts))[:self._ncols]
+        return lanes.reshape(len(words) * len(self._shifts), len(idx))[:self._ncols]
 
     def observed(self) -> float:
         """Score of the original, unresampled data: the identity row.
 
         Bypasses ``scores``, which takes resamples and checks their range;
-        the identity row is neither, and it counts every row once.
+        the identity row is neither.
         """
-        ones = np.ones((1, self.n), dtype=np.int64)
-        return float(self._score_rows(np.arange(self.n)[None], ones)[0])
+        return float(self._score_rows(np.arange(self.n)[None], None)[0])
 
 
 def _mean_f1(sums: np.ndarray) -> np.ndarray:

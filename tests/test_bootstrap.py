@@ -17,6 +17,7 @@ from boardstats.bootstrap import (
     summarize,
 )
 from boardstats.errors import MetricError
+from boardstats.metrics import ResampleScorer, resample_counts
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 from helpers import score_on_indices
 
@@ -242,8 +243,42 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
             assert all((e - s) * 8 * n <= budget or e - s == 1 for s, e in spans)
 
 
+@pytest.mark.parametrize(
+    "spec", [ScoreSpec.accuracy(), ScoreSpec.macro_f1(["a", "c"])], ids=["accuracy", "macro_f1"]
+)
+def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec):
+    # two systems of one packed word each: below the default threshold they
+    # gather, at a threshold of 2 words they share one count matrix per block
+    table = make_table(n=90)
+    plan = BootstrapPlan(replicates=50, seed=13)
+    assert [ResampleScorer(table.gold, table.systems[name], spec).count_words
+            for name in table.names] == [1, 1]
+    built = []
+
+    def recording_counts(idx, n):
+        built.append(len(idx))
+        return resample_counts(idx, n)
+
+    monkeypatch.setattr(bootstrap, "resample_counts", recording_counts)
+    gathered = distributions(table, spec, plan)
+    assert built == []
+    monkeypatch.setattr(bootstrap, "_COUNT_MIN_WORDS", 2)
+    monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * 90 * 7)
+    counted = distributions(table, spec, plan)
+    assert built == [7] * 7 + [1]
+    for name in table.names:
+        assert np.array_equal(counted[name].values, gathered[name].values)
+        assert counted[name].observed == gathered[name].observed
+    built.clear()
+    assert np.array_equal(
+        distribution(table, "noisy", spec, plan).values, gathered["noisy"].values
+    )
+    assert built == []
+
+
 # Prints one sha256 over every system's bootstrap values and observed score,
-# for accuracy, macro-F1 and MAE on small seeded tables.
+# for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of one
+# packed word each put the integer metrics on the shared-count path.
 _DISTRIBUTION_DIGEST = """
 import hashlib
 import numpy as np
@@ -254,9 +289,9 @@ g = np.random.default_rng(21)
 n = 400
 gold = g.choice(["a", "b", "c"], size=n)
 labels = {f"s{i}": np.where(g.random(n) < 0.2 * i, g.choice(["a", "b", "c"], size=n), gold)
-          for i in range(3)}
+          for i in range(4)}
 real = g.normal(size=n)
-values = {f"s{i}": real + g.normal(scale=0.5 * i + 0.1, size=n) for i in range(3)}
+values = {f"s{i}": real + g.normal(scale=0.5 * i + 0.1, size=n) for i in range(4)}
 cases = [
     (PredictionTable.build(gold, labels), ScoreSpec.accuracy()),
     (PredictionTable.build(gold, labels), ScoreSpec.macro_f1(["a", "c"])),

@@ -121,15 +121,13 @@ def test_errors():
                 with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
                     scorer.scores(bad)
             with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
-                resample_counts(bad)
-            with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
                 resample_counts(bad, 2)
         ok = np.array([1, 1], dtype=dtype)
         assert acc.scores(ok).tolist() == [1.0]
-        assert acc.scores(ok, resample_counts(ok)).tolist() == [1.0]
+        assert acc.scores(ok, resample_counts(ok, 2)).tolist() == [1.0]
         assert mae.scores(ok).tolist() == [1.0]
     with pytest.raises(ValueError, match="do not match"):
-        acc.scores(np.array([[0, 1]]), resample_counts(np.array([[0, 1], [1, 1]])))
+        acc.scores(np.array([[0, 1]]), resample_counts(np.array([[0, 1], [1, 1]]), 2))
 
 
 # rows per bincount group, and the group boundaries around it
@@ -138,20 +136,19 @@ def test_errors():
 def test_resample_counts_equal_per_row_bincount(n, dtype):
     rows = metrics._COUNT_CELLS // n
     g = np.random.default_rng(n)
-    for k in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0}):
-        idx = g.integers(0, n, size=(k, n)).astype(dtype)
-        counts = resample_counts(idx)
+    # square (k, n) blocks at the group boundaries, a narrower and a wider
+    # block (rows need not hold n indices), and no rows at all
+    shapes = [(k, n) for k in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0})]
+    shapes += [(rows + 1, max(n // 2, 1)), (3, 2 * n), (0, n)]
+    for k, width in shapes:
+        idx = g.integers(0, n, size=(k, width)).astype(dtype)
+        counts = resample_counts(idx, n)
         assert counts.dtype == np.int64 and counts.flags.c_contiguous
-        want = np.array([np.bincount(row, minlength=n) for row in idx])
+        want = np.array([np.bincount(row, minlength=n) for row in idx]).reshape(k, n)
         assert np.array_equal(counts, want)
-        assert np.array_equal(counts.sum(axis=1), np.full(k, n))
-    assert np.array_equal(resample_counts(idx[0]), want[:1])
-
-
-def test_resample_counts_of_a_narrower_index_matrix():
-    idx = np.array([[4, 4, 0], [1, 2, 3]])
-    assert resample_counts(idx, 5).tolist() == [[1, 0, 0, 0, 2], [0, 1, 1, 1, 0]]
-    assert resample_counts(np.empty((0, 3), dtype=np.int64), 3).shape == (0, 3)
+        assert np.array_equal(counts.sum(axis=1), np.full(k, width))
+    row = g.integers(0, n, size=n).astype(dtype)
+    assert np.array_equal(resample_counts(row, n), [np.bincount(row, minlength=n)])
 
 
 def unpacked_f1_sums(gold, pred, labels, idx):
@@ -171,9 +168,14 @@ def gathered_f1_scores(sums):
 
 
 def assert_scores_equal(scorer, idx, want):
-    """Both entry points, counts built inside and passed in, give ``want``."""
+    """Both entry points, gathering and counting, give ``want``."""
     assert np.array_equal(scorer.scores(idx), want)
-    assert np.array_equal(scorer.scores(idx, resample_counts(idx)), want)
+    assert np.array_equal(scorer.scores(idx, resample_counts(idx, scorer.n)), want)
+
+
+def both_sums(scorer, idx):
+    """``_sums`` gathered through ``idx`` and weighted by its counts."""
+    return scorer._sums(idx, None), scorer._sums(idx, resample_counts(idx, scorer.n))
 
 
 # bits = (2n).bit_length() goes 14 -> 15 at n = 8192, and the lanes per word
@@ -191,15 +193,16 @@ def test_packed_tally_sums_equal_unpacked_sums(n, bits, lanes, labels):
         scorer = ResampleScorer(gold, pred, spec)
         assert (scorer._bits, scorer._lanes) == (bits, lanes)
         assert len(scorer._words) == -(-2 * len(spec.labels) // lanes)
-        got = scorer._sums(idx, resample_counts(idx))
         want = unpacked_f1_sums(gold, pred, spec.labels, idx)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        for got in both_sums(scorer, idx):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
         assert_scores_equal(scorer, idx, gathered_f1_scores(want))
     acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
     correct = np.add.reduce((gold == pred)[idx], axis=1)
-    assert np.array_equal(acc._sums(idx, resample_counts(idx))[0], correct)
+    for got in both_sums(acc, idx):
+        assert np.array_equal(got[0], correct)
     assert_scores_equal(acc, idx, correct / n)
 
 
@@ -217,12 +220,14 @@ def test_packed_lanes_hold_their_largest_sums(n):
         want = [np.zeros(2, dtype=np.int64)] * (2 * len(order))
         want[2 * pos] = np.full(2, n)
         want[2 * pos + 1] = np.full(2, 2 * n)
-        for a, b in zip(scorer._sums(idx, resample_counts(idx)), want, strict=True):
-            assert np.array_equal(a, b)
+        for got in both_sums(scorer, idx):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
         assert_scores_equal(scorer, idx, gathered_f1_scores(want))
         assert np.array_equal(scorer.scores(idx), np.full(2, 1 / len(order)))
     acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
-    assert np.array_equal(acc._sums(idx, resample_counts(idx))[0], np.full(2, n))
+    for got in both_sums(acc, idx):
+        assert np.array_equal(got[0], np.full(2, n))
     assert_scores_equal(acc, idx, np.full(2, 1.0))
 
 
