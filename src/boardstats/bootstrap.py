@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import MetricError
-from .metrics import ResampleScorer, resample_counts
+from .metrics import ResampleScorer, shared_counts
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
@@ -34,13 +34,6 @@ QUANTILE_RULE = "linear"
 # (seed, replicate), so values never depend on the batch size or the worker
 # count.
 _BLOCK_BYTES = 1 << 20
-
-# Packed integer words, summed over the systems, from which a block's shared
-# count matrix is built.  Per 1 MiB block on a 2-vCPU Xeon (numpy 2.4), from
-# n = 100 to 50k: counting 0.40-0.62 ms, a gather 0.23-0.29 ms and an einsum
-# 0.08-0.10 ms per word, so counting pays from 2.6-3.4 words on.  Counting or
-# gathering gives the same integer sums, so the same values.
-_COUNT_MIN_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -89,36 +82,33 @@ def _scored(spec: ScoreSpec, system: str, fn, *args):
         ) from exc
 
 
+def map_workers(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(item) for item in items]``, in order, on ``workers`` threads."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _evaluate(
     scorers: dict[str, ResampleScorer],
     n: int,
     plan: BootstrapPlan,
 ) -> dict[str, np.ndarray]:
-    """Evaluate all scorers over every replicate, sharing index vectors.
-
-    When the scorers hold at least ``_COUNT_MIN_WORDS`` packed integer
-    words, a block's resample counts are built once and shared by every
-    system; otherwise each system gathers through the index block.
-    """
+    """Evaluate all scorers over every replicate, sharing index vectors and,
+    where ``shared_counts`` finds it pays, each block's resample counts."""
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
     out = {name: np.empty(B) for name in scorers}
-    counted = sum(scorer.count_words for scorer in scorers.values()) >= _COUNT_MIN_WORDS
 
     def run_block(start: int) -> None:
         stop = min(start + rows, B)
         idx = rng.index_block(plan.seed, n, start, stop)
-        counts = resample_counts(idx, n) if counted else None
+        counts = shared_counts(scorers.values(), idx, n)
         for name, scorer in scorers.items():
             out[name][start:stop] = _scored(scorer.spec, name, scorer.scores, idx, counts)
 
-    starts = range(0, B, rows)
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for start in starts:
-            run_block(start)
+    map_workers(run_block, range(0, B, rows), plan.workers)
     return out
 
 

@@ -60,23 +60,21 @@ def _deltas(ref: SamplingDistribution, values, observed, spec: ScoreSpec):
     return sign * (ref.observed - observed), sign * (ref.values - values)
 
 
-def _p_values(values: np.ndarray, observed, guard: bool):
+def _p_values(values: np.ndarray, observed):
     """Per row of ``values``: the share of replicates (last axis) whose delta
-    strictly exceeds twice ``observed``.  With ``guard``, identical systems
-    (every delta 0) get 1, as equality can never be rejected for them."""
+    strictly exceeds twice ``observed``.  Identical systems (every delta 0)
+    get 1, as equality can never be rejected for them."""
     observed = np.asarray(observed)
     p = np.count_nonzero(values > 2.0 * observed[..., None], axis=-1) / values.shape[-1]
-    if guard:
-        p = np.where((observed == 0.0) & ~values.any(axis=-1), 1.0, p)
-    return p
+    return np.where((observed == 0.0) & ~values.any(axis=-1), 1.0, p)
 
 
 def _pair_kernel(ref: SamplingDistribution, comps: list, spec: ScoreSpec, confidence: float):
     """Compare ``ref`` with all of ``comps`` at once: arrays over ``comps`` of
-    the signed observed deltas, the guarded p-values and (lci, mean, uci)."""
+    the signed observed deltas, the p-values and (lci, mean, uci)."""
     values, observed = np.stack([c.values for c in comps]), np.array([c.observed for c in comps])
     observed, deltas = _deltas(ref, values, observed, spec)
-    return observed, _p_values(deltas, observed, guard=True), percentile_rows(deltas, confidence)
+    return observed, _p_values(deltas, observed), percentile_rows(deltas, confidence)
 
 
 def delta_from_distributions(
@@ -133,8 +131,9 @@ def difference_ci(pd: PairedDelta, confidence: float) -> CI:
 
 
 def p_value(pd: PairedDelta) -> float:
-    """Fraction of replicates whose difference strictly exceeds 2x observed."""
-    return float(_p_values(pd.delta_values, pd.observed_delta, guard=False))
+    """Fraction of replicates whose difference strictly exceeds 2x observed;
+    1 for two systems with identical predictions."""
+    return float(_p_values(pd.delta_values, pd.observed_delta))
 
 
 def significance_stars(p: float) -> str:
@@ -179,11 +178,6 @@ def rank_systems(
     sign = _sign(spec)
     pos = {name: k for k, name in enumerate(order)}
     return sorted(observed, key=lambda s: (-sign * observed[s], pos[s]))
-
-
-def comparison_p_value(pd: PairedDelta) -> float:
-    """``p_value``, but 1 for two systems with identical predictions."""
-    return float(_p_values(pd.delta_values, pd.observed_delta, guard=True))
 
 
 def matrix_from_distributions(

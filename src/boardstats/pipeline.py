@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, rng
+from . import __version__
 # benchmarks/tests checks that the span tracer wraps ``pipeline.distributions``
-from .bootstrap import QUANTILE_RULE, distributions, percentile_ci  # noqa: F401
+from .bootstrap import distributions, percentile_ci  # noqa: F401
 from .dataio import RunConfig, fmt_float, load_table, parse_metric, write_csv, write_json, write_md
 from .errors import ConfigError
 from .inference import delta_from_distributions
@@ -47,7 +47,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_listed_artifacts(out)
-    artifacts = _write_artifacts(out, config, spec, plan, table, rep)
+    artifacts = _write_artifacts(out, config, spec, table, rep)
     return PipelineResult(
         out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=rep.ranking
     )
@@ -82,14 +82,20 @@ def _plan(config: RunConfig) -> BootstrapPlan:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_artifacts(out, config, spec, plan, table, rep):
+def _pair(e) -> dict:
+    """One ranked pair as the difference matrix and the p-value table list it."""
+    return {"reference": e.reference, "competitor": e.competitor, "delta": e.delta,
+            "p_value": e.p, "stars": e.stars}
+
+
+def _write_artifacts(out, config, spec, table, rep):
     artifacts = []
     formats = set(config.formats)
     methods = tuple(m for m in config.corrections if m != "none")
     ranked = rep.ranking
     matrix = rep.matrix
     dists = rep.distributions
-    summaries = {name: percentile_ci(dists[name], plan.confidence) for name in ranked}
+    summaries = {name: percentile_ci(dists[name], rep.confidence) for name in ranked}
 
     def emit(stem, payload, header, rows, title):
         if "json" in formats:
@@ -112,7 +118,7 @@ def _write_artifacts(out, config, spec, plan, table, rep):
     ci_columns = [(k, k, fmt_float) for k in ("lci", "mean", "uci")]
     emit_records(
         "performance",
-        {"metric": spec.display_name},
+        {"metric": rep.metric},
         "systems",
         [
             {"system": s, "observed": dists[s].observed, **summaries[s]._asdict()}
@@ -154,16 +160,7 @@ def _write_artifacts(out, config, spec, plan, table, rep):
         "difference_matrix",
         {
             "systems": list(matrix.systems),
-            "entries": [
-                {
-                    "reference": e.reference,
-                    "competitor": e.competitor,
-                    "delta": e.delta,
-                    "p_value": e.p,
-                    "stars": e.stars,
-                }
-                for (_, _), e in sorted(matrix.entries.items())
-            ],
+            "entries": [_pair(e) for _, e in sorted(matrix.entries.items())],
         },
         header,
         matrix_rows,
@@ -183,12 +180,11 @@ def _write_artifacts(out, config, spec, plan, table, rep):
     ]
     emit_records(
         "pvalues",
-        {"family_policy": config.family},
+        {"family_policy": rep.family_policy},
         "comparisons",
         [
             {
-                "reference": e.reference, "competitor": e.competitor, "delta": e.delta,
-                "p_value": e.p, "stars": e.stars,
+                **_pair(e),
                 **{
                     m: rep.adjusted[(e.reference, e.competitor)]["bh" if m == "fdr" else m]
                     for m in columns
@@ -203,25 +199,6 @@ def _write_artifacts(out, config, spec, plan, table, rep):
     )
 
     # competition summary panel
-    rep_payload = {
-        "n": rep.n,
-        "m": rep.m,
-        "possible_comparisons": rep.possible_comparisons,
-        "ties_with_winner": rep.ties_with_winner,
-        "ties_all_pairs": rep.ties_all_pairs,
-        "win_med_gap": rep.win_med_gap,
-        "cv": rep.cv,
-        "cv_comparable": rep.cv_comparable,
-        "ppi": rep.ppi,
-        "alpha": rep.alpha,
-        "metric": rep.metric,
-        "direction": rep.direction,
-        "family_policy": rep.family_policy,
-        "ranking": list(rep.ranking),
-        "ranking_ties": list(rep.ranking_ties),
-        "excluded_systems": list(rep.excluded_systems),
-        "observed_scores": rep.observed_scores,
-    }
     tie_w = "/".join(str(rep.ties_with_winner[k]) for k in ("none",) + methods)
     tie_a = (
         "/".join(str(rep.ties_all_pairs[k]) for k in ("none",) + methods)
@@ -239,7 +216,7 @@ def _write_artifacts(out, config, spec, plan, table, rep):
          else f"{rep.cv:.3f}" + ("" if rep.cv_comparable else " (not comparable)")],
         ["ppi", f"{rep.ppi:.3f}" if rep.ppi is not None else "-"],
     ]
-    emit("report", rep_payload, ["statistic", "value"], rep_rows, "Competition summary")
+    emit("report", rep.panel(), ["statistic", "value"], rep_rows, "Competition summary")
 
     # figures
     if "svg" in formats:
@@ -270,19 +247,9 @@ def _write_artifacts(out, config, spec, plan, table, rep):
         "input": config.input,
         "gold_col": config.gold_col,
         "task": table.task_kind.value,
-        "metric": spec.display_name,
-        "direction": spec.direction,
-        "replicates": plan.replicates,
-        "seed": plan.seed,
-        "alpha": plan.alpha,
-        "confidence": plan.confidence,
+        **rep.run_record(),
         "corrections": list(methods),
-        "family_policy": config.family,
         "gold_alias": config.gold_alias,
-        "excluded_systems": list(rep.excluded_systems),
-        "quantile_rule": QUANTILE_RULE,
-        "rng_family": rng.RNG_FAMILY,
-        "n": table.n,
         "systems": list(table.names),
         "formats": sorted(formats),
         "artifacts": sorted(artifacts + ["manifest.json"]),

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bootstrap import CI
-from .inference import PairedDelta, comparison_p_value
+from .inference import PairedDelta, p_value
 
 RED = "#c0392b"
 GREEN = "#1e8449"
@@ -130,6 +130,17 @@ def _axis(canvas: _Canvas, to_x, lo: float, hi: float, y: float):
         canvas.text(to_x(v), y + 16, f"{v:.3f}", anchor="middle")
 
 
+def _interval_row(canvas: _Canvas, to_x, y: float, name: str, ci: CI,
+                  color: str = INK, cls: str = "interval", width: float = 1.5):
+    """One labelled interval: the name, a bar from lci to uci, end caps and a
+    dot at the mean."""
+    canvas.text(_MARGIN_LEFT - 8, y + 4, name, anchor="end")
+    canvas.line(to_x(ci.lci), y, to_x(ci.uci), y, stroke=color, cls=cls, width=width)
+    for end in (ci.lci, ci.uci):
+        canvas.line(to_x(end), y - 5, to_x(end), y + 5, stroke=color, width=1)
+    canvas.circle(to_x(ci.mean), y, 3.5, fill=color, cls="mean")
+
+
 def render_forest_plot(
     systems: Sequence[tuple[str, float, CI]], higher_better: bool = True
 ) -> SvgFigure:
@@ -151,11 +162,7 @@ def render_forest_plot(
             "system", name=name, observed=f"{observed:.6f}",
             lci=f"{ci.lci:.6f}", mean=f"{ci.mean:.6f}", uci=f"{ci.uci:.6f}",
         )
-        canvas.text(_MARGIN_LEFT - 8, y + 4, name, anchor="end")
-        canvas.line(to_x(ci.lci), y, to_x(ci.uci), y, cls="interval")
-        canvas.line(to_x(ci.lci), y - 5, to_x(ci.lci), y + 5, width=1)
-        canvas.line(to_x(ci.uci), y - 5, to_x(ci.uci), y + 5, width=1)
-        canvas.circle(to_x(ci.mean), y, 3.5, cls="mean")
+        _interval_row(canvas, to_x, y, name, ci)
         canvas.group_close()
         rows.append({"system": name, "observed": observed, **ci._asdict()})
     _axis(canvas, to_x, lo, hi, _TOP + _ROW_H * len(ordered) + 6)
@@ -187,21 +194,9 @@ def render_difference_plot(
             "comparison", name=name, lci=f"{ci.lci:.6f}", mean=f"{ci.mean:.6f}",
             uci=f"{ci.uci:.6f}", contains_zero=str(ci.contains_zero).lower(),
         )
-        canvas.text(_MARGIN_LEFT - 8, y + 4, name, anchor="end")
-        canvas.line(to_x(ci.lci), y, to_x(ci.uci), y, stroke=color, cls=cls, width=2)
-        canvas.line(to_x(ci.lci), y - 5, to_x(ci.lci), y + 5, stroke=color, width=1)
-        canvas.line(to_x(ci.uci), y - 5, to_x(ci.uci), y + 5, stroke=color, width=1)
-        canvas.circle(to_x(ci.mean), y, 3.5, fill=color, cls="mean")
+        _interval_row(canvas, to_x, y, name, ci, color, cls, width=2)
         canvas.group_close()
-        rows.append(
-            {
-                "competitor": name,
-                "lci": ci.lci,
-                "mean": ci.mean,
-                "uci": ci.uci,
-                "contains_zero": ci.contains_zero,
-            }
-        )
+        rows.append({"competitor": name, **ci._asdict(), "contains_zero": ci.contains_zero})
     zero_x = to_x(0.0)
     canvas.line(zero_x, _TOP - 6, zero_x, height - _BOTTOM + 2, width=1, dash="4 3")
     _axis(canvas, to_x, lo, hi, _TOP + _ROW_H * len(diffs) + 6)
@@ -273,7 +268,7 @@ def render_delta_histogram(pd: PairedDelta) -> SvgFigure:
             "observed_delta": pd.observed_delta,
             "bin_edges": edges.tolist(),
             "counts": counts.tolist(),
-            "p_value": comparison_p_value(pd),
+            "p_value": p_value(pd),
             "replicates": B,
         },
     )

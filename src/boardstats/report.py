@@ -8,7 +8,7 @@ improvement headroom left below the metric's cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ from .table import BootstrapPlan, PredictionTable, ScoreSpec
 GOLD_ALIAS = "Gold_Standard"
 
 CORRECTION_KEYS = ("none",) + METHODS
+
+# Fields that shape the numbers but belong to the run, not the panel: the
+# manifest records them and report.json leaves them out.
+PROVENANCE = ("replicates", "seed", "confidence", "quantile_rule", "rng_family")
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,20 @@ class CompetitionReport:
     distributions: dict[str, SamplingDistribution] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    def panel(self) -> dict:
+        """The summary panel as report.json holds it: every field shown in
+        the repr except ``PROVENANCE``."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.repr and f.name not in PROVENANCE
+        }
+
+    def run_record(self) -> dict:
+        """What the manifest records of the run: the panel fields that name
+        the analysis, plus ``PROVENANCE``."""
+        named = ("n", "metric", "direction", "alpha", "family_policy", "excluded_systems")
+        return {name: getattr(self, name) for name in named + PROVENANCE}
 
 
 def cv(scores: Sequence[float]) -> float:

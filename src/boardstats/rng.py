@@ -78,12 +78,13 @@ def index_block(seed: int, n: int, start: int, stop: int) -> np.ndarray:
 
     # A strided min over the low halves is the cheap test that nothing was
     # rejected, which holds for most blocks and always when n is a power of 2.
+    # Only the rows holding a rejected draw are searched for its slots.
     threshold = 2**32 % n
     low = product.view(np.uint32)[:, _LOW_HALF::2]
     if threshold and low.min() < threshold:
-        rows, slots = np.nonzero(low < threshold)
-        for row in np.unique(rows).tolist():
-            _redraw(product, row, slots[rows == row], seed, (start + row) * bpr, threshold)
+        for row in np.flatnonzero(low.min(axis=1) < threshold).tolist():
+            slots = np.flatnonzero(low[row] < threshold)
+            _redraw(product, row, slots, seed, (start + row) * bpr, threshold)
 
     # Every index is below n < 2**32, so the uint64 bits read as the same int64.
     product >>= np.uint64(32)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .bootstrap import distributions, percentile_ci
+from .bootstrap import distributions, map_workers, percentile_ci
 from .dataio import read_json_config
 from .errors import ConfigError
 from .inference import delta_from_distributions, p_value
@@ -172,7 +171,8 @@ def calibrate(
     population score and, when the first two systems share an identical
     corruption model, collects the fixed-orientation p-value of that null
     pair per trial.  Per-trial seeds derive from (master seed, trial index),
-    so trials can run concurrently in any order.
+    so trials can run concurrently in any order: ``plan.workers`` trials at a
+    time, each bootstrapped on one thread.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -195,7 +195,7 @@ def calibrate(
         )
         cfg = dataclasses.replace(config, seed=int(trial_seeds[0]))
         table = generate(cfg)
-        trial_plan = dataclasses.replace(plan, seed=int(trial_seeds[1]))
+        trial_plan = dataclasses.replace(plan, seed=int(trial_seeds[1]), workers=1)
         wanted = list(null_pair) if null_pair else [first]
         dists = distributions(table, spec, trial_plan, systems=wanted)
         ci = percentile_ci(dists[first], trial_plan.confidence)
@@ -210,11 +210,7 @@ def calibrate(
             p = p_value(pd)
         return covered, observed_in, p
 
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
+    results = map_workers(run_trial, range(trials), plan.workers)
 
     covered = np.array([r[0] for r in results])
     observed_in = np.array([r[1] for r in results])

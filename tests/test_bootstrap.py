@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import boardstats
-from boardstats import bootstrap, rng
+from boardstats import bootstrap, metrics, rng
 from boardstats.bootstrap import (
     SamplingDistribution,
     distribution,
@@ -259,10 +259,10 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
         built.append(len(idx))
         return resample_counts(idx, n)
 
-    monkeypatch.setattr(bootstrap, "resample_counts", recording_counts)
+    monkeypatch.setattr(metrics, "resample_counts", recording_counts)
     gathered = distributions(table, spec, plan)
     assert built == []
-    monkeypatch.setattr(bootstrap, "_COUNT_MIN_WORDS", 2)
+    monkeypatch.setattr(metrics, "_COUNT_MIN_WORDS", 2)
     monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * 90 * 7)
     counted = distributions(table, spec, plan)
     assert built == [7] * 7 + [1]

@@ -148,3 +148,35 @@ def test_against_statsmodels_oracle(raw):
         ref = multipletests(raw, method=theirs)[1]
         for i in range(len(raw)):
             assert got[i] == pytest.approx(ref[i], abs=1e-12)
+
+
+def _holm_step_down(raw):
+    """Holm by hand: walk the p-values from the smallest up, multiply the
+    i-th (from 0) by k - i, cap at 1 and never let the result fall."""
+    k = len(raw)
+    out = [0.0] * k
+    running = 0.0
+    for i, pos in enumerate(sorted(range(k), key=lambda j: raw[j])):
+        running = max(running, min(1.0, (k - i) * raw[pos]))
+        out[pos] = running
+    return out
+
+
+@given(families)
+@settings(max_examples=60, deadline=None)
+def test_bonferroni_and_holm_against_plain_loops(raw):
+    family = PValueFamily(tuple(enumerate(raw)))
+    bonf, holm = adjust(family, "bonferroni"), adjust(family, "holm")
+    for i, ref in enumerate(_holm_step_down(raw)):
+        assert bonf[i] == pytest.approx(min(1.0, len(raw) * raw[i]), abs=1e-12)
+        assert holm[i] == pytest.approx(ref, abs=1e-12)
+
+
+@given(families)
+@settings(max_examples=60, deadline=None)
+def test_bh_against_scipy_oracle(raw):
+    false_discovery_control = pytest.importorskip("scipy.stats").false_discovery_control
+    got = adjust(PValueFamily(tuple(enumerate(raw))), "bh")
+    ref = false_discovery_control(raw, method="bh")
+    for i in range(len(raw)):
+        assert got[i] == pytest.approx(ref[i], abs=1e-12)

@@ -5,7 +5,6 @@ from boardstats import inference
 from boardstats.bootstrap import SamplingDistribution
 from boardstats.inference import (
     PairedDelta,
-    comparison_p_value,
     delta_from_distributions,
     difference_ci,
     difference_matrix,
@@ -35,6 +34,8 @@ def test_self_comparison_is_all_zero():
     ci = difference_ci(pd, 0.95)
     assert (ci.lci, ci.mean, ci.uci) == (0.0, 0.0, 0.0)
     assert ci.contains_zero
+    # equal performance can never be rejected for identical predictions
+    assert p_value(pd) == 1.0
 
 
 def test_p_value_hand_count():
@@ -175,7 +176,7 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
             table, spec, plan, dm.systems[j], dm.systems[i], reorient=False
         )
         assert entry.delta == pd.observed_delta
-        assert entry.p == comparison_p_value(pd)
+        assert entry.p == p_value(pd)
         assert entry.ci == difference_ci(pd, plan.confidence)
     copy = dm.entry(dm.systems.index("s1_copy"), dm.systems.index("s1"))
     assert (copy.delta, copy.p, copy.stars) == (0.0, 1.0, "")

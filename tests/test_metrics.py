@@ -336,3 +336,26 @@ def test_against_sklearn_oracle():
             gold, pred, labels=["u", "w"], average="macro", zero_division=0
         )
         assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def _f1_from_confusion(gold, pred, c):
+    """F1 of class c from its confusion counts; 0 when c never occurs."""
+    tp = sum(g == c and p == c for g, p in zip(gold, pred))
+    fp = sum(g != c and p == c for g, p in zip(gold, pred))
+    fn = sum(g == c and p != c for g, p in zip(gold, pred))
+    return 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+
+
+def test_f1_against_confusion_counts():
+    # the inputs of test_against_sklearn_oracle, checked without scikit-learn
+    rng = np.random.default_rng(5)
+    labels = np.array(["u", "v", "w"], dtype=object)
+    for _ in range(25):
+        n = int(rng.integers(3, 60))
+        gold = rng.choice(labels, size=n)
+        pred = rng.choice(labels, size=n)
+        f1 = {c: _f1_from_confusion(gold, pred, c) for c in labels}
+        for c in labels:
+            assert score(gold, pred, ScoreSpec.f1(c)) == pytest.approx(f1[c], abs=1e-12)
+        ours = score(gold, pred, ScoreSpec.macro_f1(["u", "w"]))
+        assert ours == pytest.approx((f1["u"] + f1["w"]) / 2, abs=1e-12)

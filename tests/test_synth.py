@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from boardstats import synth
 from boardstats.bootstrap import distributions
 from boardstats.metrics import score
 from boardstats.synth import (
@@ -132,6 +135,24 @@ def test_calibrate_worker_hint_changes_nothing():
     par = calibrate(cfg, BootstrapPlan(replicates=200, seed=6, workers=4), trials=6)
     assert seq.coverage == par.coverage
     assert np.array_equal(seq.p_values, par.p_values)
+
+
+def test_calibrate_runs_trials_in_parallel_and_bootstraps_each_on_one_thread(monkeypatch):
+    # workers go to the trials; a trial's own bootstrap opens no nested pool
+    cfg = config(n=120, a=LabelNoise(rate=0.2), b=LabelNoise(rate=0.2))
+    plan = BootstrapPlan(replicates=200, seed=6)
+    seq = calibrate(cfg, plan, trials=4)
+    workers = []
+
+    def recording(table, spec, plan, systems=None):
+        workers.append(plan.workers)
+        return distributions(table, spec, plan, systems=systems)
+
+    monkeypatch.setattr(synth, "distributions", recording)
+    par = calibrate(cfg, dataclasses.replace(plan, workers=3), trials=4)
+    assert workers == [1] * 4
+    assert (par.coverage, par.observed_in_ci) == (seq.coverage, seq.observed_in_ci)
+    assert np.array_equal(par.p_values, seq.p_values)
 
 
 COUNTS = {"favor": 40, "none": 55, "against": 45}
