@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
-from .dataio import FORMATS, RunConfig
+from .corrections import POLICIES
+from .dataio import FORMATS, TASKS, RunConfig, comma_list
 from .errors import BoardstatsError
 from .pipeline import run_pipeline
+from .report import CORRECTION_KEYS
+from .table import DIRECTIONS
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every default comes from ``RunConfig`` and every choice list from the
+    module that owns it; the option dests are ``RunConfig``'s field names."""
     parser = argparse.ArgumentParser(
         prog="boardstats",
         description=(
@@ -25,73 +31,56 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--input", required=True, help="prediction CSV (one column per system)")
-    parser.add_argument("--gold-col", default="y", help="gold-standard column name (default: y)")
+    parser.add_argument("--gold-col", help="gold-standard column name (default: %(default)s)")
     parser.add_argument(
         "--metric",
-        default="accuracy",
-        help="accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<file.py>",
+        help="accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<file.py> "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--direction",
-        choices=["higher", "lower"],
+        choices=DIRECTIONS,
         help="override score direction (custom metrics only)",
     )
-    parser.add_argument("--samples", type=int, default=10_000, help="bootstrap replicates (default: 10000)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    parser.add_argument("--alpha", type=float, default=0.05, help="tie significance level (default: 0.05)")
-    parser.add_argument("--confidence", type=float, default=0.95, help="CI level (default: 0.95)")
+    parser.add_argument("--samples", type=int, help="bootstrap replicates (default: %(default)s)")
+    parser.add_argument("--seed", type=int, help="master seed (default: %(default)s)")
+    parser.add_argument("--alpha", type=float, help="tie significance level (default: %(default)s)")
+    parser.add_argument("--confidence", type=float, help="CI level (default: %(default)s)")
     parser.add_argument(
         "--corrections",
-        default="bonferroni,holm,bh",
-        help="comma list of {none,bonferroni,holm,bh} (default: bonferroni,holm,bh)",
+        type=comma_list,
+        help=f"comma list of {{{','.join(CORRECTION_KEYS)}}} "
+        f"(default: {','.join(RunConfig.corrections)})",
     )
     parser.add_argument(
         "--family",
-        choices=["vs-winner", "per-reference", "global"],
-        default="per-reference",
-        help="hypothesis family policy (default: per-reference)",
+        choices=[p.replace("_", "-") for p in POLICIES],
+        help="hypothesis family policy (default: %(default)s)",
     )
     parser.add_argument(
         "--gold-alias",
-        default="Gold_Standard",
-        help="system name excluded as the gold-standard row (default: Gold_Standard)",
+        help="system name excluded as the gold-standard row (default: %(default)s)",
     )
-    parser.add_argument("--out-dir", default="boardstats-out", help="output directory")
+    parser.add_argument("--out-dir", help="output directory (default: %(default)s)")
     parser.add_argument(
         "--formats",
-        default=",".join(FORMATS),
-        help=f"comma list of {{{','.join(FORMATS)}}} (default: all)",
+        type=comma_list,
+        help=f"comma list of {{{','.join(FORMATS)}}} (default: {','.join(RunConfig.formats)})",
     )
     parser.add_argument(
         "--task",
-        choices=["auto", "classification", "regression"],
-        default="auto",
-        help="outcome type; auto treats all-numeric tables as regression",
+        choices=TASKS,
+        help="outcome type; auto treats all-numeric tables as regression "
+        "(default: %(default)s)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel evaluation hint")
+    parser.add_argument("--workers", type=int, help="parallel evaluation hint (default: %(default)s)")
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    parser.set_defaults(**{**defaults, "family": RunConfig.family.replace("_", "-")})
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    corrections = tuple(c.strip() for c in args.corrections.split(",") if c.strip())
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    return RunConfig(
-        input=args.input,
-        gold_col=args.gold_col,
-        metric=args.metric,
-        direction=args.direction,
-        samples=args.samples,
-        seed=args.seed,
-        alpha=args.alpha,
-        confidence=args.confidence,
-        corrections=corrections,
-        family=args.family.replace("-", "_"),
-        gold_alias=args.gold_alias,
-        out_dir=args.out_dir,
-        formats=formats,
-        task=args.task,
-        workers=args.workers,
-    )
+    return RunConfig(**{**vars(args), "family": args.family.replace("-", "_")})
 
 
 def main(argv=None) -> int:

@@ -22,6 +22,7 @@ import numpy as np
 
 METHODS = ("bonferroni", "holm", "bh")
 POLICIES = ("vs_winner", "per_reference", "global")
+DEFAULT_POLICY = "per_reference"
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class PValueFamily:
     """An ordered set of simultaneous hypotheses with their raw p-values."""
 
     entries: tuple[tuple[Hashable, float], ...]
-    policy: str = "per_reference"
 
     def __post_init__(self):
         ids = [pair_id for pair_id, _ in self.entries]
@@ -80,7 +80,7 @@ def adjust_all(
 def build_families(
     ranked_systems: Sequence[str],
     pairwise_p: dict[tuple[str, str], float],
-    policy: str = "per_reference",
+    policy: str,
 ) -> list[PValueFamily]:
     """Group the pairwise raw p-values into correction families.
 
@@ -103,11 +103,11 @@ def build_families(
         return pair, pairwise_p[pair]
 
     if policy == "vs_winner":
-        return [PValueFamily(tuple(entry(0, j) for j in range(1, m)), policy)]
+        return [PValueFamily(tuple(entry(0, j) for j in range(1, m)))]
     if policy == "per_reference":
         return [
-            PValueFamily(tuple(entry(i, j) for j in range(i + 1, m)), policy)
+            PValueFamily(tuple(entry(i, j) for j in range(i + 1, m)))
             for i in range(m - 1)
         ]
     pairs = tuple(entry(i, j) for i in range(m - 1) for j in range(i + 1, m))
-    return [PValueFamily(pairs, policy)]
+    return [PValueFamily(pairs)]

@@ -20,12 +20,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corrections import METHODS, POLICIES
+from .corrections import DEFAULT_POLICY, METHODS, POLICIES
 from .errors import ConfigError, DataFormatError
-from .report import GOLD_ALIAS
-from .table import HIGHER, LOWER, PredictionTable, ScoreSpec, TaskKind
+from .report import CORRECTION_KEYS, GOLD_ALIAS
+from .table import DIRECTIONS, HIGHER, BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
 
 FORMATS = ("json", "csv", "md", "svg")
+TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
 TABLE_PRECISION = 4
 
 # accepted value types per RunConfig field annotation; a bool is never a number
@@ -35,23 +36,24 @@ _FIELD_TYPES = {"str": str, "Optional[str]": (str, type(None)), "int": int,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one analysis run depends on."""
+    """Everything one analysis run depends on, and the one home of its
+    defaults: the command line and JSON configs read theirs from here."""
 
     input: str
     gold_col: str = "y"
     metric: str = "accuracy"
     direction: Optional[str] = None
-    samples: int = 10_000
-    seed: int = 0
-    alpha: float = 0.05
-    confidence: float = 0.95
-    corrections: tuple[str, ...] = ("bonferroni", "holm", "bh")
-    family: str = "per_reference"
+    samples: int = BootstrapPlan.replicates
+    seed: int = BootstrapPlan.seed
+    alpha: float = BootstrapPlan.alpha
+    confidence: float = BootstrapPlan.confidence
+    corrections: tuple[str, ...] = METHODS
+    family: str = DEFAULT_POLICY
     gold_alias: str = GOLD_ALIAS
     out_dir: str = "boardstats-out"
     formats: tuple[str, ...] = FORMATS
     task: str = "auto"
-    workers: int = 1
+    workers: int = BootstrapPlan.workers
 
     def __post_init__(self):
         for f in fields(self):
@@ -63,15 +65,20 @@ class RunConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
-        if self.task not in ("auto", "classification", "regression"):
+        if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         for method in self.corrections:
-            if method not in ("none",) + METHODS:
+            if method not in CORRECTION_KEYS:
                 raise ConfigError(f"unknown correction {method!r}")
-        if self.direction not in (None, HIGHER, LOWER):
+        if self.direction not in (None,) + DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}")
         if self.family not in POLICIES:
             raise ConfigError(f"unknown family policy {self.family!r}")
+
+
+def comma_list(text: str) -> tuple[str, ...]:
+    """The items of a comma-separated list, stripped, empty items dropped."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
 def _numeric(cell: str) -> bool:
@@ -83,7 +90,7 @@ def _numeric(cell: str) -> bool:
 
 
 def load_table(
-    path: str | Path, gold_col: str = "y", task: str = "auto"
+    path: str | Path, gold_col: str = RunConfig.gold_col, task: str = RunConfig.task
 ) -> PredictionTable:
     """Read a prediction CSV into a table.
 
@@ -184,7 +191,7 @@ def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
                 raise ConfigError("f1 metric needs a class, e.g. f1:toxic")
             spec = ScoreSpec.f1(arg)
         elif kind in ("macro-f1", "macro_f1"):
-            labels = [c.strip() for c in arg.split(",") if c.strip()]
+            labels = comma_list(arg)
             if not labels:
                 raise ConfigError("macro-f1 needs classes, e.g. macro-f1:favor,against")
             spec = ScoreSpec.macro_f1(labels)
@@ -235,8 +242,8 @@ def run_config_from_json(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     for key in ("corrections", "formats"):
         if isinstance(payload.get(key), str):
-            payload[key] = [c.strip() for c in payload[key].split(",") if c.strip()]
-        if isinstance(payload.get(key), list):
+            payload[key] = comma_list(payload[key])
+        elif isinstance(payload.get(key), list):
             payload[key] = tuple(payload[key])
     try:
         return RunConfig(**payload)

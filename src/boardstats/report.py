@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .bootstrap import QUANTILE_RULE, SamplingDistribution, distributions
-from .corrections import METHODS, adjust_all, build_families
+from .corrections import DEFAULT_POLICY, METHODS, adjust_all, build_families
 from .errors import ConfigError
 from .inference import DifferenceMatrix, matrix_from_distributions
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
@@ -146,7 +146,7 @@ def build_report(
     table: PredictionTable,
     spec: ScoreSpec,
     plan: BootstrapPlan,
-    family_policy: str = "per_reference",
+    family_policy: str = DEFAULT_POLICY,
     gold_alias: str = GOLD_ALIAS,
 ) -> CompetitionReport:
     """Select the competitors, bootstrap them once, rank, compare every pair

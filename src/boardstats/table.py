@@ -18,6 +18,7 @@ from .errors import TableValidationError
 
 HIGHER = "higher"
 LOWER = "lower"
+DIRECTIONS = (HIGHER, LOWER)
 
 METRICS = ("accuracy", "f1", "macro_f1", "mae", "custom")
 
@@ -189,7 +190,7 @@ class ScoreSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.direction not in (HIGHER, LOWER):
+        if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be {HIGHER!r} or {LOWER!r}")
         if self.metric in ("f1", "macro_f1") and not self.labels:
             raise ValueError(f"{self.metric} requires a non-empty label subset")

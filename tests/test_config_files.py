@@ -1,12 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from boardstats.cli import build_parser, config_from_args
+from boardstats.corrections import POLICIES
 from boardstats.dataio import RunConfig, run_config_from_json
 from boardstats.errors import ConfigError
 from boardstats.synth import LabelNoise, ValueNoise, generate, synth_config_from_json
-from boardstats.table import TaskKind
+from boardstats.table import BootstrapPlan, TaskKind
 
 
 def dump(tmp_path, payload, name="config.json"):
@@ -55,6 +58,35 @@ def test_run_config_rejects_unknown_keys_and_bad_json(tmp_path):
 def test_run_config_rejects_mistyped_fields(tmp_path, field, value):
     with pytest.raises(ConfigError, match=f"config.json: {field} must be "):
         run_config_from_json(dump(tmp_path, {"input": "cls.csv", field: value}))
+
+
+def parse_cli(*argv):
+    return config_from_args(build_parser().parse_args(["--input", "x.csv", *argv]))
+
+
+def test_cli_and_library_share_run_config_defaults():
+    assert parse_cli() == RunConfig(input="x.csv")
+    dests = {action.dest for action in build_parser()._actions} - {"help"}
+    assert dests == {f.name for f in fields(RunConfig)}
+    config, plan = RunConfig(input="x.csv"), BootstrapPlan()
+    assert (config.samples, config.seed, config.alpha, config.confidence, config.workers) == (
+        plan.replicates, plan.seed, plan.alpha, plan.confidence, plan.workers
+    )
+    for policy in POLICIES:
+        assert parse_cli("--family", policy.replace("_", "-")).family == policy
+
+
+def test_cli_and_json_split_comma_lists_alike(tmp_path):
+    from_json = run_config_from_json(dump(tmp_path, {"input": "x.csv", "corrections": " bh, holm ,"}))
+    assert parse_cli("--corrections", " bh, holm ,").corrections == from_json.corrections
+    assert from_json.corrections == ("bh", "holm")
+
+
+@pytest.mark.parametrize("argv", [["--family", "ladder"], ["--task", "foo"]])
+def test_cli_rejects_unknown_choices_in_the_parser(argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(*argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("reader", [run_config_from_json, synth_config_from_json])
