@@ -1,8 +1,8 @@
 """CSV ingestion, metric parsing and canonical serialization.
 
-Input layout: a UTF-8 CSV with a header row; one column holds the gold
-standard (default name "y") and every other column is one system's
-predictions, kept in file order.  Task detection is deliberately dumb: a
+Input layout: a UTF-8 CSV (a leading byte order mark is dropped) with a
+header row; one column holds the gold standard (default name "y") and
+every other column is one system's predictions, kept in file order.  Task detection is deliberately dumb: a
 table is regression only when every column parses as numbers end to end,
 and the caller can always override, because a label that happens to look
 like a number must never be silently coerced.
@@ -98,7 +98,7 @@ def load_table(
     system, in file order.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -219,9 +219,10 @@ def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
 
 
 def read_json_config(path: Path):
-    """Parse a UTF-8 JSON config file; undecodable or malformed text is a ConfigError."""
+    """Parse a UTF-8 JSON config file, with or without a leading byte order
+    mark; undecodable or malformed text is a ConfigError."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
 

@@ -100,6 +100,12 @@ def test_unreadable_config_is_a_config_error_naming_the_file(tmp_path, reader, c
         reader(p)
 
 
+def test_config_with_a_leading_byte_order_mark_is_read(tmp_path):
+    p = tmp_path / "bom.json"
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps({"input": "x.csv", "samples": 500}).encode())
+    assert run_config_from_json(p) == RunConfig(input="x.csv", samples=500)
+
+
 def test_synth_config_classification(tmp_path):
     p = dump(tmp_path, {
         "n": 60,

@@ -84,6 +84,14 @@ def test_unreadable_csv_is_a_format_error_naming_the_file(tmp_path, content):
         load_table(p)
 
 
+def test_leading_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfy,A,B\nx,x,y\ny,y,y\n")
+    table = load_table(p)
+    assert table.names == ("A", "B")
+    assert list(table.gold) == ["x", "y"]
+
+
 def test_all_numeric_becomes_regression(tmp_path):
     p = write(tmp_path, "y,A\n1.5,1.4\n2.0,2.2\n")
     table = load_table(p)
