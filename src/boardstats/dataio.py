@@ -270,10 +270,13 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
         writer.writerows(rows)
 
 
+def _md_row(cells: Sequence) -> str:
+    """One table row; a ``|`` inside a cell is escaped so it stays in the cell."""
+    return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+
+
 def write_md(path: Path, title: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [f"# {title}", ""]
-    lines.append("| " + " | ".join(str(h) for h in header) + " |")
+    lines = [f"# {title}", "", _md_row(header)]
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
+    lines.extend(_md_row(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

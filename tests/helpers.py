@@ -1,5 +1,6 @@
 """Test-only helpers: scoring one resample and reading back markdown tables."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,14 @@ def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
 
 
 def read_md_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Parse back a markdown table written by ``write_md`` (for round trips)."""
+    """Parse back a markdown table written by ``write_md`` (for round trips).
+
+    Cells are split on unescaped pipes only, and an escaped ``\\|`` reads
+    back as ``|``.
+    """
     lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("|")]
     cells = [
-        [c.strip() for c in line.strip("|").split("|")]
+        [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
         for line in lines
     ]
     return cells[0], cells[2:]

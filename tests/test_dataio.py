@@ -179,7 +179,7 @@ def test_runconfig_validation():
 
 def test_csv_and_md_round_trip_to_table_precision(tmp_path):
     header = ["system", "observed", "lci"]
-    values = [["a", 0.123456789, 0.1], ["b", 0.98765, 0.9]]
+    values = [["a", 0.123456789, 0.1], ["|win - med|", 0.98765, 0.9]]
     rows = [[r[0], fmt_float(r[1]), fmt_float(r[2])] for r in values]
 
     csv_path = tmp_path / "t.csv"
@@ -190,7 +190,9 @@ def test_csv_and_md_round_trip_to_table_precision(tmp_path):
 
     md_path = tmp_path / "t.md"
     write_md(md_path, "table", header, rows)
+    assert "| \\|win - med\\| | 0.9877 | 0.9000 |" in md_path.read_text().splitlines()
     got_header, got_rows = read_md_table(md_path)
     assert got_header == header
+    assert [row[0] for row in got_rows] == ["a", "|win - med|"]
     for parsed_row, original in zip(got_rows, values):
         assert float(parsed_row[1]) == round(original[1], 4)
