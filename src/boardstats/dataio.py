@@ -2,10 +2,11 @@
 
 Input layout: a UTF-8 CSV (a leading byte order mark is dropped) with a
 header row; one column holds the gold standard (default name "y") and
-every other column is one system's predictions, kept in file order.  Task detection is deliberately dumb: a
-table is regression only when every column parses as numbers end to end,
-and the caller can always override, because a label that happens to look
-like a number must never be silently coerced.
+every other column is one system's predictions, kept in file order.  Task
+detection is deliberately dumb: a table is regression only when every
+column parses as numbers end to end, and the caller can always override,
+because a label that happens to look like a number must never be silently
+coerced.
 
 All writers are byte-deterministic: sorted JSON keys, fixed float
 formatting in the table formats, no timestamps.
