@@ -132,18 +132,23 @@ def distributions(
     scorers = {
         name: ResampleScorer(table.gold, table.systems[name], spec) for name in names
     }
-    values = _evaluate(scorers, table.n, plan)
-    out = {}
+    observed = {name: _scored(spec, name, scorers[name].observed) for name in names}
     for name in names:
-        observed = _scored(spec, name, scorers[name].observed)
+        if not np.isfinite(observed[name]):
+            _not_finite(spec, name, "the original data")
+    values = _evaluate(scorers, table.n, plan)
+    for name in names:
         bad = np.flatnonzero(~np.isfinite(values[name]))
-        if not np.isfinite(observed) or bad.size:
-            where = "the original data" if not np.isfinite(observed) else f"replicate {bad[0]}"
-            raise MetricError(
-                f"{spec.display_name} is not finite for system {name!r} on {where}"
-            )
-        out[name] = SamplingDistribution(values=values[name], observed=observed)
-    return out
+        if bad.size:
+            _not_finite(spec, name, f"replicate {bad[0]}")
+    return {
+        name: SamplingDistribution(values=values[name], observed=observed[name])
+        for name in names
+    }
+
+
+def _not_finite(spec: ScoreSpec, system: str, where: str):
+    raise MetricError(f"{spec.display_name} is not finite for system {system!r} on {where}")
 
 
 def distribution(

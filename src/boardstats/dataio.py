@@ -63,6 +63,11 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
         if not self.formats:
             raise ConfigError("at least one output format is required")
+        for name in ("corrections", "formats"):
+            items = getattr(self, name)
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"{name} lists {item!r} more than once")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")

@@ -276,12 +276,50 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
     assert built == []
 
 
+def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch):
+    # two MAE systems gather below the default threshold; at a threshold of
+    # one word they share float64 counts and take one limb product each
+    n, B = 90, 60
+    g = np.random.default_rng(17)
+    gold = g.normal(size=n) * 1e6
+    table = PredictionTable.build(
+        gold, {"near": gold + g.normal(scale=0.3, size=n), "far": gold + 1e-3}, "regression"
+    )
+    spec, plan = ScoreSpec.mae(), BootstrapPlan(replicates=B, seed=13)
+    built = []
+
+    def recording_counts(idx, size, dtype):
+        built.append(np.dtype(dtype))
+        return counts(idx, size, dtype)
+
+    counts = metrics._counts
+    monkeypatch.setattr(metrics, "_counts", recording_counts)
+    base = distributions(table, spec, plan)
+    assert built == []
+    for threshold in (metrics._COUNT_MIN_WORDS, 1):
+        monkeypatch.setattr(metrics, "_COUNT_MIN_WORDS", threshold)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
+            for workers in (1, 3):
+                built.clear()
+                got = distributions(
+                    table, spec, BootstrapPlan(replicates=B, seed=13, workers=workers)
+                )
+                assert built == ([np.dtype(np.float64)] * -(-B // rows) if threshold == 1 else [])
+                for name in table.names:
+                    assert got[name].values.tobytes() == base[name].values.tobytes()
+                    assert got[name].observed == base[name].observed
+
+
 # Prints one sha256 over every system's bootstrap values and observed score,
 # for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of one
-# packed word each put the integer metrics on the shared-count path.
+# packed word each put every metric on the shared-count path.  MAE runs again
+# in 8 MiB blocks: products of 2000 x 400 counts with 2 limbs exceed
+# OpenBLAS's one-thread size (2**18 multiply-adds), so 2 threads split them.
 _DISTRIBUTION_DIGEST = """
 import hashlib
 import numpy as np
+from boardstats import bootstrap, metrics
 from boardstats.bootstrap import distributions
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 
@@ -297,9 +335,15 @@ cases = [
     (PredictionTable.build(gold, labels), ScoreSpec.macro_f1(["a", "c"])),
     (PredictionTable.build(real, values, "regression"), ScoreSpec.mae()),
 ]
+cases.append(cases[-1])
+scorers = [metrics.ResampleScorer(cases[-1][0].gold, pred, ScoreSpec.mae()) for pred in values.values()]
+assert metrics.shared_counts(scorers, np.zeros((1, n), dtype=np.int64), n).dtype == np.float64
 digest = hashlib.sha256()
-for table, spec in cases:
-    for name, dist in distributions(table, spec, BootstrapPlan(replicates=300, seed=4)).items():
+for i, (table, spec) in enumerate(cases):
+    last = i == len(cases) - 1
+    bootstrap._BLOCK_BYTES = 1 << (23 if last else 20)
+    plan = BootstrapPlan(replicates=2000 if last else 300, seed=4)
+    for name, dist in distributions(table, spec, plan).items():
         digest.update(name.encode() + dist.values.tobytes() + np.float64(dist.observed).tobytes())
 print(digest.hexdigest())
 """

@@ -60,6 +60,18 @@ def test_run_config_rejects_mistyped_fields(tmp_path, field, value):
         run_config_from_json(dump(tmp_path, {"input": "cls.csv", field: value}))
 
 
+@pytest.mark.parametrize(
+    "field, value, entry",
+    [("corrections", ["bh", "holm", "bh"], "bh"), ("corrections", "bh,bh", "bh"),
+     ("formats", ["json", "json"], "json"), ("formats", "csv,md, csv", "csv")],
+)
+def test_run_config_rejects_duplicate_list_entries(tmp_path, field, value, entry):
+    with pytest.raises(ConfigError, match=f"config.json: {field} lists '{entry}' more than once"):
+        run_config_from_json(dump(tmp_path, {"input": "cls.csv", field: value}))
+    with pytest.raises(ConfigError, match=f"{field} lists '{entry}' more than once"):
+        RunConfig(input="cls.csv", **{field: (entry, entry)})
+
+
 def parse_cli(*argv):
     return config_from_args(build_parser().parse_args(["--input", "x.csv", *argv]))
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,3 +360,97 @@ def test_f1_against_confusion_counts():
             assert score(gold, pred, ScoreSpec.f1(c)) == pytest.approx(f1[c], abs=1e-12)
         ours = score(gold, pred, ScoreSpec.macro_f1(["u", "w"]))
         assert ours == pytest.approx((f1["u"] + f1["w"]) / 2, abs=1e-12)
+
+
+# abs_err columns for the fixed-point MAE: scored as |column - 0|, so the
+# absolute errors are the column itself
+MAE_COLUMNS = {
+    "normal": np.abs(np.random.default_rng(8).normal(size=37)),
+    "wide": np.array([1e12, 1e-6, 3.5, 1e-6, 2e12, 0.0, 7.25e-3]),
+    "zeros": np.zeros(6),
+    "subnormal_beside_normal": np.array([1.0, 5e-324, 1e-310, 0.5, 2.5e-320]),
+    "subnormal": np.array([5e-324, 1e-310, 2.5e-320, 0.0, 4e-315]),
+    "near_max": np.array([1.5e308, 0.0, 1.0, 1.7e308]),
+}
+
+
+def mae_scorer(column):
+    return ResampleScorer(column, np.zeros_like(column), ScoreSpec.mae())
+
+
+def oracle_limbs(column):
+    """(b, top, [(hi, lo)]) of a column as Python ints, from exact fractions."""
+    b = 53 - len(column).bit_length()
+    top = 0 if not column.max() else math.frexp(column.max())[1]
+    assert Fraction(2) ** (top - 1) <= Fraction(column.max()) < Fraction(2) ** top or top == 0
+    limbs = []
+    for v in column.tolist():
+        value = math.floor(Fraction(v) * Fraction(2) ** (2 * b - top))
+        assert 0 <= value < 2 ** (2 * b)
+        # truncated below 2**(top - 2b), never by more
+        assert 0 <= Fraction(v) - value * Fraction(2) ** (top - 2 * b) < Fraction(2) ** (top - 2 * b)
+        limbs.append((value >> b, value & (2**b - 1)))
+    return b, top, limbs
+
+
+def resample_rows(n, seed=0):
+    g = np.random.default_rng(seed)
+    return np.vstack([np.arange(n), np.zeros(n, dtype=np.int64), g.integers(0, n, size=(5, n))])
+
+
+@pytest.mark.parametrize("name", MAE_COLUMNS)
+def test_mae_limb_sums_equal_exact_fraction_sums(name):
+    column = MAE_COLUMNS[name]
+    scorer = mae_scorer(column)
+    b, top, limbs = oracle_limbs(column)
+    assert scorer._limbs.tolist() == [[float(hi), float(lo)] for hi, lo in limbs]
+    idx = resample_rows(len(column))
+    want_hi = [sum(limbs[i][0] for i in row) for row in idx.tolist()]
+    want_lo = [sum(limbs[i][1] for i in row) for row in idx.tolist()]
+    for counts in (None, resample_counts(idx, len(column)), metrics._counts(idx, len(column), np.float64)):
+        hi, lo = scorer._sums(idx, counts)
+        assert [int(v) for v in hi] == want_hi and [int(v) for v in lo] == want_lo
+        assert all(float(v) == v for v in want_hi + want_lo)  # below 2**53: exact floats
+
+
+def fsum_mean(values):
+    """math.fsum(values) / n, or the exact fraction's mean where fsum overflows."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values.tolist())) / len(values))
+
+
+@pytest.mark.parametrize("name", MAE_COLUMNS)
+def test_mae_rows_match_fsum(name):
+    column = MAE_COLUMNS[name]
+    n = len(column)
+    scorer = mae_scorer(column)
+    # values are truncated below 2**(top - 2b), so a resample drawing only
+    # values far below the column maximum may lose them; a subnormal mean
+    # rounds to a grid of 2**-1074
+    b, top, _ = oracle_limbs(column)
+    tol = max(2.0 ** (top - 2 * b), math.ulp(0.0))
+    idx = resample_rows(n, seed=1)
+    want = [fsum_mean(column[row]) for row in idx]
+    for got in (scorer.scores(idx), scorer.scores(idx, metrics._counts(idx, n, np.float64))):
+        assert np.isfinite(got).all()
+        for g, w in zip(got.tolist(), want):
+            assert math.isclose(g, w, rel_tol=1e-15, abs_tol=tol)
+    observed = scorer.observed()
+    assert observed == scorer.scores(idx[:1])[0]
+    if name == "zeros":
+        assert observed == 0.0 and not scorer.scores(idx).any()
+    elif name == "subnormal":
+        assert abs(observed - fsum_mean(column)) <= math.ulp(0.0)
+    else:
+        assert math.isclose(observed, fsum_mean(column), rel_tol=1e-15)
+
+
+def test_mae_keeps_a_non_finite_column_non_finite():
+    # an absolute error overflowing to inf has no fixed-point form
+    scorer = ResampleScorer(np.array([1e308, 2.0]), np.array([-1e308, 2.0]), ScoreSpec.mae())
+    assert scorer.count_words == 0
+    assert scorer.observed() == math.inf
+    assert np.isinf(scorer.scores(np.array([[1, 1], [0, 1]]))).all()
+    assert math.isnan(score([np.nan, 1.0], [0.0, 1.0], ScoreSpec.mae()))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -347,6 +348,35 @@ def test_cli_reports_overflowing_mae_without_numpy_warnings(tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err == "boardstats: bootstrap: mae is not finite for system 'a' on the original data\n"
+    assert not out.exists()
+
+
+def test_cli_scores_finite_mae_near_the_float_maximum(tmp_path):
+    # a resample drawing the 1.5e308 error twice overflows a float sum
+    csv = tmp_path / "values.csv"
+    csv.write_text("y,a,b\n1.5e308,0,1.0\n2.0,2.0,2.0\n0,0,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([
+        "--input", str(csv), "--metric", "mae", "--samples", "200", "--out-dir", str(out),
+        "--formats", "json",
+    ]) == 0
+    performance = json.loads((out / "performance.json").read_text(encoding="utf-8"))
+    rows = {row["system"]: row for row in performance["systems"]}
+    for name, abs_err in (("a", [1.5e308, 0.0, 0.0]), ("b", [1.5e308 - 1.0, 0.0, 1.0])):
+        assert math.isclose(rows[name]["observed"], math.fsum(abs_err) / 3, rel_tol=1e-15)
+        assert rows[name]["uci"] == 1.5e308
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [(["--corrections", "bh,bh"], "corrections lists 'bh'"),
+     (["--formats", "json,csv,json"], "formats lists 'json'")],
+)
+def test_cli_rejects_duplicate_list_entries(tmp_path, capsys, argv, entry):
+    csv = write_classification_csv(tmp_path / "comp.csv")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--out-dir", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"boardstats: configuration: {entry} more than once\n"
     assert not out.exists()
 
 
