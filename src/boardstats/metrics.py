@@ -168,6 +168,7 @@ class ResampleScorer:
                 abs_err = np.abs(gf - pf)
             if np.isfinite(abs_err).all():
                 self._split_limbs(abs_err)
+                self._finish = self._fixed_point_mean
             else:
                 # No fixed-point form: every row scores the column's float
                 # mean, inf or nan, which ``distributions`` reports as not
@@ -215,7 +216,6 @@ class ResampleScorer:
         # complex view, one (hi, lo) pair per row: both limbs in one gather
         self._pairs = self._limbs.view(np.complex128)[:, 0]
         self._limb_scale = (2.0 ** b, top - 2 * b)
-        self._finish = self._fixed_point_mean
         # MAE counts like one packed word, so from four systems on.  Over
         # 100 fresh 1 MiB blocks at n = 1000 and 5000 on a 2-vCPU Xeon:
         # counting into float64 0.9-1.3 ms, gathering a limb pair 0.29-0.46
