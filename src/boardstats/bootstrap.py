@@ -167,6 +167,9 @@ def percentile_rows(values: np.ndarray, confidence: float) -> tuple[np.ndarray, 
     The bounds are the (1 - confidence)/2 and 1 - (1 - confidence)/2
     empirical quantiles, taken with linear interpolation between order
     statistics (numpy's default rule); the midpoint is the arithmetic mean.
+    A row of finite values whose float sum overflows takes the sum of its
+    values each divided by the replicate count instead, so its mean stays
+    finite.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
@@ -175,7 +178,13 @@ def percentile_rows(values: np.ndarray, confidence: float) -> tuple[np.ndarray, 
         raise ValueError("need at least 2 bootstrap values for quantiles")
     tail = (1.0 - confidence) / 2.0
     lci, uci = np.quantile(values, [tail, 1.0 - tail], axis=-1, method=QUANTILE_RULE)
-    return lci, values.mean(axis=-1), uci
+    with np.errstate(over="ignore"):
+        mean = values.mean(axis=-1)
+    if np.isinf(mean).any():
+        overflowed = np.isinf(mean) & np.isfinite(values).all(axis=-1)
+        scaled = np.add.reduce(values / values.shape[-1], axis=-1)
+        mean = np.where(overflowed, scaled, mean)[()]
+    return lci, mean, uci
 
 
 def percentile_ci(dist: SamplingDistribution, confidence: float) -> CI:

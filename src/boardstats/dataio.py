@@ -263,8 +263,9 @@ def fmt_float(value: float, precision: int = TABLE_PRECISION) -> str:
 
 
 def write_json(path: Path, payload) -> None:
+    """Write ``payload`` as strict JSON: a NaN or infinity is a ValueError."""
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 

@@ -11,26 +11,29 @@ in a resample scores 0 and stays in the average.
 
 Each built-in metric is a few per-row tally columns plus one finish step that
 turns the columns' sums over a resample into the score.  A resample is a
-multinomial count vector over the n rows, so an integer column's resampled
-sum is the count-weighted sum of the column.  Integer columns share int64
-words, one lane each.  A word's resampled sums come either from one gather
-through the index rows or, given the block's (k, n) count matrix from
-``resample_counts``, from one ``np.einsum`` with the counts; the lanes are
-then unpacked.  Counting costs about two gathers, so it pays only when
-several words share one count matrix.
+multinomial count vector over the n rows, so a column's resampled sum is the
+count-weighted sum of the column.  Every scorer stores its columns as one
+(n, W) float64 matrix of integers: accuracy's ``correct`` (W = 1), F1's
+``tp`` and ``pred + gold`` per class (W = 2 per class), and MAE's two
+fixed-point limbs (W = 2).  Every resampled column sum is an integer below
+2**53, so it is exact in float64 whatever the summation order (after Neal
+2015, exact summation).  The sums come either from one gather per column
+pair through the index rows or, given the block's (k, n) count matrix from
+``resample_counts``, from ``counts @ columns`` (one BLAS product per
+``_PRODUCT_COLUMNS`` columns); both ways, and any BLAS blocking or thread
+count, give the same bits.  Counting costs a few
+gathers, so it pays only when several column pairs share one count matrix.
 
-MAE sums fixed-point limbs instead of floats.  Each absolute error is
-truncated to a multiple of 2**(top - 2b), where 2**top is the smallest power
-of two above the column maximum and b = 53 - bit_length(n), and split into two
-integer-valued float64 limbs of b bits each.  A limb's resampled sum is an
-exact integer below n 2**b <= 2**53, whether it is gathered or taken as one
-float64 ``counts @ limbs`` product, so summation order, BLAS blocking and
-thread count never change a bit (after Neal 2015, exact summation).  Only
+MAE's limbs are fixed point.  Each absolute error is truncated to a multiple
+of 2**(top - 2b), where 2**top is the smallest power of two above the column
+maximum and b = 53 - bit_length(n), and split into two integer limbs of b
+bits each, so a limb's resampled sum stays below n 2**b <= 2**53.  Only
 ``custom`` metrics see the resampled vectors themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,46 +49,44 @@ from .table import ScoreSpec
 _COUNT_CELLS = 1 << 14
 
 
-# Packed integer words, summed over the systems, from which a block's shared
+# Column-pair gathers, summed over the systems, from which a block's shared
 # count matrix is built.  Per 1 MiB block on a 2-vCPU Xeon (numpy 2.4), from
-# n = 100 to 50k: counting 0.40-0.62 ms, a gather 0.23-0.29 ms and an einsum
-# 0.08-0.10 ms per word, so counting pays from 2.6-3.4 words on.  Counting or
-# gathering gives the same integer sums, so the same values.
-_COUNT_MIN_WORDS = 4
+# n = 1000 to 50k: counting 0.41-0.61 ms, a pair gather 0.29-0.41 ms and a
+# product 0.02-0.07 ms per system.  Yet whole bootstraps at n = 5000 (6
+# alternating pairs) ran 1.83x slower for one 2-class macro-F1 system and
+# 1.15x for three MAE systems with a threshold of 2 than with 4.  Counting
+# or gathering gives the same integer sums, so the same values.
+_COUNT_MIN_GATHERS = 4
+
+# Columns per count product.  A 1 MiB block of n <= 2**17 rows holds at most
+# 2**17 counts, so a product with 6 columns stays within the 10**6
+# multiply-adds that OpenBLAS (0.3.31, AVX-512 Xeon) runs on one thread.
+# With 8 it started a second thread, which spun between blocks: four 4-class
+# macro-F1 systems at n = 5000 used 1.9x their wall time in CPU.
+_PRODUCT_COLUMNS = 6
 
 
 def shared_counts(scorers, idx, n: int):
-    """The (k, n) resample counts of ``idx`` for every scorer of a block to
-    share, or None when the scorers hold fewer than ``_COUNT_MIN_WORDS``
-    packed words between them and each gathers through ``idx`` instead.
-
-    The counts are ``resample_counts(idx, n)``, or float64 when every scorer
-    is MAE, whose limb product reads float64 counts.
-    """
-    scorers = list(scorers)
-    if sum(scorer.count_words for scorer in scorers) < _COUNT_MIN_WORDS:
+    """``resample_counts(idx, n)`` for every scorer of a block to share, or
+    None when the scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers
+    between them and each gathers through ``idx`` instead."""
+    if sum(scorer.gathers for scorer in scorers) < _COUNT_MIN_GATHERS:
         return None
-    if all(scorer.spec.metric == "mae" for scorer in scorers):
-        return _counts(idx, n, np.float64)
     return resample_counts(idx, n)
 
 
 def resample_counts(idx, n: int) -> np.ndarray:
     """Multiplicity of each of the n data rows in every row of an index matrix.
 
-    Returns a (k, n) int64 matrix whose row r is ``np.bincount(idx[r],
-    minlength=n)``.  Each group of about ``_COUNT_CELLS`` cells is counted
-    by one bincount, with row j of the group offset to the cells
-    [j n, (j + 1) n).  An index outside [0, n) is a ``MetricError``.
+    Returns a (k, n) float64 matrix of integers whose row r is
+    ``np.bincount(idx[r], minlength=n)``.  Each group of about
+    ``_COUNT_CELLS`` cells is counted by one bincount, with row j of the
+    group offset to the cells [j n, (j + 1) n).  An index outside [0, n) is
+    a ``MetricError``.
     """
-    return _counts(idx, n, np.int64)
-
-
-def _counts(idx, n: int, dtype) -> np.ndarray:
-    """``resample_counts``, written into a (k, n) matrix of ``dtype``."""
     idx = _index_rows(idx)
     _check_range(idx, n)
-    counts = np.empty((len(idx), n), dtype=dtype)
+    counts = np.empty((len(idx), n))
     rows = max(1, _COUNT_CELLS // max(n, 1))
     for start in range(0, len(idx), rows):
         part = idx[start:start + rows]
@@ -116,12 +117,12 @@ def _check_range(idx: np.ndarray, n: int) -> None:
 class ResampleScorer:
     """Evaluates one (gold, pred, spec) triple over batches of index rows.
 
-    Precomputes the metric's per-row tally columns once, packing integer
-    columns into int64 lane words, or MAE's column into fixed-point limbs;
-    ``count_words`` is the scorer's share of ``_COUNT_MIN_WORDS`` (0 for
-    ``custom``).  No resampled label vector is materialized.  ``scores``
-    accepts a (k, n) index matrix and returns k scores; row r equals the
-    plain score of ``gold[idx[r]]`` vs ``pred[idx[r]]``.
+    Precomputes the metric's per-row tally columns once, as one (n, W)
+    float64 matrix of integers; ``gathers`` = ceil(W / 2) is the scorer's
+    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  No resampled label
+    vector is materialized.  ``scores`` accepts a (k, n) index matrix and
+    returns k scores; row r equals the plain score of ``gold[idx[r]]`` vs
+    ``pred[idx[r]]``.
     """
 
     def __init__(self, gold: np.ndarray, pred: np.ndarray, spec: ScoreSpec):
@@ -137,14 +138,14 @@ class ResampleScorer:
         self.spec = spec
         self._gold = gold
         self._pred = pred
-        self.count_words = 0
+        self.gathers = 0
         self._setup()
 
     def _setup(self):
         spec = self.spec
         gold, pred = self._gold, self._pred
         if spec.metric == "accuracy":
-            self._pack([(gold == pred).astype(np.int64)], top=1)
+            self._set_columns([gold == pred])
             self._finish = self._mean
         elif spec.metric in ("f1", "macro_f1"):
             if _looks_numeric(gold):
@@ -155,8 +156,8 @@ class ResampleScorer:
             for c in spec.labels:
                 g = (gold == c)
                 p = (pred == c)
-                columns += [(g & p).astype(np.int64), p.astype(np.int64) + g]
-            self._pack(columns, top=2)
+                columns += [g & p, p.astype(np.int64) + g]
+            self._set_columns(columns)
             self._finish = _mean_f1
         elif spec.metric == "mae":
             try:
@@ -167,7 +168,7 @@ class ResampleScorer:
             with np.errstate(over="ignore"):  # an overflow is reported as a non-finite score
                 abs_err = np.abs(gf - pf)
             if np.isfinite(abs_err).all():
-                self._split_limbs(abs_err)
+                self._set_columns(self._limb_columns(abs_err))
                 self._finish = self._fixed_point_mean
             else:
                 # No fixed-point form: every row scores the column's float
@@ -178,51 +179,34 @@ class ResampleScorer:
         elif spec.metric != "custom":  # pragma: no cover - ScoreSpec rejects it
             raise MetricError(f"unknown metric {spec.metric!r}")
 
-    def _pack(self, columns: list[np.ndarray], top: int) -> None:
-        """Pack integer tally columns with entries in [0, top] into int64 words.
+    def _set_columns(self, columns: list[np.ndarray]) -> None:
+        """Store integer tally columns as the (n, W) float64 ``_columns``."""
+        self._columns = np.column_stack(columns).astype(np.float64)
+        self.gathers = -(-self._columns.shape[1] // 2)
 
-        Every column gets a lane of ``bits`` bits, enough for its largest
-        resampled sum top * n, and a word holds 63 // bits lanes, so the sign
-        bit stays clear.  No lane's sum carries into the next and no word's
-        sum overflows, so one count-weighted sum per word yields every column
-        sum exactly (SWAR: SIMD within a register).
-        """
-        self._bits = (top * self.n).bit_length()
-        self._lanes = 63 // self._bits
-        self._ncols = len(columns)
-        self._words = [
-            sum(col << (self._bits * j) for j, col in enumerate(columns[i:i + self._lanes]))
-            for i in range(0, len(columns), self._lanes)
-        ]
-        self.count_words = len(self._words)
-        # (lanes, 1): unpacking broadcasts (words, 1, k) sums to (words, lanes, k)
-        self._shifts = self._bits * np.arange(min(self._lanes, self._ncols))[:, None]
-        self._mask = (1 << self._bits) - 1
+    @functools.cached_property
+    def _gathered(self) -> list[np.ndarray]:
+        """What each gather reads: a lone column alone, or columns 2j and
+        2j + 1 as one contiguous complex128 column.  Built on the first
+        gather, so scorers on the count path hold no second copy."""
+        if self._columns.shape[1] == 1:
+            return [self._columns[:, 0]]
+        return list(np.ascontiguousarray(self._columns.view(np.complex128).T))
 
-    def _split_limbs(self, column: np.ndarray) -> None:
-        """Store a finite float column as (n, 2) fixed-point limbs.
+    def _limb_columns(self, column: np.ndarray) -> list[np.ndarray]:
+        """The (hi, lo) fixed-point limbs of a finite float column.
 
         With b = 53 - bit_length(n) and 2**top the smallest power of two
         above the column maximum, each value v becomes the integer
         V = floor(v 2**(2b - top)) < 2**(2b), split into hi = V >> b and
-        lo = V mod 2**b.  Both are exact float64 integers below 2**b, so any
-        sum of n of them, or of their count-weighted products, is exact.
+        lo = V mod 2**b, both exact float64 integers below 2**b.
         """
         b = 53 - self.n.bit_length()
         top = math.frexp(column.max())[1]
         value = np.floor(np.ldexp(column, 2 * b - top))
         hi = np.floor(np.ldexp(value, -b))
-        self._limbs = np.column_stack([hi, value - np.ldexp(hi, b)])
-        # complex view, one (hi, lo) pair per row: both limbs in one gather
-        self._pairs = self._limbs.view(np.complex128)[:, 0]
         self._limb_scale = (2.0 ** b, top - 2 * b)
-        # MAE counts like one packed word, so from four systems on.  Over
-        # 100 fresh 1 MiB blocks at n = 1000 and 5000 on a 2-vCPU Xeon:
-        # counting into float64 0.9-1.3 ms, gathering a limb pair 0.29-0.46
-        # ms and one product 0.08-0.11 ms per system.  Whole MAE bootstraps
-        # gathered faster at m = 3, broke even at m = 4 and counted faster
-        # at m = 6.
-        self.count_words = 1
+        return [hi, value - np.ldexp(hi, b)]
 
     def _fixed_point_mean(self, sums) -> np.ndarray:
         """ldexp((hi 2**b + lo) / n, top - 2b) from exact (hi, lo) limb sums.
@@ -240,17 +224,16 @@ class ResampleScorer:
     def scores(self, idx, counts=None) -> np.ndarray:
         """Score each row of a (k, n) index matrix.
 
-        With ``counts = resample_counts(idx, n)``, integer metrics read only
-        the counts, one einsum per packed word, and MAE one product with its
-        limbs (float64 counts, as ``shared_counts`` builds them for MAE,
-        spare it a cast); the range check made by ``resample_counts`` stands
-        for this call, and one count matrix can serve every scorer of a
-        block.  Without counts, each word or limb pair is gathered through
-        ``idx``.  ``custom`` metrics always gather and ignore ``counts``.
-        Both ways give the same integer sums, so the same bits.
+        With ``counts = resample_counts(idx, n)``, built-in metrics read only
+        the counts, by one product with the columns; the range check made by
+        ``resample_counts`` stands for this call, and one count matrix can
+        serve every scorer of a block.  Without counts, each column pair is
+        gathered through ``idx``.  ``custom`` metrics always gather and
+        ignore ``counts``.  Both ways give the same integer sums, so the
+        same bits.
         """
         idx = _index_rows(idx)
-        if not self.count_words or counts is None:
+        if not self.gathers or counts is None:
             _check_range(idx, self.n)
             counts = None
         elif np.shape(counts) != (len(idx), self.n):
@@ -268,48 +251,49 @@ class ResampleScorer:
             [float(self.spec.fn(self._gold[row], self._pred[row])) for row in idx]
         )
 
-    def _sums(self, idx: np.ndarray, counts) -> np.ndarray | tuple[np.ndarray, ...]:
-        """Each tally column's sum over every resample.
+    def _sums(self, idx: np.ndarray, counts) -> np.ndarray:
+        """The (W, k) sums of every tally column over every resample.
 
-        Each word is gathered through ``idx`` and reduced, or, given the
-        (k, n) counts, weighted by one einsum (numpy's own single-threaded
-        integer loop).  Integer words then have every lane unpacked in one
-        broadcast, giving a (columns, k) array.  MAE gives its (hi, lo) limb
-        sums, from one gather of the limb pairs or one (k, n) x (n, 2)
-        product; with k n 2 <= 2**18 per 1 MiB block, OpenBLAS runs the
-        product on one thread.
+        Given the (k, n) counts, one product per ``_PRODUCT_COLUMNS``
+        columns, written into one (k, W) matrix; otherwise one gather and
+        reduction per entry of ``_gathered``, whose complex sums unfold into
+        their two columns' rows.  Either way every partial sum is an exact
+        integer.
         """
-        if self.spec.metric == "mae":
-            if counts is None:
-                sums = np.add.reduce(np.take(self._pairs, idx), axis=1)
-                return sums.real, sums.imag
-            sums = counts @ self._limbs
-            return sums[:, 0], sums[:, 1]
-        if counts is None:
-            words = np.array([np.add.reduce(np.take(w, idx), axis=1) for w in self._words])
-        else:
-            words = np.array([np.einsum("kn,n->k", counts, w) for w in self._words])
-        lanes = (words[:, None, :] >> self._shifts) & self._mask
-        return lanes.reshape(len(words) * len(self._shifts), len(idx))[:self._ncols]
+        if counts is not None:
+            sums = np.empty((len(counts), self._columns.shape[1]))
+            for j in range(0, sums.shape[1], _PRODUCT_COLUMNS):
+                part = slice(j, j + _PRODUCT_COLUMNS)
+                np.matmul(counts, self._columns[:, part], out=sums[:, part])
+            return sums.T
+        sums = np.array([np.add.reduce(np.take(col, idx), axis=1) for col in self._gathered])
+        if sums.dtype == np.float64:
+            return sums
+        return np.stack([sums.real, sums.imag], axis=1).reshape(-1, len(idx))
 
     def observed(self) -> float:
         """Score of the original, unresampled data: the identity row.
 
-        Bypasses ``scores``, which takes resamples and checks their range;
-        the identity row is neither.
+        Built-in metrics finish the plain column sums, as exact as any
+        resample's; this spares them a gather copy of ``_gathered`` and
+        OpenBLAS a threaded 1 x n product.  Bypasses ``scores``, which takes
+        resamples and checks their range; the identity row is neither.
         """
+        if self.gathers:
+            return float(self._finish(self._columns.sum(axis=0)[:, None])[0])
         return float(self._score_rows(np.arange(self.n)[None], None)[0])
 
 
 def _mean_f1(sums: np.ndarray) -> np.ndarray:
     """Mean over classes of 2 tp / (pred + gold) from (tp, pred + gold) sums.
 
-    A class with pred + gold = 0 has tp = 0 and scores 0.  The mean runs
-    over axis 0 of a (classes, k) array, adding class rows in order; numpy
-    sums a contiguous last axis pairwise, which would change the bits.
+    A class with pred + gold = 0 has tp = 0 and scores 0.  The per-class
+    scores are laid out in C order, so that the mean over axis 0 adds class
+    rows in order whatever the layout of ``sums``; numpy sums a contiguous
+    axis pairwise, which would change the bits.
     """
     tp, denom = sums[0::2], sums[1::2]
-    return (2.0 * tp / np.maximum(denom, 1)).mean(axis=0)
+    return np.divide(2.0 * tp, np.maximum(denom, 1), order="C").mean(axis=0)
 
 
 def _looks_numeric(arr: np.ndarray) -> bool:

@@ -244,31 +244,44 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [ScoreSpec.accuracy(), ScoreSpec.macro_f1(["a", "c"])], ids=["accuracy", "macro_f1"]
+    "spec,gathers",
+    [(ScoreSpec.accuracy(), 1), (ScoreSpec.macro_f1(["a", "c"]), 2)],
+    ids=["accuracy", "macro_f1"],
 )
-def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec):
-    # two systems of one packed word each: below the default threshold they
-    # gather, at a threshold of 2 words they share one count matrix per block
+def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec, gathers):
+    # two systems of one accuracy column or two f1 column pairs each: at the
+    # default threshold of 4 gathers, two accuracy systems gather and two
+    # 2-class macro-F1 systems already share one count matrix per block
     table = make_table(n=90)
     plan = BootstrapPlan(replicates=50, seed=13)
-    assert [ResampleScorer(table.gold, table.systems[name], spec).count_words
-            for name in table.names] == [1, 1]
+    assert [ResampleScorer(table.gold, table.systems[name], spec).gathers
+            for name in table.names] == [gathers, gathers]
+    assert metrics._COUNT_MIN_GATHERS == 4
     built = []
 
     def recording_counts(idx, n):
         built.append(len(idx))
-        return resample_counts(idx, n)
+        counts = resample_counts(idx, n)
+        assert counts.dtype == np.float64
+        return counts
 
     monkeypatch.setattr(metrics, "resample_counts", recording_counts)
+    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 2 * gathers + 1)
     gathered = distributions(table, spec, plan)
     assert built == []
-    monkeypatch.setattr(metrics, "_COUNT_MIN_WORDS", 2)
+    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 4)
     monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * 90 * 7)
+    blocks = [7] * 7 + [1]
+    by_default = distributions(table, spec, plan)
+    assert built == (blocks if spec.metric == "macro_f1" else [])
+    built.clear()
+    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 2 * gathers)
     counted = distributions(table, spec, plan)
-    assert built == [7] * 7 + [1]
+    assert built == blocks
     for name in table.names:
-        assert np.array_equal(counted[name].values, gathered[name].values)
-        assert counted[name].observed == gathered[name].observed
+        for got in (counted, by_default):
+            assert np.array_equal(got[name].values, gathered[name].values)
+            assert got[name].observed == gathered[name].observed
     built.clear()
     assert np.array_equal(
         distribution(table, "noisy", spec, plan).values, gathered["noisy"].values
@@ -278,7 +291,7 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
 
 def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch):
     # two MAE systems gather below the default threshold; at a threshold of
-    # one word they share float64 counts and take one limb product each
+    # one gather they share float64 counts and take one limb product each
     n, B = 90, 60
     g = np.random.default_rng(17)
     gold = g.normal(size=n) * 1e6
@@ -288,16 +301,16 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
     spec, plan = ScoreSpec.mae(), BootstrapPlan(replicates=B, seed=13)
     built = []
 
-    def recording_counts(idx, size, dtype):
-        built.append(np.dtype(dtype))
-        return counts(idx, size, dtype)
+    def recording_counts(idx, size):
+        counts = resample_counts(idx, size)
+        built.append(counts.dtype)
+        return counts
 
-    counts = metrics._counts
-    monkeypatch.setattr(metrics, "_counts", recording_counts)
+    monkeypatch.setattr(metrics, "resample_counts", recording_counts)
     base = distributions(table, spec, plan)
     assert built == []
-    for threshold in (metrics._COUNT_MIN_WORDS, 1):
-        monkeypatch.setattr(metrics, "_COUNT_MIN_WORDS", threshold)
+    for threshold in (metrics._COUNT_MIN_GATHERS, 1):
+        monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", threshold)
         for rows in (1, 3, 7):
             monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
             for workers in (1, 3):
@@ -312,9 +325,10 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
 
 
 # Prints one sha256 over every system's bootstrap values and observed score,
-# for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of one
-# packed word each put every metric on the shared-count path.  MAE runs again
-# in 8 MiB blocks: products of 2000 x 400 counts with 2 limbs exceed
+# for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of at
+# least one column pair each put every metric on the shared-count path.
+# 3-class macro-F1 and MAE run again in 8 MiB blocks: products of 1024 x 400
+# counts with 6 columns and of 2000 x 400 counts with 2 limbs exceed
 # OpenBLAS's one-thread size (2**18 multiply-adds), so 2 threads split them.
 _DISTRIBUTION_DIGEST = """
 import hashlib
@@ -330,19 +344,24 @@ labels = {f"s{i}": np.where(g.random(n) < 0.2 * i, g.choice(["a", "b", "c"], siz
           for i in range(4)}
 real = g.normal(size=n)
 values = {f"s{i}": real + g.normal(scale=0.5 * i + 0.1, size=n) for i in range(4)}
+classes = PredictionTable.build(gold, labels)
+regression = PredictionTable.build(real, values, "regression")
+# (table, spec, log2 of the block bytes, replicates)
 cases = [
-    (PredictionTable.build(gold, labels), ScoreSpec.accuracy()),
-    (PredictionTable.build(gold, labels), ScoreSpec.macro_f1(["a", "c"])),
-    (PredictionTable.build(real, values, "regression"), ScoreSpec.mae()),
+    (classes, ScoreSpec.accuracy(), 20, 300),
+    (classes, ScoreSpec.macro_f1(["a", "c"]), 20, 300),
+    (regression, ScoreSpec.mae(), 20, 300),
+    (classes, ScoreSpec.macro_f1(["a", "b", "c"]), 23, 1024),
+    (regression, ScoreSpec.mae(), 23, 2000),
 ]
-cases.append(cases[-1])
-scorers = [metrics.ResampleScorer(cases[-1][0].gold, pred, ScoreSpec.mae()) for pred in values.values()]
-assert metrics.shared_counts(scorers, np.zeros((1, n), dtype=np.int64), n).dtype == np.float64
+zeros = np.zeros((1, n), dtype=np.int64)
+for table, spec in ((classes, ScoreSpec.accuracy()), (regression, ScoreSpec.mae())):
+    scorers = [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+    assert metrics.shared_counts(scorers, zeros, n).dtype == np.float64
 digest = hashlib.sha256()
-for i, (table, spec) in enumerate(cases):
-    last = i == len(cases) - 1
-    bootstrap._BLOCK_BYTES = 1 << (23 if last else 20)
-    plan = BootstrapPlan(replicates=2000 if last else 300, seed=4)
+for table, spec, block_bits, replicates in cases:
+    bootstrap._BLOCK_BYTES = 1 << block_bits
+    plan = BootstrapPlan(replicates=replicates, seed=4)
     for name, dist in distributions(table, spec, plan).items():
         digest.update(name.encode() + dist.values.tobytes() + np.float64(dist.observed).tobytes())
 print(digest.hexdigest())

@@ -144,7 +144,7 @@ def test_resample_counts_equal_per_row_bincount(n, dtype):
     for k, width in shapes:
         idx = g.integers(0, n, size=(k, width)).astype(dtype)
         counts = resample_counts(idx, n)
-        assert counts.dtype == np.int64 and counts.flags.c_contiguous
+        assert counts.dtype == np.float64 and counts.flags.c_contiguous
         want = np.array([np.bincount(row, minlength=n) for row in idx]).reshape(k, n)
         assert np.array_equal(counts, want)
         assert np.array_equal(counts.sum(axis=1), np.full(k, width))
@@ -175,25 +175,31 @@ def assert_scores_equal(scorer, idx, want):
 
 
 def both_sums(scorer, idx):
-    """``_sums`` gathered through ``idx`` and weighted by its counts."""
-    return scorer._sums(idx, None), scorer._sums(idx, resample_counts(idx, scorer.n))
+    """``_sums`` gathered through ``idx`` and weighted by its counts: (W, k)
+    float64 rows."""
+    sums = scorer._sums(idx, None), scorer._sums(idx, resample_counts(idx, scorer.n))
+    for got in sums:
+        assert got.dtype == np.float64
+        assert got.shape == (scorer._columns.shape[1], len(idx))
+    return sums
 
 
-# bits = (2n).bit_length() goes 14 -> 15 at n = 8192, and the lanes per word
-# 63 // bits go 4 -> 3 at n = 16384
+# n on both sides of the steps in bits = (2n).bit_length(), the bits of the
+# largest f1 sum 2n (14 -> 15 at n = 8192, 15 -> 16 at 16384); each id reads
+# n-bits-(63 // bits), the number of such sums one int64 could hold
 @pytest.mark.parametrize(
-    "n,bits,lanes", [(50, 7, 9), (8191, 14, 4), (8192, 15, 4), (16383, 15, 4), (16384, 16, 3)]
+    "n", [50, 8191, 8192, 16383, 16384],
+    ids=["50-7-9", "8191-14-4", "8192-15-4", "16383-15-4", "16384-16-3"],
 )
 @pytest.mark.parametrize("labels", [["a"], ["a", "b"], ["a", "b", "c"]])
-def test_packed_tally_sums_equal_unpacked_sums(n, bits, lanes, labels):
+def test_packed_tally_sums_equal_unpacked_sums(n, labels):
     g = np.random.default_rng(n)
     gold = g.choice(list("abcd"), size=n)
     pred = np.where(g.random(n) < 0.4, g.choice(list("abcd"), size=n), gold)
     idx = np.vstack([np.arange(n), g.integers(0, n, size=(3, n))])
     for spec in (ScoreSpec.f1(labels[0]), ScoreSpec.macro_f1(labels)):
         scorer = ResampleScorer(gold, pred, spec)
-        assert (scorer._bits, scorer._lanes) == (bits, lanes)
-        assert len(scorer._words) == -(-2 * len(spec.labels) // lanes)
+        assert scorer.gathers == len(spec.labels)
         want = unpacked_f1_sums(gold, pred, spec.labels, idx)
         for got in both_sums(scorer, idx):
             assert len(got) == len(want)
@@ -209,8 +215,8 @@ def test_packed_tally_sums_equal_unpacked_sums(n, bits, lanes, labels):
 
 @pytest.mark.parametrize("n", [1, 7, 8191, 16383])
 def test_packed_lanes_hold_their_largest_sums(n):
-    # gold = pred = c on every row and every index 0: each lane of class c
-    # reaches its largest value, tp = n and pred + gold = 2n
+    # gold = pred = c on every row and every index 0: each column of class c
+    # reaches its largest sum, tp = n and pred + gold = 2n
     labels = ["a", "b", "c", "d"]
     gold = pred = np.full(n, "c")
     idx = np.zeros((2, n), dtype=np.int64)
@@ -230,6 +236,20 @@ def test_packed_lanes_hold_their_largest_sums(n):
     for got in both_sums(acc, idx):
         assert np.array_equal(got[0], np.full(2, n))
     assert_scores_equal(acc, idx, np.full(2, 1.0))
+
+
+def test_macro_f1_over_many_classes_adds_class_scores_in_order():
+    # numpy sums a contiguous axis of 8 or more values pairwise, so the class
+    # mean must add nine classes' rows in order on the gather and count paths
+    # alike; 200 resamples make an order-dependent rounding show
+    g = np.random.default_rng(9)
+    labels = list("abcdefghi")
+    n = 300
+    gold = g.choice(labels, size=n)
+    pred = np.where(g.random(n) < 0.5, g.choice(labels, size=n), gold)
+    idx = g.integers(0, n, size=(200, n))
+    scorer = ResampleScorer(gold, pred, ScoreSpec.macro_f1(labels))
+    assert_scores_equal(scorer, idx, gathered_f1_scores(unpacked_f1_sums(gold, pred, labels, idx)))
 
 
 labels3 = st.sampled_from(["x", "y", "z"])
@@ -403,11 +423,11 @@ def test_mae_limb_sums_equal_exact_fraction_sums(name):
     column = MAE_COLUMNS[name]
     scorer = mae_scorer(column)
     b, top, limbs = oracle_limbs(column)
-    assert scorer._limbs.tolist() == [[float(hi), float(lo)] for hi, lo in limbs]
+    assert scorer._columns.tolist() == [[float(hi), float(lo)] for hi, lo in limbs]
     idx = resample_rows(len(column))
     want_hi = [sum(limbs[i][0] for i in row) for row in idx.tolist()]
     want_lo = [sum(limbs[i][1] for i in row) for row in idx.tolist()]
-    for counts in (None, resample_counts(idx, len(column)), metrics._counts(idx, len(column), np.float64)):
+    for counts in (None, resample_counts(idx, len(column))):
         hi, lo = scorer._sums(idx, counts)
         assert [int(v) for v in hi] == want_hi and [int(v) for v in lo] == want_lo
         assert all(float(v) == v for v in want_hi + want_lo)  # below 2**53: exact floats
@@ -433,7 +453,7 @@ def test_mae_rows_match_fsum(name):
     tol = max(2.0 ** (top - 2 * b), math.ulp(0.0))
     idx = resample_rows(n, seed=1)
     want = [fsum_mean(column[row]) for row in idx]
-    for got in (scorer.scores(idx), scorer.scores(idx, metrics._counts(idx, n, np.float64))):
+    for got in (scorer.scores(idx), scorer.scores(idx, resample_counts(idx, n))):
         assert np.isfinite(got).all()
         for g, w in zip(got.tolist(), want):
             assert math.isclose(g, w, rel_tol=1e-15, abs_tol=tol)
@@ -450,7 +470,7 @@ def test_mae_rows_match_fsum(name):
 def test_mae_keeps_a_non_finite_column_non_finite():
     # an absolute error overflowing to inf has no fixed-point form
     scorer = ResampleScorer(np.array([1e308, 2.0]), np.array([-1e308, 2.0]), ScoreSpec.mae())
-    assert scorer.count_words == 0
+    assert scorer.gathers == 0
     assert scorer.observed() == math.inf
     assert np.isinf(scorer.scores(np.array([[1, 1], [0, 1]]))).all()
     assert math.isnan(score([np.nan, 1.0], [0.0, 1.0], ScoreSpec.mae()))

@@ -351,8 +351,14 @@ def test_cli_reports_overflowing_mae_without_numpy_warnings(tmp_path, capsys):
     assert not out.exists()
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_scores_finite_mae_near_the_float_maximum(tmp_path):
-    # a resample drawing the 1.5e308 error twice overflows a float sum
+    # a resample drawing the 1.5e308 error twice overflows a float sum, and
+    # so do the bootstrap values' sum for the mean
     csv = tmp_path / "values.csv"
     csv.write_text("y,a,b\n1.5e308,0,1.0\n2.0,2.0,2.0\n0,0,1\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -360,11 +366,15 @@ def test_cli_scores_finite_mae_near_the_float_maximum(tmp_path):
         "--input", str(csv), "--metric", "mae", "--samples", "200", "--out-dir", str(out),
         "--formats", "json",
     ]) == 0
-    performance = json.loads((out / "performance.json").read_text(encoding="utf-8"))
+    performance = json.loads(
+        (out / "performance.json").read_text(encoding="utf-8"), parse_constant=reject_constant
+    )
     rows = {row["system"]: row for row in performance["systems"]}
     for name, abs_err in (("a", [1.5e308, 0.0, 0.0]), ("b", [1.5e308 - 1.0, 0.0, 1.0])):
         assert math.isclose(rows[name]["observed"], math.fsum(abs_err) / 3, rel_tol=1e-15)
         assert rows[name]["uci"] == 1.5e308
+    for row in performance["systems"]:
+        assert math.isfinite(row["mean"]) and row["mean"] <= row["uci"]
 
 
 @pytest.mark.parametrize(
