@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import MetricError
+from .errors import ConfigError, MetricError
 from .metrics import ResampleScorer, shared_counts
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
@@ -94,19 +94,20 @@ def _evaluate(
     scorers: dict[str, ResampleScorer],
     n: int,
     plan: BootstrapPlan,
-) -> dict[str, np.ndarray]:
-    """Evaluate all scorers over every replicate, sharing index vectors and,
-    where ``shared_counts`` finds it pays, each block's resample counts."""
+) -> np.ndarray:
+    """The (m, B) matrix of every scorer's value on every replicate, one row
+    per scorer in dict order, sharing index vectors and, where
+    ``shared_counts`` finds it pays, each block's resample counts."""
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    out = {name: np.empty(B) for name in scorers}
+    out = np.empty((len(scorers), B))
 
     def run_block(start: int) -> None:
         stop = min(start + rows, B)
         idx = rng.index_block(plan.seed, n, start, stop)
         counts = shared_counts(scorers.values(), idx, n)
-        for name, scorer in scorers.items():
-            out[name][start:stop] = _scored(scorer.spec, name, scorer.scores, idx, counts)
+        for row, (name, scorer) in zip(out, scorers.items()):
+            row[start:stop] = _scored(scorer.spec, name, scorer.scores, idx, counts)
 
     map_workers(run_block, range(0, B, rows), plan.workers)
     return out
@@ -121,14 +122,22 @@ def distributions(
     """Sampling distribution of the score of each system.
 
     value[r] of every system is computed on the same resample indices, which
-    is what makes paired differences between systems valid.  A score that is
-    not finite, on the original data or on any replicate, or a custom
-    metric's ``score`` raising, is a ``MetricError``.
+    is what makes paired differences between systems valid; the values are
+    the rows of one (m, B) matrix, in caller order.  An f1 or macro-F1 class
+    found nowhere in the table is a ``ConfigError``.  A score that is not
+    finite, on the original data or on any replicate, or a custom metric's
+    ``score`` raising, is a ``MetricError`` naming the first such system in
+    caller order.
     """
-    names = list(table.names if systems is None else systems)
+    names = list(dict.fromkeys(table.names if systems is None else systems))
     for name in names:
         if name not in table.systems:
             raise KeyError(f"unknown system {name!r}")
+    if spec.metric in ("f1", "macro_f1"):
+        present = table.label_set
+        missing = [c for c in spec.labels if c not in present]
+        if missing:
+            raise ConfigError(f"metric classes absent from the data: {missing}")
     scorers = {
         name: ResampleScorer(table.gold, table.systems[name], spec) for name in names
     }
@@ -137,13 +146,12 @@ def distributions(
         if not np.isfinite(observed[name]):
             _not_finite(spec, name, "the original data")
     values = _evaluate(scorers, table.n, plan)
-    for name in names:
-        bad = np.flatnonzero(~np.isfinite(values[name]))
-        if bad.size:
-            _not_finite(spec, name, f"replicate {bad[0]}")
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        _not_finite(spec, names[bad[0, 0]], f"replicate {bad[0, 1]}")
     return {
-        name: SamplingDistribution(values=values[name], observed=observed[name])
-        for name in names
+        name: SamplingDistribution(values=row, observed=observed[name])
+        for name, row in zip(names, values)
     }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -213,10 +213,7 @@ def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
         raise ConfigError(str(exc)) from exc
     if direction is not None and direction != spec.direction:
         if spec.metric == "custom":
-            spec = ScoreSpec.custom(
-                name=spec.name, fn=spec.fn, direction=direction,
-                capped_at_one=spec.capped_at_one,
-            )
+            spec = replace(spec, direction=direction)
         else:
             raise ConfigError(
                 f"direction {direction!r} conflicts with metric {spec.display_name!r}"

@@ -171,22 +171,19 @@ class DifferenceMatrix:
         return self.entries[(i, j)]
 
 
-def rank_systems(
-    observed: dict[str, float], spec: ScoreSpec, order: tuple[str, ...]
-) -> list[str]:
-    """Names sorted best-first; ties keep the given (column) order."""
+def rank_systems(observed: dict[str, float], spec: ScoreSpec) -> list[str]:
+    """Names sorted best-first; ties keep the dict's order."""
     sign = _sign(spec)
-    pos = {name: k for k, name in enumerate(order)}
-    return sorted(observed, key=lambda s: (-sign * observed[s], pos[s]))
+    return sorted(observed, key=lambda s: -sign * observed[s])
 
 
 def matrix_from_distributions(
     dists: dict[str, SamplingDistribution],
     spec: ScoreSpec,
-    column_order: tuple[str, ...],
     confidence: float,
 ) -> DifferenceMatrix:
-    """Difference matrix over precomputed per-system distributions.
+    """Difference matrix over precomputed per-system distributions; tied
+    systems keep the order of ``dists``.
 
     The one pass over ranked pairs: ``_pair_kernel`` compares each reference
     rank with the systems below it, ``_PAIR_BLOCK_BYTES`` of their values at a
@@ -194,9 +191,7 @@ def matrix_from_distributions(
     """
     if len(dists) < 2:
         raise ValueError("need at least 2 systems for a difference matrix")
-    ranked = rank_systems(
-        {name: d.observed for name, d in dists.items()}, spec, column_order
-    )
+    ranked = rank_systems({name: d.observed for name, d in dists.items()}, spec)
     m = len(ranked)
     step = max(1, _PAIR_BLOCK_BYTES // max(dists[ranked[0]].values.nbytes, 1))
     entries = {}
@@ -217,6 +212,4 @@ def difference_matrix(
     plan: BootstrapPlan,
 ) -> DifferenceMatrix:
     """All pairwise deltas with significance markers, ranked best-first."""
-    return matrix_from_distributions(
-        distributions(table, spec, plan), spec, table.names, plan.confidence
-    )
+    return matrix_from_distributions(distributions(table, spec, plan), spec, plan.confidence)

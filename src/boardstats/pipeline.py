@@ -37,10 +37,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     spec = parse_metric(config.metric, config.direction)
     plan = _plan(config)
     table = load_table(config.input, gold_col=config.gold_col, task=config.task)
-    if spec.metric in ("f1", "macro_f1"):
-        missing = [c for c in spec.labels if c not in table.label_set]
-        if missing:
-            raise ConfigError(f"metric classes absent from the data: {missing}")
     rep = build_report(
         table, spec, plan, family_policy=config.family, gold_alias=config.gold_alias
     )
@@ -167,30 +163,19 @@ def _write_artifacts(out, config, spec, table, rep):
         "Score differences (column - row) with significance",
     )
 
-    # p-values of the family's pairs, by reference rank; FDR mirrors BH
+    # p-values of the family's pairs, in the families' order; FDR mirrors BH
     columns = [
         m for m in ("bonferroni", "fdr", "holm", "bh")
         if m in methods or (m == "fdr" and "bh" in methods)
     ]
-    family = [
-        matrix.entry(i, j)
-        for j in range(len(ranked) - 1)
-        for i in range(j + 1, len(ranked))
-        if (ranked[j], ranked[i]) in rep.adjusted
-    ]
+    by_pair = {(e.reference, e.competitor): e for e in matrix.entries.values()}
     emit_records(
         "pvalues",
         {"family_policy": rep.family_policy},
         "comparisons",
         [
-            {
-                **_pair(e),
-                **{
-                    m: rep.adjusted[(e.reference, e.competitor)]["bh" if m == "fdr" else m]
-                    for m in columns
-                },
-            }
-            for e in family
+            {**_pair(by_pair[pair]), **{m: adj["bh" if m == "fdr" else m] for m in columns}}
+            for pair, adj in rep.adjusted.items()
         ],
         [("reference", "reference", str), ("competitor", "competitor", str),
          ("delta", "delta", "{:.3f}".format), ("p_value", "p-value", fmt_float)]

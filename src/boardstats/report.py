@@ -8,6 +8,7 @@ improvement headroom left below the metric's cap.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -166,15 +167,11 @@ def build_report(
 
     dists = distributions(table, spec, plan, systems=competitors)
     observed = {name: d.observed for name, d in dists.items()}
-    matrix = matrix_from_distributions(dists, spec, table.names, plan.confidence)
+    matrix = matrix_from_distributions(dists, spec, plan.confidence)
     ranked = list(matrix.systems)
     ranked_scores = [observed[name] for name in ranked]
-    ties = tuple(
-        name
-        for k, name in enumerate(ranked)
-        if (k > 0 and observed[ranked[k - 1]] == observed[name])
-        or (k + 1 < len(ranked) and observed[ranked[k + 1]] == observed[name])
-    )
+    tally = Counter(ranked_scores)
+    ties = tuple(name for name, score in zip(ranked, ranked_scores) if tally[score] > 1)
 
     raw = {(e.reference, e.competitor): e.p for e in matrix.entries.values()}
     adjusted = adjust_all(build_families(ranked, raw, policy=family_policy))

@@ -16,8 +16,10 @@ from boardstats.bootstrap import (
     resample_indices,
     summarize,
 )
-from boardstats.errors import MetricError
+from boardstats.errors import ConfigError, MetricError
+from boardstats.inference import difference_matrix, paired_difference
 from boardstats.metrics import ResampleScorer, resample_counts
+from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 from helpers import score_on_indices
 
@@ -465,6 +467,59 @@ def test_non_finite_scores_raise_metric_error():
     )
     with pytest.raises(MetricError, match=r"inf is not finite for system 'noisy' on replicate \d+"):
         distributions(table, resampled_inf, plan)
+
+
+def test_non_finite_error_names_first_system_in_caller_order():
+    # each system carries one sentinel row; the metric turns infinite on a
+    # replicate that draws its own sentinel row twice or more
+    n, plan = 30, BootstrapPlan(replicates=60, seed=4)
+    gold = ["a"] * n
+    table = PredictionTable.build(
+        gold,
+        {
+            "early": ["E" if i == 0 else "a" for i in range(n)],
+            "late": ["L" if i == 1 else "a" for i in range(n)],
+        },
+    )
+    sentinel_twice = ScoreSpec.custom(
+        "sentinel",
+        lambda g, p: float("inf") if np.count_nonzero(np.isin(p, ["E", "L"])) > 1 else 1.0,
+    )
+    draws = [np.bincount(resample_indices(plan, n, r), minlength=n) for r in range(plan.replicates)]
+    first_bad = {
+        name: next(r for r, c in enumerate(draws) if c[row] > 1)
+        for name, row in (("early", 0), ("late", 1))
+    }
+    assert first_bad["early"] < first_bad["late"]
+    for order in (["late", "early"], ["early", "late"]):
+        with pytest.raises(MetricError) as exc:
+            distributions(table, sentinel_twice, plan, systems=order)
+        assert str(exc.value) == (
+            f"sentinel is not finite for system {order[0]!r} "
+            f"on replicate {first_bad[order[0]]}"
+        )
+
+
+def test_metric_classes_absent_from_the_data_are_a_config_error():
+    table = PredictionTable.build(
+        ["a", "b"] * 10, {"one": ["a", "b"] * 10, "two": ["a", "a"] * 9 + ["only", "b"]}
+    )
+    plan = BootstrapPlan(replicates=20, seed=1)
+    absent = ScoreSpec.macro_f1(["a", "zzz"])
+    entries = (
+        lambda spec: summarize(table, spec, plan),
+        lambda spec: paired_difference(table, spec, plan, "one", "two"),
+        lambda spec: difference_matrix(table, spec, plan),
+        lambda spec: build_report(table, spec, plan),
+    )
+    for entry in entries:
+        with pytest.raises(ConfigError, match=r"metric classes absent from the data: \['zzz'\]"):
+            entry(absent)
+        with pytest.raises(ConfigError, match="absent"):
+            entry(ScoreSpec.f1("zzz"))
+        # a class that only one system predicts is part of the data
+        entry(ScoreSpec.macro_f1(["a", "only"]))
+        entry(ScoreSpec.f1("only"))
 
 
 def test_summarize_invariants():

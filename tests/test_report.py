@@ -181,6 +181,26 @@ def test_ranking_tie_is_recorded_and_column_order_breaks_it():
     assert set(rep.ranking_ties) == {"second", "first"}
 
 
+def test_three_way_mae_tie_keeps_column_order():
+    gold = np.arange(12, dtype=float)
+    table = PredictionTable.build(
+        gold,
+        {
+            "zeta": gold + 1.0,
+            "best": gold,
+            "alpha": gold - 1.0,
+            "worst": gold + 2.0,
+            "mid": gold + np.array([1.0, -1.0] * 6),
+        },
+        "regression",
+    )
+    plan = BootstrapPlan(replicates=100, seed=5)
+    rep = build_report(table, ScoreSpec.mae(), plan)
+    assert rep.ranking == ("best", "zeta", "alpha", "mid", "worst")
+    assert rep.ranking_ties == ("zeta", "alpha", "mid")
+    assert difference_matrix(table, ScoreSpec.mae(), plan).systems == rep.ranking
+
+
 def test_mae_report_flags_cv_and_omits_ppi():
     g = np.random.default_rng(31)
     gold = g.normal(3.0, 1.0, size=80)
