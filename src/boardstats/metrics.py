@@ -39,6 +39,7 @@ import math
 import numpy as np
 
 from .errors import MetricError
+from .rng import check_rows
 from .table import ScoreSpec
 
 # Cells per bincount in ``resample_counts``.  A group's counters and offset
@@ -66,27 +67,33 @@ _COUNT_MIN_GATHERS = 4
 _PRODUCT_COLUMNS = 6
 
 
-def shared_counts(scorers, idx, n: int):
-    """``resample_counts(idx, n)`` for every scorer of a block to share, or
-    None when the scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers
+def shared_counts(scorers, idx, n: int, out=None):
+    """``resample_counts(idx, n, out)`` for every scorer of a block to share,
+    or None when the scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers
     between them and each gathers through ``idx`` instead."""
     if sum(scorer.gathers for scorer in scorers) < _COUNT_MIN_GATHERS:
         return None
-    return resample_counts(idx, n)
+    return resample_counts(idx, n, out)
 
 
-def resample_counts(idx, n: int) -> np.ndarray:
+def resample_counts(idx, n: int, out=None) -> np.ndarray:
     """Multiplicity of each of the n data rows in every row of an index matrix.
 
     Returns a (k, n) float64 matrix of integers whose row r is
     ``np.bincount(idx[r], minlength=n)``.  Each group of about
     ``_COUNT_CELLS`` cells is counted by one bincount, with row j of the
-    group offset to the cells [j n, (j + 1) n).  An index outside [0, n) is
-    a ``MetricError``.
+    group offset to the cells [j n, (j + 1) n).  Given ``out``, a
+    C-contiguous float64 array of n columns and at least k rows, the counts
+    fill ``out[:k]``, which is returned.  An index outside [0, n) is a
+    ``MetricError``.
     """
     idx = _index_rows(idx)
     _check_range(idx, n)
-    counts = np.empty((len(idx), n))
+    if out is None:
+        counts = np.empty((len(idx), n))
+    else:
+        check_rows(out, len(idx), n, np.float64)
+        counts = out[:len(idx)]
     rows = max(1, _COUNT_CELLS // max(n, 1))
     for start in range(0, len(idx), rows):
         part = idx[start:start + rows]

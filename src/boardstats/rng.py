@@ -25,6 +25,7 @@ generator family.
 from __future__ import annotations
 
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -51,28 +52,38 @@ def _draws(seed: int, counter_lo: int, lane: int, count: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")[:count]
 
 
-def index_block(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+def index_block(seed: int, n: int, start: int, stop: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Resample index rows for replicates ``start`` .. ``stop - 1``.
 
     Returns a C-contiguous (stop - start, n) int64 matrix; row i holds the n
-    uniform draws from [0, n) of replicate ``start + i``.
+    uniform draws from [0, n) of replicate ``start + i``.  Given ``out``, a
+    C-contiguous int64 array of n columns and at least ``stop - start`` rows,
+    the block is written into ``out[:stop - start]``, which is returned, and
+    the rows past it are left as they were; a worker that hands every block
+    the same ``out`` keeps its block memory paged in.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if n >= 2**32:
         raise ValueError("sample size must be below 2**32")
-    if stop <= start:
-        return np.empty((0, n), dtype=np.int64)
-    k = stop - start
+    k = max(stop - start, 0)
+    if out is None:
+        # Allocated before the draws, so the draw buffer the block outlives
+        # is freed on top of the heap, where the scorers' gathers reuse it
+        # (glibc malloc, n = 50k: 0.4 MB less peak RSS).  With ``out`` the
+        # draws are the only fresh allocation.
+        out = np.empty((k, n), dtype=np.int64)
+    else:
+        check_rows(out, k, n, np.int64)
+    if not k:
+        return out[:0]
     bpr = _blocks_per_replicate(n)
     stride = bpr * _DRAWS_PER_BLOCK
     # The copy drops each replicate's padding draws, so the block is one
     # contiguous (k, n) array: gathers through a strided index array are
     # markedly slower.  x < 2**32 and n < 2**32, so x * n fits in 64 bits.
-    # The block is allocated before the draws, so the draw buffer it outlives
-    # is freed on top of the heap, where the scorers' gathers reuse it
-    # (glibc malloc, n = 50k: 0.4 MB less peak RSS).
-    product = np.empty((k, n), dtype=np.uint64)
+    product = out[:k].view(np.uint64)
     product[...] = _draws(seed, start * bpr, 0, k * stride).reshape(k, stride)[:, :n]
     product *= np.uint64(n)
 
@@ -88,7 +99,18 @@ def index_block(seed: int, n: int, start: int, stop: int) -> np.ndarray:
 
     # Every index is below n < 2**32, so the uint64 bits read as the same int64.
     product >>= np.uint64(32)
-    return product.view(np.int64)
+    return out[:k]
+
+
+def check_rows(out, k: int, n: int, dtype) -> None:
+    """Raise ``ValueError`` unless ``out`` is a C-contiguous ``dtype`` array
+    of n columns and at least k rows, one that ``out[:k]`` can fill."""
+    if not (isinstance(out, np.ndarray) and out.dtype == dtype and out.ndim == 2
+            and out.shape[1] == n and len(out) >= k and out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous {np.dtype(dtype)} array of {n} "
+            f"columns and at least {k} rows"
+        )
 
 
 def _redraw(product: np.ndarray, row: int, slots: np.ndarray, seed: int,

@@ -1,4 +1,5 @@
-"""Test-only helpers: scoring one resample and reading back markdown tables."""
+"""Test-only helpers: scoring one resample, garbage-filled output buffers and
+reading back markdown tables."""
 
 import re
 from pathlib import Path
@@ -17,6 +18,14 @@ def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
     """
     scorer = ResampleScorer(np.asarray(gold), np.asarray(pred), spec)
     return float(scorer.scores(np.asarray(indices, dtype=np.int64))[0])
+
+
+def garbage(shape, dtype) -> np.ndarray:
+    """A C-contiguous array whose every byte is 0xFF (-1 as int64, NaN as
+    float64), so a slot an ``out=`` writer skips cannot pass for a value."""
+    buf = np.empty(shape, dtype=dtype)
+    buf.view(np.uint8)[...] = 0xFF
+    return buf
 
 
 def read_md_table(path: Path) -> tuple[list[str], list[list[str]]]:

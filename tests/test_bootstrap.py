@@ -21,7 +21,7 @@ from boardstats.inference import difference_matrix, paired_difference
 from boardstats.metrics import ResampleScorer, resample_counts
 from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
-from helpers import score_on_indices
+from helpers import garbage, score_on_indices
 
 
 def make_table(n=60, seed=3):
@@ -76,6 +76,12 @@ def test_index_block_is_multiply_shift_of_raw_stream(n):
     assert block.dtype == np.int64 and block.flags.c_contiguous
     expected = [_python_index_row(5, n, r) for r in range(start, stop)]
     assert np.array_equal(block, np.array(expected, dtype=np.int64))
+    # into a reused buffer taller than the block, as a short last block is
+    buf = garbage((stop - start + 3, n), np.int64)
+    into = rng.index_block(5, n, start, stop, out=buf)
+    assert into.base is buf and into.shape == block.shape
+    assert np.array_equal(into, block)
+    assert (buf[stop - start:] == -1).all()
 
 
 def test_rejected_draws_are_redrawn_from_later_lanes(monkeypatch):
@@ -96,6 +102,8 @@ def test_rejected_draws_are_redrawn_from_later_lanes(monkeypatch):
 
     monkeypatch.setattr(rng, "_raw_words", zeroed)
     after = rng.index_block(seed, n, start, stop)
+    into = rng.index_block(seed, n, start, stop, out=garbage((4, n), np.int64))
+    assert np.array_equal(into, after)
 
     def redraw(replicate, lane, i):
         return (_python_draws(seed, replicate, lane, i + 1)[i] * n) >> 32
@@ -118,6 +126,22 @@ def test_index_block_rejects_sample_size_beyond_32_bits(monkeypatch):
     monkeypatch.setattr(rng, "_raw_words", unreachable)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         rng.index_block(0, 2**32, 0, 1)
+
+
+def test_out_of_wrong_shape_or_dtype_is_rejected():
+    n, k = 5, 3
+    idx = rng.index_block(0, n, 0, k)
+    writers = [
+        (np.int64, np.float64, lambda out: rng.index_block(0, n, 0, k, out=out)),
+        (np.float64, np.int64, lambda out: resample_counts(idx, n, out=out)),
+    ]
+    for dtype, other, write in writers:
+        for buf in (garbage((k - 1, n), dtype), garbage((k, n + 1), dtype),
+                    garbage((k * n,), dtype), garbage((k, n), other),
+                    garbage((n, k), dtype).T, garbage((k, n), dtype).tolist()):
+            with pytest.raises(ValueError, match="out must be"):
+                write(buf)
+        assert write(garbage((k, n), dtype)).shape == (k, n)
 
 
 def test_indices_deterministic_and_in_range():
@@ -223,21 +247,26 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
     plan = BootstrapPlan(replicates=B, seed=13)
     base = distributions(table, spec, plan)
 
-    spans = []
+    spans, buffers = [], set()
     index_block = rng.index_block
 
-    def recording_block(seed, size, start, stop):
+    def recording_block(seed, size, start, stop, out=None):
         spans.append((start, stop))
-        return index_block(seed, size, start, stop)
+        buffers.add((out.ctypes.data, out.shape))
+        return index_block(seed, size, start, stop, out=out)
 
     monkeypatch.setattr(rng, "index_block", recording_block)
     for budget, rows in [(8 * n - 1, 1), (8 * n, 1), (8 * n * 3, 3), (8 * n * 7, 7)]:
         monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", budget)
         for workers in (1, 3):
             spans.clear()
+            buffers.clear()
             got = distributions(table, spec, BootstrapPlan(replicates=B, seed=13, workers=workers))
             for name in table.names:
                 assert np.array_equal(got[name].values, base[name].values)
+            # each worker thread writes all its blocks into one (rows, n) buffer
+            assert 1 <= len(buffers) <= workers
+            assert {shape for _, shape in buffers} == {(rows, n)}
             # the blocks tile [0, B), each within the budget or one row
             spans.sort()
             assert [s for s, _ in spans] == list(range(0, B, rows))
@@ -261,9 +290,9 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
     assert metrics._COUNT_MIN_GATHERS == 4
     built = []
 
-    def recording_counts(idx, n):
+    def recording_counts(idx, n, out=None):
         built.append(len(idx))
-        counts = resample_counts(idx, n)
+        counts = resample_counts(idx, n, out)
         assert counts.dtype == np.float64
         return counts
 
@@ -303,8 +332,8 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
     spec, plan = ScoreSpec.mae(), BootstrapPlan(replicates=B, seed=13)
     built = []
 
-    def recording_counts(idx, size):
-        counts = resample_counts(idx, size)
+    def recording_counts(idx, size, out=None):
+        counts = resample_counts(idx, size, out)
         built.append(counts.dtype)
         return counts
 
@@ -332,6 +361,8 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
 # 3-class macro-F1 and MAE run again in 8 MiB blocks: products of 1024 x 400
 # counts with 6 columns and of 2000 x 400 counts with 2 limbs exceed
 # OpenBLAS's one-thread size (2**18 multiply-adds), so 2 threads split them.
+# Accuracy at n = 2**17 + 1 puts one replicate in each 1 MiB block, whose
+# (1, n) x (n, 1) product OpenBLAS runs on 2 threads as well.
 _DISTRIBUTION_DIGEST = """
 import hashlib
 import numpy as np
@@ -348,6 +379,13 @@ real = g.normal(size=n)
 values = {f"s{i}": real + g.normal(scale=0.5 * i + 0.1, size=n) for i in range(4)}
 classes = PredictionTable.build(gold, labels)
 regression = PredictionTable.build(real, values, "regression")
+wide_n = 2**17 + 1
+wide_gold = g.choice(["a", "b", "c"], size=wide_n)
+wide = PredictionTable.build(wide_gold, {
+    f"s{i}": np.where(g.random(wide_n) < 0.2 * i + 0.1, g.choice(["a", "b", "c"], size=wide_n),
+                      wide_gold)
+    for i in range(4)
+})
 # (table, spec, log2 of the block bytes, replicates)
 cases = [
     (classes, ScoreSpec.accuracy(), 20, 300),
@@ -355,6 +393,7 @@ cases = [
     (regression, ScoreSpec.mae(), 20, 300),
     (classes, ScoreSpec.macro_f1(["a", "b", "c"]), 23, 1024),
     (regression, ScoreSpec.mae(), 23, 2000),
+    (wide, ScoreSpec.accuracy(), 20, 20),
 ]
 zeros = np.zeros((1, n), dtype=np.int64)
 for table, spec in ((classes, ScoreSpec.accuracy()), (regression, ScoreSpec.mae())):

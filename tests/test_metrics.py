@@ -10,7 +10,7 @@ from boardstats.errors import MetricError
 from boardstats import metrics
 from boardstats.metrics import ResampleScorer, resample_counts, score
 from boardstats.table import ScoreSpec
-from helpers import score_on_indices
+from helpers import garbage, score_on_indices
 
 
 def naive_subset_macro_f1(gold, pred, subset):
@@ -147,6 +147,11 @@ def test_resample_counts_equal_per_row_bincount(n, dtype):
         assert counts.dtype == np.float64 and counts.flags.c_contiguous
         want = np.array([np.bincount(row, minlength=n) for row in idx]).reshape(k, n)
         assert np.array_equal(counts, want)
+        # into a reused buffer taller than the block, as a short last block is
+        buf = garbage((k + 2, n), np.float64)
+        into = resample_counts(idx, n, out=buf)
+        assert into.base is buf and np.array_equal(into, want)
+        assert np.isnan(buf[k:]).all()
         assert np.array_equal(counts.sum(axis=1), np.full(k, width))
     row = g.integers(0, n, size=n).astype(dtype)
     assert np.array_equal(resample_counts(row, n), [np.bincount(row, minlength=n)])
