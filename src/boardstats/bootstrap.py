@@ -180,12 +180,70 @@ def distribution(
     return distributions(table, spec, plan, systems=[system])[system]
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """numpy's linear-rule interpolation between order statistics a <= b:
+    ``a + (b - a)·t``, or ``b - (b - a)·(1 - t)`` where ``t >= 0.5``."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _endpoints(values: np.ndarray, q: tuple[float, float], fallback: np.ndarray):
+    """``np.quantile(values, q, axis=-1, method="linear")``, bit for bit, for
+    q = (tail, 1 - tail) with tail <= 0.5.
+
+    ``np.quantile`` selects 6 order statistics per row in one multi-kth
+    introselect over a transposed copy.  This takes the 4 it interpolates
+    between from one C-order copy of the rows, in place: a partition at the
+    lower pair's upper rank leaves the lower rank's value as the max of the
+    slice before it, and a partition of what lies after it at the upper
+    pair's lower rank leaves the upper rank's value as the min of the slice
+    past that.  Rows flagged in ``fallback``, and rows where a selected value
+    is 0 while the row holds both -0.0 and +0.0, are taken from
+    ``np.quantile`` itself: partitions order signed zeros arbitrarily, and
+    numpy's SIMD ones may turn one into the other.
+    """
+    n = values.shape[-1]
+    # numpy's linear rule: virtual index (n - 1)·q; at or past the last
+    # order statistic both neighbours are that one and the index becomes -1
+    v = (n - 1) * np.asarray(q)
+    clipped = v >= n - 1
+    prev = np.where(clipped, -1.0, np.floor(v))
+    gamma = v - prev
+    (lo, lo_next), (hi, hi_next) = (
+        (n - 1, n - 1) if c else (int(p), int(p) + 1) for p, c in zip(prev, clipped)
+    )
+    rows = values.reshape(-1, n)
+    work = rows.copy()
+    work.partition(lo_next, axis=-1)
+    if hi > lo_next:
+        work[:, lo_next + 1:].partition(hi - lo_next - 1, axis=-1)
+    # the ranks lo_next and hi (if hi >= lo_next) now hold their order
+    # statistics; where hi == lo, the max before lo_next overrides
+    x = {hi: work[:, hi], lo_next: work[:, lo_next], lo: work[:, :lo_next].max(axis=-1)}
+    if hi_next not in x:
+        x[hi_next] = work[:, hi_next:].min(axis=-1)
+    fallback = np.array(fallback, dtype=bool).reshape(-1)
+    zero = np.logical_or.reduce([stat == 0 for stat in x.values()])
+    for r in np.flatnonzero(zero & ~fallback):
+        signs = np.signbit(rows[r][rows[r] == 0])
+        fallback[r] = signs.any() and not signs.all()
+    with np.errstate(invalid="ignore"):  # infinite rows, all in fallback
+        lci = _lerp(x[lo], x[lo_next], gamma[0])
+        uci = _lerp(x[hi], x[hi_next], gamma[1])
+    bad = np.flatnonzero(fallback)
+    if bad.size:
+        lci[bad], uci[bad] = np.quantile(rows[bad], q, axis=-1, method=QUANTILE_RULE)
+    shape = values.shape[:-1]
+    return lci.reshape(shape)[()], uci.reshape(shape)[()]
+
+
 def percentile_rows(values: np.ndarray, confidence: float) -> tuple[np.ndarray, ...]:
     """(lci, mean, uci) of each row of ``values``, replicates on the last axis.
 
     The bounds are the (1 - confidence)/2 and 1 - (1 - confidence)/2
     empirical quantiles, taken with linear interpolation between order
-    statistics (numpy's default rule); the midpoint is the arithmetic mean.
+    statistics (numpy's default rule, bit for bit as ``np.quantile``); the
+    midpoint is the arithmetic mean.
     A row of finite values whose float sum overflows takes the sum of its
     values each divided by the replicate count instead, so its mean stays
     finite.
@@ -196,9 +254,9 @@ def percentile_rows(values: np.ndarray, confidence: float) -> tuple[np.ndarray, 
     if values.ndim == 0 or values.shape[-1] < 2:
         raise ValueError("need at least 2 bootstrap values for quantiles")
     tail = (1.0 - confidence) / 2.0
-    lci, uci = np.quantile(values, [tail, 1.0 - tail], axis=-1, method=QUANTILE_RULE)
     with np.errstate(over="ignore"):
         mean = values.mean(axis=-1)
+    lci, uci = _endpoints(values, (tail, 1.0 - tail), ~np.isfinite(mean))
     if np.isinf(mean).any():
         overflowed = np.isinf(mean) & np.isfinite(values).all(axis=-1)
         scaled = np.add.reduce(values / values.shape[-1], axis=-1)
