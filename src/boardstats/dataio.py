@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import io
 import json
+from array import array
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .corrections import DEFAULT_POLICY, METHODS, POLICIES
 from .errors import ConfigError, DataFormatError
@@ -29,6 +32,7 @@ from .table import DIRECTIONS, HIGHER, BootstrapPlan, PredictionTable, ScoreSpec
 FORMATS = ("json", "csv", "md", "svg")
 TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
 TABLE_PRECISION = 4
+_CHUNK_ROWS = 256  # CSV rows held at once while a table is read
 
 # accepted value types per RunConfig field annotation; a bool is never a number
 _FIELD_TYPES = {"str": str, "Optional[str]": (str, type(None)), "int": int,
@@ -87,12 +91,95 @@ def comma_list(text: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
-def _numeric(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+def _header_problem(header: list[str], gold_col: str) -> Optional[str]:
+    """The first header fault, a duplicated name before a missing gold
+    column, or None."""
+    seen = set()
+    for name in header:
+        if name in seen:
+            return f"duplicated column name {name!r}"
+        seen.add(name)
+    if gold_col not in header:
+        return f"gold column {gold_col!r} not found"
+    return None
+
+
+def _regression_floats(
+    parts: list[tuple[str, ...]], start: int, text_rows: list[int]
+) -> list[array]:
+    """The floats of one chunk's columns under ``task=regression``, a blank
+    cell read as NaN.  ``text_rows[j]`` keeps the row of column j's first
+    text cell (0 while it has none)."""
+    floats = []
+    for j, part in enumerate(parts):
+        values = array("d")
+        for k, cell in enumerate(part, start=start):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                if cell.strip() and not text_rows[j]:
+                    text_rows[j] = k
+                values.append(float("nan"))
+        floats.append(values)
+    return floats
+
+
+def _read_columns(
+    path: Path, handle: TextIO, gold_col: str, kind: Optional[TaskKind]
+) -> Optional[tuple[TaskKind, dict[str, Sequence]]]:
+    """The task kind and the header-named columns of an open prediction CSV.
+
+    Rows are read ``_CHUNK_ROWS`` at a time and transposed into columns;
+    no list of all rows is kept.  Labels go through one dict that maps a
+    cell to its first equal ``str``, so a column costs one reference per
+    cell and the table one ``str`` per distinct label.  Numbers are parsed
+    once, into float arrays, and their text is not kept: when ``kind`` is
+    None (auto) and a text or blank cell turns up, the result is None and
+    the caller reads the file again as labels.  Structural errors wait for
+    the end of the file, so an unreadable byte anywhere outranks them.
+    """
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    width = len(header)
+    problem = _header_problem(header, gold_col)
+    as_labels = kind is TaskKind.CLASSIFICATION
+    columns = [[] if as_labels else array("d") for _ in header]
+    shared: dict[str, str] = {}  # cell -> its first equal str in the table
+    text_rows = [0] * width  # regression: first row of text per column
+    rows = 0
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        start, rows = rows + 2, rows + len(chunk)
+        if problem:
+            continue
+        if set(map(len, chunk)) != {width}:
+            k, row = next((k, r) for k, r in enumerate(chunk, start) if len(r) != width)
+            problem = f"row {k} has {len(row)} fields, header has {width}"
+            continue
+        parts = list(zip(*chunk))
+        if as_labels:
+            for col, part in zip(columns, parts):
+                col += map(shared.setdefault, part, part)
+            continue
+        try:
+            floats = [array("d", map(float, part)) for part in parts]
+        except ValueError:  # text or a blank cell
+            if kind is None:
+                return None
+            floats = _regression_floats(parts, start, text_rows)
+        for col, parsed in zip(columns, floats):
+            col += parsed
+
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows below the header")
+    if problem:
+        raise DataFormatError(f"{path}: {problem}")
+    for name, k in zip(header, text_rows):
+        if k:
+            raise DataFormatError(f"{path}: column {name!r} mixes numbers and text (row {k})")
+    return kind or TaskKind.REGRESSION, dict(zip(header, columns))
 
 
 def load_table(
@@ -104,53 +191,18 @@ def load_table(
     system, in file order.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            rows = list(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataFormatError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
-
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows below the header")
-    header = [h.strip() for h in header]
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise DataFormatError(f"{path}: duplicated column name {name!r}")
-        seen.add(name)
-    if gold_col not in header:
-        raise DataFormatError(f"{path}: gold column {gold_col!r} not found")
-    for k, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: row {k} has {len(row)} fields, header has {len(header)}"
-            )
-
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    if task == "auto":
-        all_numeric = all(
-            all(_numeric(cell) for cell in col) for col in columns.values()
-        )
-        kind = TaskKind.REGRESSION if all_numeric else TaskKind.CLASSIFICATION
-    else:
-        kind = TaskKind(task)
-
-    if kind is TaskKind.REGRESSION:
-        for name, col in columns.items():
-            for k, cell in enumerate(col, start=2):
-                if cell.strip() and not _numeric(cell):
-                    raise DataFormatError(
-                        f"{path}: column {name!r} mixes numbers and text (row {k})"
-                    )
-        columns = {
-            name: [float(c) if c.strip() else float("nan") for c in col]
-            for name, col in columns.items()
-        }
-
+    kind = None if task == "auto" else TaskKind(task)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            if not handle.seekable():  # a pipe: hold its text, which may be read twice
+                handle = io.StringIO(handle.read(), newline="")
+            read = _read_columns(path, handle, gold_col, kind)
+            if read is None:  # auto detection met text: every cell is a label
+                handle.seek(0)
+                read = _read_columns(path, handle, gold_col, TaskKind.CLASSIFICATION)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
+    kind, columns = read
     gold = columns.pop(gold_col)
     return PredictionTable.build(gold, columns, kind)
 

@@ -47,10 +47,24 @@ class Violation:
         return f"[{self.kind}] {self.message}{suffix}"
 
 
-def _as_label_array(values: Iterable) -> np.ndarray:
+class _Labels(dict):
+    """Raw text -> its label, shared by every column of one table: each
+    distinct raw value is stripped once, and equal labels are one ``str``."""
+
+    def __missing__(self, raw: str) -> str:
+        label = raw.strip()
+        label = self[raw] = self.setdefault(label, label)
+        return label
+
+
+def _as_label_array(values: Iterable, labels: _Labels) -> np.ndarray:
     """Labels are compared as exact strings after trimming surrounding
     whitespace; no case folding."""
-    arr = np.array([str(v).strip() for v in values], dtype=object)
+    values = list(values)
+    # keys must be text: as dict keys, 1, 1.0 and True are one key but three labels
+    if not all(issubclass(t, str) for t in set(map(type, values))):
+        values = list(map(str, values))
+    arr = np.fromiter(map(labels.__getitem__, values), dtype=object, count=len(values))
     arr.flags.writeable = False
     return arr
 
@@ -85,8 +99,9 @@ class PredictionTable:
         """Construct a table from raw columns, raising on any violation."""
         kind = TaskKind(task_kind)
         if kind is TaskKind.CLASSIFICATION:
-            gold_arr = _as_label_array(gold)
-            sys_cols = {str(name): _as_label_array(col) for name, col in systems.items()}
+            labels = _Labels()
+            gold_arr = _as_label_array(gold, labels)
+            sys_cols = {str(name): _as_label_array(col, labels) for name, col in systems.items()}
         else:
             gold_arr = _as_float_array(gold)
             sys_cols = {str(name): _as_float_array(col) for name, col in systems.items()}
@@ -143,19 +158,14 @@ def validate(table: PredictionTable) -> list[Violation]:
                 )
             )
 
-    if table.task_kind is TaskKind.CLASSIFICATION:
-        for row, value in enumerate(table.gold):
-            if value == "":
-                out.append(Violation("missing", "gold label is missing", row=row))
-        for name, col in table.systems.items():
-            for row, value in enumerate(col):
-                if value == "":
-                    out.append(
-                        Violation("missing", "prediction is missing", system=name, row=row)
-                    )
+    classification = table.task_kind is TaskKind.CLASSIFICATION
+    columns = [(None, "gold label" if classification else "gold value", table.gold)]
+    columns += [(name, "prediction", col) for name, col in table.systems.items()]
+    if classification:
+        for system, what, col in columns:
+            for row in np.flatnonzero(np.asarray(col, dtype=object) == ""):
+                out.append(Violation("missing", f"{what} is missing", system=system, row=int(row)))
     else:
-        columns = [(None, "gold value", table.gold)]
-        columns += [(name, "prediction", col) for name, col in table.systems.items()]
         for system, what, col in columns:
             try:
                 values = col.astype(float)

@@ -1,8 +1,13 @@
+import csv
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from boardstats.dataio import (
     RunConfig,
+    _read_columns,
     fmt_float,
     load_table,
     parse_metric,
@@ -73,6 +78,48 @@ def test_empty_inputs(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"y,A", "no data rows"),
+        (b"y,A,A\n", "no data rows"),
+        # undecodable bytes beyond the first 8 KiB decode chunk still outrank
+        # an earlier ragged row: the whole file is read before rows are checked
+        (b"y,A\nx,x\nx\n" + b"x,x\n" * 4096 + b"x,\xff\n", "not a readable UTF-8 CSV"),
+        (b"y,A\nx,x\n" + b"x,x\n" * 4096 + b"x," + b"a" * 200_000 + b"\n",
+         "not a readable UTF-8 CSV"),
+        (b"y,A,A\nx,x\nx\n", "duplicated column name 'A'"),
+        (b"label,A\nx,x\nx\n", "gold column 'y' not found"),
+        (b"y,A\nx,x\nx\nx,x,x\n", "row 3 has 1 fields, header has 2"),
+        (b"y,A\nx,x\n\nx,x\n", "row 3 has 0 fields, header has 2"),
+        (b"y,A\n\"x\ny\",x\nx\n", "row 3 has 1 fields, header has 2"),
+        # numbers for more than one read chunk, then text: the table is read as labels
+        (b"y,A\n" + b"1,2\n" * 300 + b"x,1\n1\n", "row 303 has 1 fields, header has 2"),
+        (b"y,A\n" + b"1,2\n" * 300 + b"x,1\n" + b"x,x\n" * 4096 + b"x,\xff\n",
+         "not a readable UTF-8 CSV"),
+    ],
+    ids=["header-only", "duplicate-header-only", "ragged-then-undecodable",
+         "ragged-free-then-oversized", "duplicate-then-ragged", "no-gold-then-ragged",
+         "two-ragged", "blank-line", "rows-count-records-not-lines",
+         "numbers-text-ragged", "numbers-text-undecodable"],
+)
+def test_ingest_error_precedence(tmp_path, content, message):
+    p = tmp_path / "data.csv"
+    p.write_bytes(content)
+    with pytest.raises(DataFormatError, match=message):
+        load_table(p)
+
+
+def test_regression_text_error_names_first_column_then_first_row(tmp_path):
+    # column order decides, not file order: A's bad cell is on a later row
+    p = write(tmp_path, "y,A,B\n1,2,x\n1,a,3\n1,b,3\n")
+    with pytest.raises(DataFormatError, match=r"column 'A' mixes numbers and text \(row 3\)"):
+        load_table(p, task="regression")
+    p = write(tmp_path, "y,A\nz,1\n1,b\n", name="gold.csv")
+    with pytest.raises(DataFormatError, match=r"column 'y' mixes numbers and text \(row 2\)"):
+        load_table(p, task="regression")
+
+
+@pytest.mark.parametrize(
     "content",
     ["y,A\nsí,no\n".encode("latin-1"), b"y,A\nx," + b"a" * 200_000 + b"\n"],
     ids=["not-utf8", "oversized-field"],
@@ -104,6 +151,84 @@ def test_task_override_keeps_numeric_labels(tmp_path):
     table = load_table(p, task="classification")
     assert table.task_kind is TaskKind.CLASSIFICATION
     assert list(table.gold) == ["1", "2"]
+
+
+def _csv_columns(path):
+    """Each column of a CSV as read by the csv module, header name first."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(zip(*csv.reader(handle)))
+
+
+@pytest.mark.parametrize(
+    "text, task, labels",
+    [
+        # surrounding whitespace, over more than one read chunk
+        ("y,A,B\n" + " favor,favor ,none\nagainst , against,favor\nnone,none,  favor\n" * 200,
+         "auto", ("favor", "against", "none")),
+        ("y,A\n" + "1,1\n2, 2\n1.0,1\n" * 200, "classification", ("1", "2", "1.0")),
+        # numbers for more than one read chunk, then a text cell
+        ("y,A\n" + "10,20\n" * 300 + "10,xx\n", "auto", ("10", "20", "xx")),
+    ],
+    ids=["whitespace", "numeric-labels", "numbers-then-text"],
+)
+def test_loaded_labels_are_one_str_per_distinct_label(tmp_path, text, task, labels):
+    p = write(tmp_path, text)
+    table = load_table(p, task=task)
+    assert table.task_kind is TaskKind.CLASSIFICATION
+    assert table.label_set == labels
+    expected = {col[0]: [cell.strip() for cell in col[1:]] for col in _csv_columns(p)}
+    assert list(table.gold) == expected.pop("y")
+    assert {name: list(col) for name, col in table.systems.items()} == expected
+    cells = [table.gold, *table.systems.values()]
+    assert len({id(v) for col in cells for v in col}) == len(table.label_set)
+    assert all(type(v) is str for col in cells for v in col)
+    # the reader already shares raw cells, before the table strips them
+    with open(p, newline="", encoding="utf-8-sig") as handle:
+        _, raw = _read_columns(p, handle, "y", TaskKind.CLASSIFICATION)
+    assert len({id(v) for col in raw.values() for v in col}) == len(
+        {v for col in raw.values() for v in col}
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "text",
+    ["y,A\n" + "10,20\n" * 300 + "10,xx\n", "y,A\n" + "1.5,2\n" * 300],
+    ids=["numbers-then-text", "numbers"],
+)
+def test_a_pipe_reads_like_a_file(tmp_path, text):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    try:
+        piped = load_table(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    table = load_table(write(tmp_path, text))
+    assert piped.task_kind is table.task_kind
+    assert [list(piped.gold), piped.systems.keys()] == [list(table.gold), table.systems.keys()]
+    assert all(list(piped.systems[k]) == list(table.systems[k]) for k in table.systems)
+
+
+@pytest.mark.parametrize("task", ["auto", "regression"])
+def test_regression_cells_keep_the_bits_of_float(tmp_path, task):
+    cells = ["0.1", "-0.0", " 2.5 ", "1e308", "4.9e-324", "1_000", "+7", ".5", "5.", "1E-5"]
+    rows = [f"{cells[i % 10]},{cells[(3 * i + 1) % 10]}" for i in range(600)]
+    p = write(tmp_path, "y,A\n" + "\n".join(rows) + "\n")
+    table = load_table(p, task=task)
+    assert table.task_kind is TaskKind.REGRESSION
+    for got, col in zip([table.gold, table.systems["A"]], _csv_columns(p)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([float(c) for c in col[1:]]).tobytes()
+
+
+def test_blank_regression_cell_is_a_located_nan(tmp_path):
+    p = write(tmp_path, "y,A\n1,2\n2, \n3,3\n")
+    with pytest.raises(TableValidationError) as err:
+        load_table(p, task="regression")
+    assert [(v.kind, v.system, v.row) for v in err.value.violations] == [("missing", "A", 1)]
 
 
 def test_mixed_column_under_regression_is_an_error(tmp_path):

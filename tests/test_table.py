@@ -7,6 +7,7 @@ from boardstats.table import (
     PredictionTable,
     ScoreSpec,
     TaskKind,
+    Violation,
     validate,
 )
 
@@ -61,6 +62,16 @@ def test_labels_are_trimmed_but_not_case_folded():
     assert table.label_set == ("FAVOR", "favor")
 
 
+def test_equal_labels_are_one_object_across_columns():
+    table = PredictionTable.build(
+        np.array([" a", "b "]), {"s": ["a", "b"], "t": np.array(["b", " a "])}
+    )
+    assert table.label_set == ("a", "b")
+    cells = [table.gold, *table.systems.values()]
+    assert len({id(v) for col in cells for v in col}) == 2
+    assert all(type(v) is str for col in cells for v in col)
+
+
 def test_missing_values_are_violations():
     table = PredictionTable(
         task_kind=TaskKind.CLASSIFICATION,
@@ -70,6 +81,28 @@ def test_missing_values_are_violations():
     kinds = [(v.kind, v.system, v.row) for v in validate(table)]
     assert ("missing", None, 1) in kinds
     assert ("missing", "s", 0) in kinds
+
+
+def test_missing_labels_match_the_per_cell_loop():
+    rng = np.random.default_rng(5)
+    cols = [rng.choice(np.array(["a", "", "b"], dtype=object), size=60) for _ in range(4)]
+    table = PredictionTable(
+        task_kind=TaskKind.CLASSIFICATION,
+        gold=cols[0],
+        systems={"s1": cols[1], "s0": cols[2], "s2": cols[3]},
+    )
+    expected = [
+        Violation("missing", "gold label is missing", row=row)
+        for row, value in enumerate(table.gold) if value == ""
+    ]
+    expected += [
+        Violation("missing", "prediction is missing", system=name, row=row)
+        for name, col in table.systems.items()
+        for row, value in enumerate(col) if value == ""
+    ]
+    assert len(expected) > 40
+    assert validate(table) == expected
+    assert all(type(v.row) is int for v in validate(table))
 
 
 def test_nan_predictions_are_violations_for_regression():
