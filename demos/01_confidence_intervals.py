@@ -47,14 +47,18 @@ spec = ScoreSpec.macro_f1(["favor", "against"])
 plan = BootstrapPlan(replicates=10_000, seed=7)
 summaries = summarize(table, spec, plan)
 
+# Best first: the table below and the forest plot both keep this order.
+ranked = [
+    (name, observed, ci)
+    for name, (observed, ci) in sorted(summaries.items(), key=lambda kv: -kv[1][0])
+]
+
 print(f"{'system':<14} {'observed':>9} {'lci':>8} {'mean':>8} {'uci':>8}")
-for name, (observed, ci) in sorted(summaries.items(), key=lambda kv: -kv[1][0]):
+for name, observed, ci in ranked:
     print(f"{name:<14} {observed:>9.4f} {ci.lci:>8.4f} {ci.mean:>8.4f} {ci.uci:>8.4f}")
 
 # Overlapping intervals hint that two systems may be statistically tied;
 # the paired analysis in demo 02 makes that precise.
-figure = render_forest_plot(
-    [(name, observed, ci) for name, (observed, ci) in summaries.items()]
-)
+figure = render_forest_plot(ranked)
 (OUT / "confidence_intervals.svg").write_text(figure.svg)
 print(f"\nwrote {OUT / 'confidence_intervals.svg'}")

@@ -54,7 +54,7 @@ result = run_pipeline(
         out_dir=str(OUT / "analysis"),
     )
 )
-print(f"ranking: {' > '.join(result.ranking)}")
+print(f"ranking: {' > '.join(result.report.ranking)}")
 print(f"{len(result.artifacts)} artifacts in {result.out_dir}:")
 for name in result.artifacts:
     print(f"  {name}")

@@ -65,15 +65,13 @@ def adjust(family: PValueFamily, method: str) -> dict[Hashable, float]:
     return dict(zip(ids, adjusted.tolist()))
 
 
-def adjust_all(
-    families: Sequence[PValueFamily], methods: Sequence[str] = METHODS
-) -> dict[Hashable, dict[str, float]]:
-    """Adjusted p-values for every pair across a list of families."""
+def adjust_all(families: Sequence[PValueFamily]) -> dict[Hashable, dict[str, float]]:
+    """Adjusted p-values under every method in ``METHODS`` for every pair."""
     out: dict[Hashable, dict[str, float]] = {}
     for family in families:
-        per_method = {m: adjust(family, m) for m in methods}
+        per_method = {m: adjust(family, m) for m in METHODS}
         for pair_id, _ in family.entries:
-            out[pair_id] = {m: per_method[m][pair_id] for m in methods}
+            out[pair_id] = {m: per_method[m][pair_id] for m in METHODS}
     return out
 
 

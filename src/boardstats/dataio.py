@@ -307,8 +307,8 @@ def run_config_from_json(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def fmt_float(value: float, precision: int = TABLE_PRECISION) -> str:
-    return f"{value:.{precision}f}"
+def fmt_float(value: float) -> str:
+    return f"{value:.{TABLE_PRECISION}f}"
 
 
 def write_json(path: Path, payload) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import CI, SamplingDistribution, distributions, percentile_rows
+from .errors import MetricError
 from .table import LOWER, BootstrapPlan, PredictionTable, ScoreSpec
 
 # bytes of competitor values per pair-kernel call; bounds the matrix pass's memory
@@ -117,8 +118,7 @@ def paired_difference(
     reorient: bool = True,
 ) -> PairedDelta:
     """Bootstrap the score difference of two systems with shared resamples."""
-    names = [reference] if reference == competitor else [reference, competitor]
-    dists = distributions(table, spec, plan, systems=names)
+    dists = distributions(table, spec, plan, systems=[reference, competitor])
     return delta_from_distributions(
         reference, competitor, dists[reference], dists[competitor], spec,
         reorient=reorient,
@@ -198,7 +198,14 @@ def matrix_from_distributions(
     for j in range(m - 1):
         for start in range(j + 1, m, step):
             comps = [dists[name] for name in ranked[start:start + step]]
-            delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence)
+            with np.errstate(over="ignore", invalid="ignore"):  # finite scores, overflowing delta
+                delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence)
+            bad = np.flatnonzero(~np.isfinite([delta, *ci]).all(axis=0))
+            if bad.size:
+                raise MetricError(
+                    f"the {spec.display_name} difference of {ranked[j]!r} and "
+                    f"{ranked[start + bad[0]]!r} or its CI is not finite"
+                )
             for i, d, pi, *bounds in zip(range(start, m), *(a.tolist() for a in (delta, p, *ci))):
                 entries[(i, j)] = MatrixEntry(
                     ranked[j], ranked[i], d, pi, significance_stars(pi), CI(*bounds)

@@ -183,8 +183,6 @@ class ResampleScorer:
                 # finite on the original data before it resamples.
                 mean = np.add.reduce(abs_err) / self.n
                 self._score_rows = lambda idx, counts: np.full(len(idx), mean)
-        elif spec.metric != "custom":  # pragma: no cover - ScoreSpec rejects it
-            raise MetricError(f"unknown metric {spec.metric!r}")
 
     def _set_columns(self, columns: list[np.ndarray]) -> None:
         """Store integer tally columns as the (n, W) float64 ``_columns``."""

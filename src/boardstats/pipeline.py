@@ -21,15 +21,14 @@ from .dataio import RunConfig, fmt_float, load_table, parse_metric, write_csv, w
 from .errors import ConfigError
 from .inference import delta_from_distributions
 from .plots import render_delta_histogram, render_difference_plot, render_forest_plot
-from .report import build_report
+from .report import CompetitionReport, build_report
 from .table import BootstrapPlan
 
 @dataclass(frozen=True)
 class PipelineResult:
     out_dir: Path
     artifacts: tuple[str, ...]
-    report: object
-    ranking: tuple[str, ...]
+    report: CompetitionReport
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -44,9 +43,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     _remove_listed_artifacts(out)
     artifacts = _write_artifacts(out, config, spec, table, rep)
-    return PipelineResult(
-        out_dir=out, artifacts=tuple(artifacts), report=rep, ranking=rep.ranking
-    )
+    return PipelineResult(out_dir=out, artifacts=tuple(artifacts), report=rep)
 
 
 def _remove_listed_artifacts(out: Path) -> None:
@@ -208,8 +205,7 @@ def _write_artifacts(out, config, spec, table, rep):
         runner_up = ranked[1]
         figures = {
             "plot_forest": render_forest_plot(
-                [(s, dists[s].observed, summaries[s]) for s in ranked],
-                higher_better=spec.higher_is_better,
+                [(s, dists[s].observed, summaries[s]) for s in ranked]
             ),
             "plot_differences": render_difference_plot(
                 [(e.competitor, e.ci) for e in best], reference=ranked[0]

@@ -57,16 +57,14 @@ class _Canvas:
             f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
-    def circle(self, cx, cy, r, fill=INK, cls=""):
-        attrs = f'class="{cls}" ' if cls else ""
+    def circle(self, cx, cy, r, fill, cls):
         self.parts.append(
-            f'<circle {attrs}cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" fill="{fill}"/>'
+            f'<circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" fill="{fill}"/>'
         )
 
-    def rect(self, x, y, w, h, fill, cls=""):
-        attrs = f'class="{cls}" ' if cls else ""
+    def rect(self, x, y, w, h, fill, cls):
         self.parts.append(
-            f'<rect {attrs}x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
+            f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{_fmt(h)}" fill="{fill}"/>'
         )
 
@@ -141,22 +139,18 @@ def _interval_row(canvas: _Canvas, to_x, y: float, name: str, ci: CI,
     canvas.circle(to_x(ci.mean), y, 3.5, fill=color, cls="mean")
 
 
-def render_forest_plot(
-    systems: Sequence[tuple[str, float, CI]], higher_better: bool = True
-) -> SvgFigure:
-    """Interval-per-system forest plot of (name, observed score, CI), best
-    system on top."""
+def render_forest_plot(systems: Sequence[tuple[str, float, CI]]) -> SvgFigure:
+    """Forest plot of (name, observed score, CI), one row each in the order given."""
     if not systems:
         raise ValueError("need at least one system to plot")
-    ordered = sorted(systems, key=lambda s: s[1], reverse=higher_better)
-    height = _TOP + _ROW_H * len(ordered) + _BOTTOM
+    height = _TOP + _ROW_H * len(systems) + _BOTTOM
     canvas = _Canvas(_WIDTH, height)
     canvas.text(_MARGIN_LEFT, 18, "Bootstrap confidence intervals", cls="title")
     to_x, lo, hi = _x_scale(
-        min(ci.lci for _, _, ci in ordered), max(ci.uci for _, _, ci in ordered)
+        min(ci.lci for _, _, ci in systems), max(ci.uci for _, _, ci in systems)
     )
     rows = []
-    for k, (name, observed, ci) in enumerate(ordered):
+    for k, (name, observed, ci) in enumerate(systems):
         y = _TOP + _ROW_H * (k + 0.5)
         canvas.group_open(
             "system", name=name, observed=f"{observed:.6f}",
@@ -165,22 +159,17 @@ def render_forest_plot(
         _interval_row(canvas, to_x, y, name, ci)
         canvas.group_close()
         rows.append({"system": name, "observed": observed, **ci._asdict()})
-    _axis(canvas, to_x, lo, hi, _TOP + _ROW_H * len(ordered) + 6)
+    _axis(canvas, to_x, lo, hi, _TOP + _ROW_H * len(systems) + 6)
     return SvgFigure(svg=canvas.render(), data={"kind": "forest", "systems": rows})
 
 
-def render_difference_plot(
-    diffs: Sequence[tuple[str, CI]], reference: str = ""
-) -> SvgFigure:
-    """Difference-to-best intervals; red straddles zero, green does not."""
+def render_difference_plot(diffs: Sequence[tuple[str, CI]], reference: str) -> SvgFigure:
+    """Differences from ``reference``, the best; red straddles zero, green does not."""
     if not diffs:
         raise ValueError("need at least one comparison to plot")
     height = _TOP + _ROW_H * len(diffs) + _BOTTOM
     canvas = _Canvas(_WIDTH, height)
-    title = "Differences from the best"
-    if reference:
-        title += f" ({reference})"
-    canvas.text(_MARGIN_LEFT, 18, title, cls="title")
+    canvas.text(_MARGIN_LEFT, 18, f"Differences from the best ({reference})", cls="title")
     to_x, lo, hi = _x_scale(
         min(min(ci.lci for _, ci in diffs), 0.0),
         max(max(ci.uci for _, ci in diffs), 0.0),

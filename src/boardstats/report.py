@@ -86,14 +86,26 @@ class CompetitionReport:
 
 
 def cv(scores: Sequence[float]) -> float:
-    """Coefficient of variation in percent: 100 * s / mean, sample std (m-1)."""
+    """Coefficient of variation in percent: 100 * s / mean, sample std (m-1).
+
+    Finite scores whose sum or spread overflows are first scaled by a power
+    of two: cv does not depend on scale, and such a scale is exact.
+    """
     arr = np.asarray(scores, dtype=float)
     if arr.size < 2:
         raise ValueError("cv needs at least 2 scores")
-    mean = arr.mean()
+    mean, value = _plain_cv(arr)
+    if not np.isfinite(value) and np.isfinite(arr).all():
+        mean, value = _plain_cv(np.ldexp(arr, -np.frexp(np.abs(arr).max())[1]))
     if mean == 0.0:
         raise ValueError("cv undefined for zero mean")
-    return float(100.0 * arr.std(ddof=1) / mean)
+    return float(value)
+
+
+def _plain_cv(arr: np.ndarray) -> tuple[float, float]:
+    with np.errstate(all="ignore"):  # an overflow gives inf or nan, not a warning
+        mean = arr.mean()
+        return mean, 100.0 * arr.std(ddof=1) / mean
 
 
 def ppi(winner_score: float, spec: ScoreSpec) -> Optional[float]:
@@ -181,6 +193,10 @@ def build_report(
     if family_policy == "vs_winner":
         all_pairs = None
 
+    try:
+        cv_value = cv(ranked_scores)
+    except ValueError:  # the mean is 0: there are at least 2 competitors
+        cv_value = None
     m = len(competitors)
     return CompetitionReport(
         n=table.n,
@@ -189,7 +205,7 @@ def build_report(
         ties_with_winner=with_winner,
         ties_all_pairs=all_pairs,
         win_med_gap=win_med_gap(ranked_scores),
-        cv=cv(ranked_scores) if np.mean(ranked_scores) != 0.0 else None,
+        cv=cv_value,
         cv_comparable=spec.capped_at_one and spec.higher_is_better,
         ppi=ppi(ranked_scores[0], spec),
         alpha=plan.alpha,

@@ -140,13 +140,9 @@ def validate(table: PredictionTable) -> list[Violation]:
     if n < 1:
         out.append(Violation("empty", "table must contain at least one row"))
 
-    seen_names = set()
     for name in table.systems:
         if not name or not name.strip():
             out.append(Violation("system-name", "system name is empty", system=name))
-        if name in seen_names:  # dict keys cannot collide; guards hand-built mappings
-            out.append(Violation("system-name", "duplicate system name", system=name))
-        seen_names.add(name)
 
     for name, col in table.systems.items():
         if len(col) != n:

@@ -8,6 +8,7 @@ import pytest
 from boardstats.cli import main
 from boardstats.dataio import RunConfig
 from boardstats.pipeline import run_pipeline
+from boardstats.report import cv
 from helpers import read_md_table
 
 TABLE_FILES = ["performance", "differences", "difference_matrix", "pvalues", "report"]
@@ -169,7 +170,7 @@ def test_mae_pipeline(tmp_path):
     result = run_pipeline(
         RunConfig(input=str(csv), metric="mae", samples=400, seed=9, out_dir=str(out))
     )
-    assert result.ranking[0] == "close"
+    assert result.report.ranking[0] == "close"
     rep = json.loads((out / "report.json").read_text())
     assert rep["ppi"] is None
     assert rep["cv_comparable"] is False
@@ -377,6 +378,39 @@ def test_cli_scores_finite_mae_near_the_float_maximum(tmp_path):
         assert math.isfinite(row["mean"]) and row["mean"] <= row["uci"]
 
 
+def test_cli_reports_cv_of_mae_scores_near_the_float_maximum(tmp_path):
+    # the three MAE scores, about 1.25e308, 1.6e308 and 1.7e308, sum past
+    # the float maximum
+    rows = [f"0.0,1.6e308,1.7e308,{'1.0e308' if i % 2 else '1.5e308'}" for i in range(20)]
+    csv = tmp_path / "values.csv"
+    csv.write_text("y,A,B,C\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([
+        "--input", str(csv), "--metric", "mae", "--samples", "200", "--out-dir", str(out),
+        "--formats", "json",
+    ]) == 0
+    report = json.loads(
+        (out / "report.json").read_text(encoding="utf-8"), parse_constant=reject_constant
+    )
+    assert report["cv"] == pytest.approx(cv([1.25, 1.6, 1.7]), rel=1e-12)
+
+
+def test_cli_locates_a_score_difference_past_the_float_maximum(tmp_path, capsys):
+    csv = tmp_path / "values.csv"
+    csv.write_text("y,A,B\n" + "0,1.6e308,-1.6e308\n1,1.6e308,-1.6e308\n" * 10, encoding="utf-8")
+    plugin = tmp_path / "max_pred.py"
+    plugin.write_text("def score(gold, pred):\n    return float(pred.astype(float).max())\n")
+    out = tmp_path / "out"
+    assert main([
+        "--input", str(csv), "--metric", f"custom:{plugin}", "--samples", "50",
+        "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "boardstats: bootstrap: the max_pred difference of 'A' and 'B' or its CI is not finite\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, entry",
     [(["--corrections", "bh,bh"], "corrections lists 'bh'"),
@@ -498,7 +532,7 @@ def test_vs_winner_pvalues_only_winner_rows(tmp_path, corrections):
         )
     )
     payload = json.loads((out / "pvalues.json").read_text())
-    winner = result.ranking[0]
+    winner = result.report.ranking[0]
     assert all(r["reference"] == winner for r in payload["comparisons"])
     assert len(payload["comparisons"]) == 2
 

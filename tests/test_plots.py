@@ -19,7 +19,8 @@ def summary(name, observed, lci, uci):
     return name, observed, CI(lci=lci, mean=(lci + uci) / 2, uci=uci)
 
 
-def test_forest_plot_orders_best_first():
+def test_forest_plot_keeps_the_given_order():
+    # the caller's ranking decides the order, whichever way the metric points
     summaries = [
         summary("mid", 0.5, 0.4, 0.6),
         summary("best", 0.8, 0.7, 0.9),
@@ -29,14 +30,8 @@ def test_forest_plot_orders_best_first():
     ]
     fig = render_forest_plot(summaries)
     rows = groups(fig.svg, "system")
-    assert [g.get("data-name") for g in rows] == ["best", "good", "mid", "bad", "worst"]
-
-
-def test_forest_plot_lower_better_orders_ascending():
-    summaries = [summary("late", 2.0, 1.8, 2.2), summary("early", 1.0, 0.9, 1.1)]
-    fig = render_forest_plot(summaries, higher_better=False)
-    rows = groups(fig.svg, "system")
-    assert [g.get("data-name") for g in rows] == ["early", "late"]
+    assert [g.get("data-name") for g in rows] == ["mid", "best", "worst", "good", "bad"]
+    assert [row["system"] for row in fig.data["systems"]] == ["mid", "best", "worst", "good", "bad"]
 
 
 def test_forest_plot_single_and_degenerate():
@@ -71,7 +66,7 @@ def test_difference_plot_colors_by_zero_straddle():
         assert line.get("stroke") == ("#c0392b" if wants_red else "#1e8449")
         assert ("contains-zero" in line.get("class")) == wants_red
     with pytest.raises(ValueError):
-        render_difference_plot([])
+        render_difference_plot([], reference="winner")
 
 
 def make_pd(values, observed):
