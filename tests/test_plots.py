@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from boardstats.bootstrap import CI
-from boardstats.inference import PairedDelta, p_value
+from boardstats.inference import PairedDelta, p_value, rank_systems
 from boardstats.plots import render_delta_histogram, render_difference_plot, render_forest_plot
+from boardstats.table import LOWER, ScoreSpec
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -32,6 +33,34 @@ def test_forest_plot_keeps_the_given_order():
     rows = groups(fig.svg, "system")
     assert [g.get("data-name") for g in rows] == ["mid", "best", "worst", "good", "bad"]
     assert [row["system"] for row in fig.data["systems"]] == ["mid", "best", "worst", "good", "bad"]
+
+
+def ranked_forest(summaries, spec):
+    # the pipeline draws the forest plot in the order rank_systems gives
+    by_name = {name: (name, observed, ci) for name, observed, ci in summaries}
+    order = rank_systems({name: observed for name, observed, _ in summaries}, spec)
+    return render_forest_plot([by_name[name] for name in order])
+
+
+def test_forest_plot_orders_best_first():
+    summaries = [
+        summary("mid", 0.5, 0.4, 0.6),
+        summary("best", 0.8, 0.7, 0.9),
+        summary("worst", 0.2, 0.1, 0.3),
+        summary("good", 0.7, 0.6, 0.8),
+        summary("bad", 0.3, 0.2, 0.4),
+    ]
+    fig = ranked_forest(summaries, ScoreSpec(metric="accuracy"))
+    rows = groups(fig.svg, "system")
+    assert [g.get("data-name") for g in rows] == ["best", "good", "mid", "bad", "worst"]
+
+
+def test_forest_plot_lower_better_orders_ascending():
+    summaries = [summary("late", 2.0, 1.8, 2.2), summary("early", 1.0, 0.9, 1.1)]
+    spec = ScoreSpec(metric="mae", direction=LOWER, capped_at_one=False)
+    fig = ranked_forest(summaries, spec)
+    rows = groups(fig.svg, "system")
+    assert [g.get("data-name") for g in rows] == ["early", "late"]
 
 
 def test_forest_plot_single_and_degenerate():
