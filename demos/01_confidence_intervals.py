@@ -18,6 +18,7 @@ from boardstats import (
     render_forest_plot,
     summarize,
 )
+from boardstats.inference import rank_systems
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -47,11 +48,10 @@ spec = ScoreSpec.macro_f1(["favor", "against"])
 plan = BootstrapPlan(replicates=10_000, seed=7)
 summaries = summarize(table, spec, plan)
 
-# Best first: the table below and the forest plot both keep this order.
-ranked = [
-    (name, observed, ci)
-    for name, (observed, ci) in sorted(summaries.items(), key=lambda kv: -kv[1][0])
-]
+# rank_systems orders best first under the metric's direction, as the
+# pipeline does; the table below and the forest plot both keep that order.
+order = rank_systems({name: observed for name, (observed, _) in summaries.items()}, spec)
+ranked = [(name, *summaries[name]) for name in order]
 
 print(f"{'system':<14} {'observed':>9} {'lci':>8} {'mean':>8} {'uci':>8}")
 for name, observed, ci in ranked:

@@ -88,24 +88,19 @@ class CompetitionReport:
 def cv(scores: Sequence[float]) -> float:
     """Coefficient of variation in percent: 100 * s / mean, sample std (m-1).
 
-    Finite scores whose sum or spread overflows are first scaled by a power
-    of two: cv does not depend on scale, and such a scale is exact.
+    The scores are first scaled by a power of two that puts the largest
+    magnitude in [0.5, 1): cv does not depend on scale, every step below is
+    exact under such a scale, and so a sum or spread past the float maximum
+    (MAE near 1.7e308) stays finite. Scores already in [0.5, 1) are not moved.
     """
     arr = np.asarray(scores, dtype=float)
     if arr.size < 2:
         raise ValueError("cv needs at least 2 scores")
-    mean, value = _plain_cv(arr)
-    if not np.isfinite(value) and np.isfinite(arr).all():
-        mean, value = _plain_cv(np.ldexp(arr, -np.frexp(np.abs(arr).max())[1]))
+    arr = np.ldexp(arr, -np.frexp(np.abs(arr).max())[1])
+    mean = arr.mean()
     if mean == 0.0:
         raise ValueError("cv undefined for zero mean")
-    return float(value)
-
-
-def _plain_cv(arr: np.ndarray) -> tuple[float, float]:
-    with np.errstate(all="ignore"):  # an overflow gives inf or nan, not a warning
-        mean = arr.mean()
-        return mean, 100.0 * arr.std(ddof=1) / mean
+    return float(100.0 * arr.std(ddof=1) / mean)
 
 
 def ppi(winner_score: float, spec: ScoreSpec) -> Optional[float]:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from boardstats.corrections import adjust_all, build_families
-from boardstats import report
 from boardstats.errors import ConfigError
 from boardstats.inference import difference_matrix
 from boardstats.report import build_report, cv, ppi, tie_counts, win_med_gap
@@ -37,23 +36,16 @@ def test_cv_scale_invariance():
     assert cv(scores) == pytest.approx(cv([3 * s for s in scores]), abs=1e-9)
 
 
-def test_cv_rescales_only_where_the_plain_formula_overflows(
-    monkeypatch, stance_small, stance_large
-):
-    calls = []
-    plain = report._plain_cv
-    monkeypatch.setattr(report, "_plain_cv", lambda arr: calls.append(arr) or plain(arr))
+def test_cv_power_of_two_scale_keeps_every_bit(stance_small, stance_large):
     spec = ScoreSpec.macro_f1(["favor", "against"])
     for table in (stance_small, stance_large):
         rep = build_report(table, spec, BootstrapPlan(replicates=50, seed=1))
         scores = np.array([rep.observed_scores[s] for s in rep.ranking])
-        calls.clear()
         assert cv(scores) == 100.0 * scores.std(ddof=1) / scores.mean()
-        assert len(calls) == 1
-    expected = cv([1.25, 1.6, 1.7])
-    calls.clear()
-    assert cv([1.25e308, 1.6e308, 1.7e308]) == pytest.approx(expected, rel=1e-15)
-    assert len(calls) == 2
+        for k in (-600, -7, 1, 9, 600):
+            assert cv(np.ldexp(scores, k)) == cv(scores)
+    # the plain sum overflows here
+    assert cv([1.25e308, 1.6e308, 1.7e308]) == pytest.approx(cv([1.25, 1.6, 1.7]), rel=1e-15)
     # the plain sum overflows, but the scores' mean is exactly 0
     with pytest.raises(ValueError, match="zero mean"):
         cv([1.7e308, 1.7e308, -1.7e308, -1.7e308])
