@@ -17,7 +17,7 @@ from .bootstrap import (
     summarize,
 )
 from .corrections import PValueFamily, adjust, adjust_all, build_families
-from .dataio import RunConfig, load_table, parse_metric, run_config_from_json
+from .dataio import RunConfig, load_table, parse_metric
 from .errors import (
     BoardstatsError,
     ConfigError,
@@ -51,7 +51,6 @@ from .synth import (
     calibrate,
     expected_score,
     generate,
-    synth_config_from_json,
 )
 from .table import (
     BootstrapPlan,
@@ -108,12 +107,10 @@ __all__ = [
     "render_difference_plot",
     "render_forest_plot",
     "resample_indices",
-    "run_config_from_json",
     "run_pipeline",
     "score",
     "significance_stars",
     "summarize",
-    "synth_config_from_json",
     "tie_counts",
     "validate",
     "win_med_gap",

@@ -42,7 +42,7 @@ _FIELD_TYPES = {"str": str, "Optional[str]": (str, type(None)), "int": int,
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one analysis run depends on, and the one home of its
-    defaults: the command line and JSON configs read theirs from here."""
+    defaults: the command line reads its own from here."""
 
     input: str
     gold_col: str = "y"
@@ -271,40 +271,6 @@ def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
                 f"direction {direction!r} conflicts with metric {spec.display_name!r}"
             )
     return spec
-
-
-def read_json_config(path: Path):
-    """Parse a UTF-8 JSON config file, with or without a leading byte order
-    mark; undecodable or malformed text is a ConfigError."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-
-
-def run_config_from_json(path: str | Path) -> RunConfig:
-    """Read a RunConfig from a JSON file keyed by the config field names.
-
-    List-valued fields (corrections, formats) accept JSON arrays or comma
-    strings; unknown keys are rejected so typos fail loudly.
-    """
-    path = Path(path)
-    payload = read_json_config(path)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key in ("corrections", "formats"):
-        if isinstance(payload.get(key), str):
-            payload[key] = comma_list(payload[key])
-        elif isinstance(payload.get(key), list):
-            payload[key] = tuple(payload[key])
-    try:
-        return RunConfig(**payload)
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def fmt_float(value: float) -> str:

@@ -49,7 +49,7 @@ class _Canvas:
             f'font-family="sans-serif" font-size="11">'
         ]
 
-    def line(self, x1, y1, x2, y2, stroke=INK, width=1.5, cls="", dash=""):
+    def line(self, x1, y1, x2, y2, width, stroke=INK, cls="", dash=""):
         attrs = f'class="{cls}" ' if cls else ""
         attrs += f'stroke-dasharray="{dash}" ' if dash else ""
         self.parts.append(
@@ -68,11 +68,11 @@ class _Canvas:
             f'height="{_fmt(h)}" fill="{fill}"/>'
         )
 
-    def text(self, x, y, content, anchor="start", fill=INK, cls=""):
+    def text(self, x, y, content, anchor="start", cls=""):
         attrs = f'class="{cls}" ' if cls else ""
         self.parts.append(
             f'<text {attrs}x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-            f'fill="{fill}">{_escape(content)}</text>'
+            f'fill="{INK}">{_escape(content)}</text>'
         )
 
     def group_open(self, cls: str, **data):

@@ -69,10 +69,6 @@ def index_block(seed: int, n: int, start: int, stop: int,
         raise ValueError("sample size must be below 2**32")
     k = max(stop - start, 0)
     if out is None:
-        # Allocated before the draws, so the draw buffer the block outlives
-        # is freed on top of the heap, where the scorers' gathers reuse it
-        # (glibc malloc, n = 50k: 0.4 MB less peak RSS).  With ``out`` the
-        # draws are the only fresh allocation.
         out = np.empty((k, n), dtype=np.int64)
     else:
         check_rows(out, k, n, np.int64)

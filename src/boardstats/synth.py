@@ -11,14 +11,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .bootstrap import distributions, map_workers, percentile_ci
-from .dataio import read_json_config
-from .errors import ConfigError
 from .inference import delta_from_distributions, p_value
 from .table import BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
 
@@ -63,8 +60,6 @@ class SynthConfig:
     systems: dict[str, LabelNoise | ValueNoise]
     labels: tuple[str, ...] = ()
     label_probs: tuple[float, ...] = ()
-    gold_mean: float = 0.0
-    gold_sd: float = 1.0
     task_kind: TaskKind = TaskKind.CLASSIFICATION
 
     def __post_init__(self):
@@ -129,7 +124,7 @@ def generate(config: SynthConfig) -> PredictionTable:
             systems[name] = pred
         return PredictionTable.build(gold, systems, TaskKind.CLASSIFICATION)
 
-    gold = gold_rng.normal(config.gold_mean, config.gold_sd, size=config.n)
+    gold = gold_rng.normal(0.0, 1.0, size=config.n)
     systems = {}
     for k, (name, noise) in enumerate(config.systems.items()):
         sys_rng = _child_rng(config.seed, 1 + k)
@@ -159,13 +154,10 @@ def _ks_uniform(values: np.ndarray) -> float:
     return float(max(np.max(grid - x), np.max(x - (grid - 1 / k))))
 
 
-def calibrate(
-    config: SynthConfig,
-    plan: BootstrapPlan,
-    trials: int,
-    spec: Optional[ScoreSpec] = None,
-) -> CalibrationSummary:
-    """Run the pipeline on fresh synthetic data per trial.
+def calibrate(config: SynthConfig, plan: BootstrapPlan, trials: int) -> CalibrationSummary:
+    """Run the pipeline on fresh synthetic data per trial, scoring accuracy,
+    or MAE for regression: the two metrics ``expected_score`` has in closed
+    form.
 
     Measures how often the first system's CI covers its closed-form
     population score and, when the first two systems share an identical
@@ -176,12 +168,9 @@ def calibrate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if spec is None:
-        spec = (
-            ScoreSpec.accuracy()
-            if config.task_kind is TaskKind.CLASSIFICATION
-            else ScoreSpec.mae()
-        )
+    spec = (
+        ScoreSpec.accuracy() if config.task_kind is TaskKind.CLASSIFICATION else ScoreSpec.mae()
+    )
     names = list(config.systems)
     first = names[0]
     truth = expected_score(config, first)
@@ -223,38 +212,3 @@ def calibrate(
         ks_distance=_ks_uniform(ps) if ps is not None else None,
     )
 
-
-def synth_config_from_json(path) -> SynthConfig:
-    """Read a SynthConfig from a JSON file, same conventions as run configs.
-
-    Systems map names to noise objects: ``{"kind": "label_noise", "rate":
-    0.2, "kernel": {...}?}`` or ``{"kind": "value_noise", "rate": 0.5,
-    "sd": 0.8}``; the kind may be omitted when it is implied by the fields.
-    """
-    path = Path(path)
-    payload = read_json_config(path)
-    systems = payload.get("systems") if isinstance(payload, dict) else None
-    if not isinstance(systems, dict) or not all(isinstance(e, dict) for e in systems.values()):
-        raise ConfigError(f"{path}: expected a JSON object with a 'systems' map of objects")
-
-    def noise_from(entry) -> LabelNoise | ValueNoise:
-        kind = entry.get("kind") or ("value_noise" if "sd" in entry else "label_noise")
-        if kind == "label_noise":
-            return LabelNoise(rate=entry["rate"], kernel=entry.get("kernel"))
-        if kind == "value_noise":
-            return ValueNoise(rate=entry["rate"], sd=entry["sd"])
-        raise ConfigError(f"{path}: unknown noise kind {kind!r}")
-
-    try:
-        return SynthConfig(
-            n=payload["n"],
-            seed=payload.get("seed", 0),
-            systems={name: noise_from(entry) for name, entry in systems.items()},
-            labels=tuple(payload.get("labels", ())),
-            label_probs=tuple(payload.get("label_probs", ())),
-            gold_mean=payload.get("gold_mean", 0.0),
-            gold_sd=payload.get("gold_sd", 1.0),
-            task_kind=TaskKind(payload.get("task", "classification")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

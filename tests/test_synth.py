@@ -70,6 +70,20 @@ def test_expected_accuracy_with_kernel_self_mass():
     assert expected_score(cfg, "sys") == pytest.approx(1 - 0.4 + 0.4 * 0.3 * 0.5)
 
 
+def test_generate_draws_replacements_from_the_kernel():
+    cyclic = {"a": {"b": 1}, "b": {"c": 1}, "c": {"a": 1}}
+    cfg = config(n=300, seed=5, plain=LabelNoise(rate=0.2),
+                 skewed=LabelNoise(rate=0.3, kernel=cyclic))
+    table = generate(cfg)
+    assert table.n == 300
+    assert table.names == ("plain", "skewed")
+    pred = table.systems["skewed"]
+    changed = pred != table.gold
+    assert changed.any()
+    target = {gold: next(iter(row)) for gold, row in cyclic.items()}
+    assert all(p == target[g] for g, p in zip(table.gold[changed], pred[changed]))
+
+
 def test_scores_converge_to_expectation():
     for n in (100, 1000, 10000):
         cfg = config(n=n, seed=50 + n, sys=LabelNoise(rate=0.3))
