@@ -17,7 +17,8 @@ from .bootstrap import CI, SamplingDistribution, distributions, percentile_rows
 from .errors import MetricError
 from .table import LOWER, BootstrapPlan, PredictionTable, ScoreSpec
 
-# bytes of competitor values per pair-kernel call; bounds the matrix pass's memory
+# bytes of the one delta buffer a matrix pass reuses for every pair-kernel
+# call; bounds the pass's memory
 _PAIR_BLOCK_BYTES = 1 << 20
 
 STAR_LEVELS = (
@@ -54,11 +55,30 @@ def _sign(spec: ScoreSpec) -> float:
     return -1.0 if spec.direction == LOWER else 1.0
 
 
-def _deltas(ref: SamplingDistribution, values, observed, spec: ScoreSpec):
-    """Observed and per-replicate deltas of ``ref`` over competitor values and
-    observed scores, signed so that positive means the reference did better."""
-    sign = _sign(spec)
-    return sign * (ref.observed - observed), sign * (ref.values - values)
+def _deltas(ref: SamplingDistribution, comps: list, spec: ScoreSpec, out: np.ndarray):
+    """Observed deltas of ``ref`` over each of ``comps``, and ``out``'s first
+    len(comps) rows holding their per-replicate deltas, each written once;
+    both signed so that positive means the reference did better."""
+    rows = out[:len(comps)]
+    for c, row in zip(comps, rows):
+        np.subtract(ref.values, c.values, out=row)
+    observed = ref.observed - np.array([c.observed for c in comps])
+    if spec.direction == LOWER:
+        # -(a - b), not b - a: where a == b the delta is -0.0, not +0.0
+        np.negative(rows, out=rows)
+        observed = -observed
+    return observed, rows
+
+
+def _check_replicates(reference: str, dist_ref: SamplingDistribution, dists: dict):
+    """Raise a ValueError naming the first of ``dists`` whose replicate count
+    differs from the reference's; mismatched values would broadcast."""
+    for name, dist in dists.items():
+        if dist.values.shape != dist_ref.values.shape:
+            raise ValueError(
+                f"{name!r} has {len(dist.values)} bootstrap values, but "
+                f"{reference!r} has {len(dist_ref.values)}"
+            )
 
 
 def _p_values(values: np.ndarray, observed):
@@ -66,15 +86,22 @@ def _p_values(values: np.ndarray, observed):
     strictly exceeds twice ``observed``.  Identical systems (every delta 0)
     get 1, as equality can never be rejected for them."""
     observed = np.asarray(observed)
-    p = np.count_nonzero(values > 2.0 * observed[..., None], axis=-1) / values.shape[-1]
-    return np.where((observed == 0.0) & ~values.any(axis=-1), 1.0, p)
+    p = np.asarray(np.count_nonzero(values > 2.0 * observed[..., None], axis=-1) / values.shape[-1])
+    rows, flat = values.reshape(-1, values.shape[-1]), p.reshape(-1)
+    # identical systems tie exactly, so only rows of a 0.0 delta are read
+    for r in np.flatnonzero(observed.reshape(-1) == 0.0):
+        if not rows[r].any():
+            flat[r] = 1.0
+    return p
 
 
-def _pair_kernel(ref: SamplingDistribution, comps: list, spec: ScoreSpec, confidence: float):
-    """Compare ``ref`` with all of ``comps`` at once: arrays over ``comps`` of
-    the signed observed deltas, the p-values and (lci, mean, uci)."""
-    values, observed = np.stack([c.values for c in comps]), np.array([c.observed for c in comps])
-    observed, deltas = _deltas(ref, values, observed, spec)
+def _pair_kernel(
+    ref: SamplingDistribution, comps: list, spec: ScoreSpec, confidence: float, out: np.ndarray
+):
+    """Compare ``ref`` with all of ``comps`` at once, their deltas written into
+    ``out``'s first len(comps) rows: arrays over ``comps`` of the signed
+    observed deltas, the p-values and (lci, mean, uci)."""
+    observed, deltas = _deltas(ref, comps, spec, out)
     return observed, _p_values(deltas, observed), percentile_rows(deltas, confidence)
 
 
@@ -92,7 +119,9 @@ def delta_from_distributions(
     the swap is recorded; pass False to keep the caller's orientation, e.g.
     for calibration studies where the sign must stay fixed.
     """
-    observed, values = _deltas(dist_ref, dist_comp.values, dist_comp.observed, spec)
+    _check_replicates(reference, dist_ref, {competitor: dist_comp})
+    observed, (values,) = _deltas(dist_ref, [dist_comp], spec, np.empty((1, len(dist_ref.values))))
+    observed = float(observed[0])
     if reorient and observed < 0.0:
         return PairedDelta(
             reference=competitor,
@@ -186,20 +215,23 @@ def matrix_from_distributions(
     systems keep the order of ``dists``.
 
     The one pass over ranked pairs: ``_pair_kernel`` compares each reference
-    rank with the systems below it, ``_PAIR_BLOCK_BYTES`` of their values at a
-    time, so memory does not grow with the number of systems.
+    rank with the systems below it, as many at a time as fit (at least one)
+    in one ``_PAIR_BLOCK_BYTES`` delta buffer that every call reuses, so
+    memory does not grow with the number of systems.
     """
     if len(dists) < 2:
         raise ValueError("need at least 2 systems for a difference matrix")
     ranked = rank_systems({name: d.observed for name, d in dists.items()}, spec)
-    m = len(ranked)
-    step = max(1, _PAIR_BLOCK_BYTES // max(dists[ranked[0]].values.nbytes, 1))
+    _check_replicates(ranked[0], dists[ranked[0]], dists)
+    m, replicates = len(ranked), len(dists[ranked[0]].values)
+    step = max(1, _PAIR_BLOCK_BYTES // max(8 * replicates, 1))
+    out = np.empty((min(step, m - 1), replicates))
     entries = {}
     for j in range(m - 1):
         for start in range(j + 1, m, step):
             comps = [dists[name] for name in ranked[start:start + step]]
             with np.errstate(over="ignore", invalid="ignore"):  # finite scores, overflowing delta
-                delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence)
+                delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence, out)
             bad = np.flatnonzero(~np.isfinite([delta, *ci]).all(axis=0))
             if bad.size:
                 raise MetricError(

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boardstats import inference
-from boardstats.bootstrap import SamplingDistribution
+from boardstats.bootstrap import SamplingDistribution, distributions
 from boardstats.inference import (
     PairedDelta,
     delta_from_distributions,
     difference_ci,
     difference_matrix,
+    matrix_from_distributions,
     p_value,
     paired_difference,
     significance_stars,
@@ -146,7 +149,8 @@ def test_difference_matrix_two_identical_systems():
 
 @pytest.mark.parametrize("metric", ["accuracy", "mae"])
 def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
-    # two competitors per kernel call, so the winner's three span two calls
+    # two competitors per kernel call, so the winner's three span a 2-row call
+    # and a 1-row call that leaves a stale row in the reused delta buffer
     monkeypatch.setattr(inference, "_PAIR_BLOCK_BYTES", 2 * 8 * 800)
     g = np.random.default_rng(11)
     if metric == "accuracy":
@@ -169,15 +173,23 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
     plan = BootstrapPlan(replicates=800, seed=3)
 
     dm = difference_matrix(table, spec, plan)
+    dists = distributions(table, spec, plan)
+    sign = 1.0 if metric == "accuracy" else -1.0
     assert len(dm.entries) == 6
     for (i, j), entry in dm.entries.items():
         assert j < i
         pd = paired_difference(
             table, spec, plan, dm.systems[j], dm.systems[i], reorient=False
         )
-        assert entry.delta == pd.observed_delta
-        assert entry.p == p_value(pd)
-        assert entry.ci == difference_ci(pd, plan.confidence)
+        # bit for bit: MAE's identical pair has deltas of -0.0, which == cannot
+        # tell from +0.0; the plain signed difference is the reference
+        ref, comp = dists[dm.systems[j]], dists[dm.systems[i]]
+        assert pd.delta_values.tobytes() == (sign * (ref.values - comp.values)).tobytes()
+        assert float.hex(pd.observed_delta) == float.hex(sign * (ref.observed - comp.observed))
+        expected = (pd.observed_delta, p_value(pd), *difference_ci(pd, plan.confidence))
+        assert [float.hex(x) for x in (entry.delta, entry.p, *entry.ci)] == [
+            float.hex(x) for x in expected
+        ]
     copy = dm.entry(dm.systems.index("s1_copy"), dm.systems.index("s1"))
     assert (copy.delta, copy.p, copy.stars) == (0.0, 1.0, "")
     # ranked best first
@@ -193,3 +205,33 @@ def test_difference_matrix_needs_two_systems():
     table = PredictionTable.build(["x"], {"only": ["x"]})
     with pytest.raises(ValueError):
         difference_matrix(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=10, seed=0))
+
+
+def test_matrix_pass_memory_is_bounded_by_its_delta_buffer():
+    g = np.random.default_rng(4)
+    dists = {
+        f"s{k}": SamplingDistribution(g.normal(0.5 + 1e-3 * k, 0.01, 10_000), 0.5 + 1e-3 * k)
+        for k in range(40)
+    }
+    tracemalloc.start()
+    try:
+        matrix_from_distributions(dists, ScoreSpec.accuracy(), 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one reused delta buffer and the endpoints' copy of it, plus the entries
+    assert peak < 2 * inference._PAIR_BLOCK_BYTES + (512 << 10)
+
+
+@pytest.mark.parametrize("short", [1, 99])
+def test_mismatched_replicate_counts_name_the_system(short):
+    g = np.random.default_rng(6)
+    dists = {
+        "a": SamplingDistribution(g.random(100), 0.9),
+        "b": SamplingDistribution(g.random(100), 0.8),
+        "c": SamplingDistribution(g.random(short), 0.7),
+    }
+    with pytest.raises(ValueError, match="'c' has %d bootstrap values, but 'a' has 100" % short):
+        matrix_from_distributions(dists, ScoreSpec.accuracy(), 0.95)
+    with pytest.raises(ValueError, match="'c' has %d bootstrap values, but 'b' has 100" % short):
+        delta_from_distributions("b", "c", dists["b"], dists["c"], ScoreSpec.accuracy())
