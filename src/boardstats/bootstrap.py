@@ -144,7 +144,7 @@ def distributions(
     for name in names:
         if name not in table.systems:
             raise KeyError(f"unknown system {name!r}")
-    if spec.metric in ("f1", "macro_f1"):
+    if spec.labels:
         present = table.label_set
         missing = [c for c in spec.labels if c not in present]
         if missing:

@@ -16,7 +16,6 @@ from .dataio import FORMATS, TASKS, RunConfig, comma_list
 from .errors import BoardstatsError
 from .pipeline import run_pipeline
 from .report import CORRECTION_KEYS
-from .table import DIRECTIONS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,11 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric",
         help="accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<file.py> "
         "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--direction",
-        choices=DIRECTIONS,
-        help="override score direction (custom metrics only)",
     )
     parser.add_argument("--samples", type=int, help="bootstrap replicates (default: %(default)s)")
     parser.add_argument("--seed", type=int, help="master seed (default: %(default)s)")

@@ -19,7 +19,7 @@ import importlib.util
 import io
 import json
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -35,8 +35,7 @@ TABLE_PRECISION = 4
 _CHUNK_ROWS = 256  # CSV rows held at once while a table is read
 
 # accepted value types per RunConfig field annotation; a bool is never a number
-_FIELD_TYPES = {"str": str, "Optional[str]": (str, type(None)), "int": int,
-                "float": (int, float), "tuple[str, ...]": tuple}
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "tuple[str, ...]": tuple}
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class RunConfig:
     input: str
     gold_col: str = "y"
     metric: str = "accuracy"
-    direction: Optional[str] = None
     samples: int = BootstrapPlan.replicates
     seed: int = BootstrapPlan.seed
     alpha: float = BootstrapPlan.alpha
@@ -80,8 +78,6 @@ class RunConfig:
         for method in self.corrections:
             if method not in CORRECTION_KEYS:
                 raise ConfigError(f"unknown correction {method!r}")
-        if self.direction not in (None,) + DIRECTIONS:
-            raise ConfigError(f"unknown direction {self.direction!r}")
         if self.family not in POLICIES:
             raise ConfigError(f"unknown family policy {self.family!r}")
 
@@ -211,8 +207,9 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
     """Load a plugin metric from a Python file.
 
     The file must define ``score(gold, pred) -> float`` over two equal-length
-    arrays; optional module constants ``NAME``, ``DIRECTION`` ("higher" or
-    "lower") and ``CAPPED_AT_ONE`` refine the spec.
+    arrays.  Its optional constants ``NAME`` (a non-empty str, default the
+    file's stem), ``DIRECTION`` ("higher", the default, or "lower") and
+    ``CAPPED_AT_ONE`` (a bool, default False) alone set those of the spec.
     """
     path = Path(path)
     module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
@@ -226,15 +223,20 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
     fn = getattr(module, "score", None)
     if not callable(fn):
         raise ConfigError(f"{path} does not define a callable score(gold, pred)")
-    return ScoreSpec.custom(
-        name=getattr(module, "NAME", path.stem),
-        fn=fn,
-        direction=getattr(module, "DIRECTION", HIGHER),
-        capped_at_one=bool(getattr(module, "CAPPED_AT_ONE", False)),
-    )
+    name = getattr(module, "NAME", path.stem)
+    direction = getattr(module, "DIRECTION", HIGHER)
+    capped_at_one = getattr(module, "CAPPED_AT_ONE", False)
+    for constant, value, ok, wanted in (
+        ("NAME", name, isinstance(name, str) and name != "", "a non-empty str"),
+        ("DIRECTION", direction, direction in DIRECTIONS, " or ".join(map(repr, DIRECTIONS))),
+        ("CAPPED_AT_ONE", capped_at_one, isinstance(capped_at_one, bool), "True or False"),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}: {constant} must be {wanted}, not {value!r}")
+    return ScoreSpec.custom(name=name, fn=fn, direction=direction, capped_at_one=capped_at_one)
 
 
-def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
+def parse_metric(text: str) -> ScoreSpec:
     """Build a ScoreSpec from its command-line syntax.
 
     accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<path>
@@ -263,13 +265,6 @@ def parse_metric(text: str, direction: Optional[str] = None) -> ScoreSpec:
             raise ConfigError(f"unknown metric {text!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if direction is not None and direction != spec.direction:
-        if spec.metric == "custom":
-            spec = replace(spec, direction=direction)
-        else:
-            raise ConfigError(
-                f"direction {direction!r} conflicts with metric {spec.display_name!r}"
-            )
     return spec
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bootstrap import CI, SamplingDistribution, distributions, percentile_rows
 from .errors import MetricError
-from .table import LOWER, BootstrapPlan, PredictionTable, ScoreSpec
+from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 # bytes of the one delta buffer a matrix pass reuses for every pair-kernel
 # call; bounds the pass's memory
@@ -50,24 +50,26 @@ class PairedDelta:
         self.delta_values.flags.writeable = False
 
 
-def _sign(spec: ScoreSpec) -> float:
-    """+1 where higher scores are better, -1 where lower ones are."""
-    return -1.0 if spec.direction == LOWER else 1.0
-
-
 def _deltas(ref: SamplingDistribution, comps: list, spec: ScoreSpec, out: np.ndarray):
     """Observed deltas of ``ref`` over each of ``comps``, and ``out``'s first
     len(comps) rows holding their per-replicate deltas, each written once;
-    both signed so that positive means the reference did better."""
+    both signed so that positive means the reference did better.  A delta
+    past the float maximum is inf, for the caller to reject."""
     rows = out[:len(comps)]
-    for c, row in zip(comps, rows):
-        np.subtract(ref.values, c.values, out=row)
-    observed = ref.observed - np.array([c.observed for c in comps])
-    if spec.direction == LOWER:
+    with np.errstate(over="ignore"):
+        for c, row in zip(comps, rows):
+            np.subtract(ref.values, c.values, out=row)
+        observed = ref.observed - np.array([c.observed for c in comps])
+    if not spec.higher_is_better:
         # -(a - b), not b - a: where a == b the delta is -0.0, not +0.0
         np.negative(rows, out=rows)
         observed = -observed
     return observed, rows
+
+
+def _pair_not_finite(spec: ScoreSpec, reference: str, competitor: str) -> MetricError:
+    pair = f"the {spec.display_name} difference of {reference!r} and {competitor!r}"
+    return MetricError(f"{pair} or its CI is not finite")
 
 
 def _check_replicates(reference: str, dist_ref: SamplingDistribution, dists: dict):
@@ -86,7 +88,9 @@ def _p_values(values: np.ndarray, observed):
     strictly exceeds twice ``observed``.  Identical systems (every delta 0)
     get 1, as equality can never be rejected for them."""
     observed = np.asarray(observed)
-    p = np.asarray(np.count_nonzero(values > 2.0 * observed[..., None], axis=-1) / values.shape[-1])
+    with np.errstate(over="ignore"):  # twice a delta past half the float maximum is inf
+        above = np.count_nonzero(values > 2.0 * observed[..., None], axis=-1)
+    p = np.asarray(above / values.shape[-1])
     rows, flat = values.reshape(-1, values.shape[-1]), p.reshape(-1)
     # identical systems tie exactly, so only rows of a 0.0 delta are read
     for r in np.flatnonzero(observed.reshape(-1) == 0.0):
@@ -117,11 +121,14 @@ def delta_from_distributions(
 
     With ``reorient`` (default) the observed winner becomes the reference and
     the swap is recorded; pass False to keep the caller's orientation, e.g.
-    for calibration studies where the sign must stay fixed.
+    for calibration studies where the sign must stay fixed.  A delta past
+    the float maximum, observed or on any replicate, is a ``MetricError``.
     """
     _check_replicates(reference, dist_ref, {competitor: dist_comp})
     observed, (values,) = _deltas(dist_ref, [dist_comp], spec, np.empty((1, len(dist_ref.values))))
     observed = float(observed[0])
+    if not (np.isfinite(observed) and np.isfinite(values).all()):
+        raise _pair_not_finite(spec, reference, competitor)
     if reorient and observed < 0.0:
         return PairedDelta(
             reference=competitor,
@@ -201,9 +208,8 @@ class DifferenceMatrix:
 
 
 def rank_systems(observed: dict[str, float], spec: ScoreSpec) -> list[str]:
-    """Names sorted best-first; ties keep the dict's order."""
-    sign = _sign(spec)
-    return sorted(observed, key=lambda s: -sign * observed[s])
+    """Names sorted best-first; ties keep the dict's order (a stable sort)."""
+    return sorted(observed, key=observed.__getitem__, reverse=spec.higher_is_better)
 
 
 def matrix_from_distributions(
@@ -230,14 +236,11 @@ def matrix_from_distributions(
     for j in range(m - 1):
         for start in range(j + 1, m, step):
             comps = [dists[name] for name in ranked[start:start + step]]
-            with np.errstate(over="ignore", invalid="ignore"):  # finite scores, overflowing delta
+            with np.errstate(invalid="ignore"):  # the CI of an inf delta row, rejected below
                 delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence, out)
             bad = np.flatnonzero(~np.isfinite([delta, *ci]).all(axis=0))
             if bad.size:
-                raise MetricError(
-                    f"the {spec.display_name} difference of {ranked[j]!r} and "
-                    f"{ranked[start + bad[0]]!r} or its CI is not finite"
-                )
+                raise _pair_not_finite(spec, ranked[j], ranked[start + bad[0]])
             for i, d, pi, *bounds in zip(range(start, m), *(a.tolist() for a in (delta, p, *ci))):
                 entries[(i, j)] = MatrixEntry(
                     ranked[j], ranked[i], d, pi, significance_stars(pi), CI(*bounds)

@@ -33,7 +33,7 @@ class PipelineResult:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute the full analysis described by ``config``."""
-    spec = parse_metric(config.metric, config.direction)
+    spec = parse_metric(config.metric)
     plan = _plan(config)
     table = load_table(config.input, gold_col=config.gold_col, task=config.task)
     rep = build_report(

@@ -192,6 +192,7 @@ def build_report(
         cv_value = cv(ranked_scores)
     except ValueError:  # the mean is 0: there are at least 2 competitors
         cv_value = None
+    ppi_value = ppi(ranked_scores[0], spec)
     m = len(competitors)
     return CompetitionReport(
         n=table.n,
@@ -201,8 +202,8 @@ def build_report(
         ties_all_pairs=all_pairs,
         win_med_gap=win_med_gap(ranked_scores),
         cv=cv_value,
-        cv_comparable=spec.capped_at_one and spec.higher_is_better,
-        ppi=ppi(ranked_scores[0], spec),
+        cv_comparable=ppi_value is not None,
+        ppi=ppi_value,
         alpha=plan.alpha,
         metric=spec.display_name,
         direction=spec.direction,

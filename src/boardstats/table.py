@@ -20,7 +20,10 @@ HIGHER = "higher"
 LOWER = "lower"
 DIRECTIONS = (HIGHER, LOWER)
 
-METRICS = ("accuracy", "f1", "macro_f1", "mae", "custom")
+# each built-in metric's (direction, capped_at_one), stated here only
+BUILTIN_METRICS = {"accuracy": (HIGHER, True), "f1": (HIGHER, True),
+                   "macro_f1": (HIGHER, True), "mae": (LOWER, False)}
+METRICS = (*BUILTIN_METRICS, "custom")
 
 
 class TaskKind(str, Enum):
@@ -183,7 +186,9 @@ class ScoreSpec:
     """Which metric to compute, over which classes, and which way is up.
 
     ``capped_at_one`` marks metrics whose ideal value is 1; the improvement
-    headroom statistic is only defined for those.
+    headroom statistic is only defined for those.  A built-in metric's
+    direction and cap are its ``BUILTIN_METRICS`` entry; a custom one's are
+    its own.
     """
 
     metric: str
@@ -200,13 +205,15 @@ class ScoreSpec:
             raise ValueError(f"direction must be {HIGHER!r} or {LOWER!r}")
         if self.metric in ("f1", "macro_f1") and not self.labels:
             raise ValueError(f"{self.metric} requires a non-empty label subset")
-        if self.metric == "mae":
-            if self.direction != LOWER:
-                raise ValueError("mae is a lower-is-better metric")
-            if self.capped_at_one:
-                raise ValueError("mae has no upper cap of 1")
-        if self.metric == "custom" and self.fn is None:
+        if self.metric not in ("f1", "macro_f1") and self.labels:
+            raise ValueError(f"{self.metric} takes no label subset")
+        fixed = BUILTIN_METRICS.get(self.metric)
+        if fixed is None and self.fn is None:
             raise ValueError("custom metric requires a scoring function")
+        if fixed and (self.direction, self.capped_at_one) != fixed:
+            raise ValueError(f"{self.metric} has direction {fixed[0]!r}, capped_at_one={fixed[1]}")
+        if fixed and (self.name or self.fn is not None):
+            raise ValueError(f"{self.metric} is built in: it takes no name or scoring function")
 
     @property
     def display_name(self) -> str:
@@ -236,7 +243,8 @@ class ScoreSpec:
 
     @classmethod
     def mae(cls) -> "ScoreSpec":
-        return cls(metric="mae", direction=LOWER, capped_at_one=False)
+        direction, capped_at_one = BUILTIN_METRICS["mae"]
+        return cls(metric="mae", direction=direction, capped_at_one=capped_at_one)
 
     @classmethod
     def custom(

@@ -31,7 +31,7 @@ def test_run_config_accepts_an_int_for_a_float():
 @pytest.mark.parametrize(
     "field, value",
     [("samples", "many"), ("alpha", True), ("workers", "2"), ("seed", 1.5), ("input", 3),
-     ("direction", 1), ("corrections", {"bh": 1})],
+     ("gold_col", 1), ("corrections", {"bh": 1})],
 )
 def test_run_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be "):

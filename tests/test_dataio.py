@@ -257,8 +257,6 @@ def test_parse_metric_variants():
         parse_metric("f1:")
     with pytest.raises(ConfigError):
         parse_metric("macro-f1:")
-    with pytest.raises(ConfigError):
-        parse_metric("accuracy", direction="lower")
 
 
 def test_custom_metric_plugin(tmp_path):
@@ -275,8 +273,19 @@ def test_custom_metric_plugin(tmp_path):
     assert spec.name == "swing"
     assert spec.capped_at_one
     assert spec.fn(np.array(["a"]), np.array(["a"])) == 1.0
-    lowered = parse_metric(f"custom:{plugin}", direction="lower")
-    assert lowered.direction == "lower"
+    lower = tmp_path / "lower.py"
+    lower.write_text("DIRECTION = 'lower'\ndef score(gold, pred):\n    return 0.5\n")
+    lowered = parse_metric(f"custom:{lower}")
+    assert (lowered.name, lowered.direction, lowered.capped_at_one) == ("lower", "lower", False)
+    for constant, wanted in (("NAME = 5", "a non-empty str, not 5"),
+                             ("NAME = ''", "a non-empty str, not ''"),
+                             ("CAPPED_AT_ONE = 'no'", "True or False, not 'no'"),
+                             ("DIRECTION = 'up'", "'higher' or 'lower', not 'up'")):
+        wrong = tmp_path / "wrong.py"
+        wrong.write_text(f"{constant}\ndef score(gold, pred):\n    return 0.5\n")
+        with pytest.raises(ConfigError) as err:
+            parse_metric(f"custom:{wrong}")
+        assert str(err.value) == f"{wrong}: {constant.split()[0]} must be {wanted}"
     with pytest.raises(ConfigError):
         parse_metric("custom:/does/not/exist.py")
     bad = tmp_path / "bad.py"

@@ -42,6 +42,53 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["Path (line 1)"]
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (one leading underscore) that a module of
+    ``sources`` defines at its top level, as a function, class or constant,
+    or as a method of a top-level class, and that no module reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        nodes = [(node, "") for node in tree.body]
+        nodes += [(item, f"{node.name}.") for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)]
+        for node, owner in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(name, f"{module}: {owner}{name} (line {node.lineno})")
+                        for name in names if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [where for name, where in defined if name not in read]
+
+
+def test_no_module_keeps_an_unused_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_KEPT = 1\n_SPARE = 2\ndef _gone():\n    pass\n"
+                "class _Box:\n    def _unused(self):\n        return self._used()\n"
+                "    def _used(self):\n        return _LIMIT\n",
+        "b.py": "from .a import _KEPT\nprint(_Box)\n",
+    }
+    assert unused_private_names(sources) == [
+        "a.py: _SPARE (line 3)", "a.py: _gone (line 4)", "a.py: _Box._unused (line 7)",
+    ]
+
+
 def test_package_exports_are_sorted_and_resolve():
     assert boardstats.__all__ == sorted(boardstats.__all__)
     assert [name for name in boardstats.__all__ if not hasattr(boardstats, name)] == []

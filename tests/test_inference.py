@@ -5,6 +5,7 @@ import pytest
 
 from boardstats import inference
 from boardstats.bootstrap import SamplingDistribution, distributions
+from boardstats.errors import MetricError
 from boardstats.inference import (
     PairedDelta,
     delta_from_distributions,
@@ -235,3 +236,27 @@ def test_mismatched_replicate_counts_name_the_system(short):
         matrix_from_distributions(dists, ScoreSpec.accuracy(), 0.95)
     with pytest.raises(ValueError, match="'c' has %d bootstrap values, but 'b' has 100" % short):
         delta_from_distributions("b", "c", dists["b"], dists["c"], ScoreSpec.accuracy())
+
+
+
+def test_a_single_pair_near_the_float_maximum_behaves_as_the_matrix_does():
+    values = np.array([1.7e308, 1.6e308, 1.5e308])
+    a = SamplingDistribution(values, 1.6e308)
+    b = SamplingDistribution(-values, -1.6e308)
+    message = "the accuracy difference of 'a' and 'b' or its CI is not finite"
+    with pytest.raises(MetricError, match=message) as single:
+        delta_from_distributions("a", "b", a, b, ScoreSpec.accuracy())
+    with pytest.raises(MetricError, match=message):
+        matrix_from_distributions({"a": a, "b": b}, ScoreSpec.accuracy(), 0.95)
+    assert single.value.stage == "bootstrap"
+    # finite observed scores, a replicate delta past the maximum
+    with pytest.raises(MetricError, match="difference of 'a' and 'c'"):
+        delta_from_distributions("a", "c", SamplingDistribution(values, 0.0),
+                                 SamplingDistribution(-values, 0.0), ScoreSpec.accuracy())
+    # finite deltas whose double, the p-value's threshold, is past it
+    a = SamplingDistribution(np.array([1.0e308, 1.1e308, 0.9e308]), 1.0e308)
+    b = SamplingDistribution(np.zeros(3), 0.0)
+    pd = delta_from_distributions("a", "b", a, b, ScoreSpec.accuracy())
+    entry = matrix_from_distributions({"a": a, "b": b}, ScoreSpec.accuracy(), 0.95).entry(1, 0)
+    assert p_value(pd) == entry.p == 0.0
+    assert difference_ci(pd, 0.95) == entry.ci

@@ -165,8 +165,20 @@ def test_perfect_system_is_permitted():
 
 
 def test_scorespec_invariants():
-    with pytest.raises(ValueError):
-        ScoreSpec(metric="mae", direction="higher")
+    contradictions = [
+        dict(metric="mae", direction="higher"),
+        dict(metric="mae", direction="lower", capped_at_one=True),
+        dict(metric="mae", direction="lower", capped_at_one=False, labels=("a",)),
+        dict(metric="custom", fn=len, labels=("a",)),
+        dict(metric="accuracy", name="mae"),
+        dict(metric="accuracy", fn=len),
+    ]
+    for metric, labels in (("accuracy", ()), ("f1", ("a",)), ("macro_f1", ("a", "b"))):
+        contradictions += [dict(metric=metric, labels=labels, direction="lower"),
+                           dict(metric=metric, labels=labels, capped_at_one=False)]
+    for fields in contradictions:
+        with pytest.raises(ValueError):
+            ScoreSpec(**fields)
     with pytest.raises(ValueError):
         ScoreSpec(metric="macro_f1", labels=())
     with pytest.raises(ValueError):
