@@ -27,7 +27,7 @@ from typing import Optional, Sequence, TextIO
 from .corrections import DEFAULT_POLICY, METHODS, POLICIES
 from .errors import ConfigError, DataFormatError
 from .report import CORRECTION_KEYS, GOLD_ALIAS
-from .table import DIRECTIONS, HIGHER, BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
+from .table import DIRECTIONS, METRICS, BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
 
 FORMATS = ("json", "csv", "md", "svg")
 TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
@@ -100,39 +100,20 @@ def _header_problem(header: list[str], gold_col: str) -> Optional[str]:
     return None
 
 
-def _regression_floats(
-    parts: list[tuple[str, ...]], start: int, text_rows: list[int]
-) -> list[array]:
-    """The floats of one chunk's columns under ``task=regression``, a blank
-    cell read as NaN.  ``text_rows[j]`` keeps the row of column j's first
-    text cell (0 while it has none)."""
-    floats = []
-    for j, part in enumerate(parts):
-        values = array("d")
-        for k, cell in enumerate(part, start=start):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if cell.strip() and not text_rows[j]:
-                    text_rows[j] = k
-                values.append(float("nan"))
-        floats.append(values)
-    return floats
-
-
 def _read_columns(
-    path: Path, handle: TextIO, gold_col: str, kind: Optional[TaskKind]
-) -> Optional[tuple[TaskKind, dict[str, Sequence]]]:
-    """The task kind and the header-named columns of an open prediction CSV.
+    path: Path, handle: TextIO, gold_col: str, as_labels: bool
+) -> Optional[dict[str, Sequence]]:
+    """The header-named columns of an open prediction CSV, as labels or as
+    floats.
 
     Rows are read ``_CHUNK_ROWS`` at a time and transposed into columns;
     no list of all rows is kept.  Labels go through one dict that maps a
     cell to its first equal ``str``, so a column costs one reference per
     cell and the table one ``str`` per distinct label.  Numbers are parsed
-    once, into float arrays, and their text is not kept: when ``kind`` is
-    None (auto) and a text or blank cell turns up, the result is None and
-    the caller reads the file again as labels.  Structural errors wait for
-    the end of the file, so an unreadable byte anywhere outranks them.
+    once, into float arrays, and their text is not kept: when a text or
+    blank cell turns up, the result is None and the caller reads the file
+    again as labels.  Structural errors wait for the end of the file, so
+    an unreadable byte anywhere outranks them.
     """
     reader = csv.reader(handle)
     header = next(reader, None)
@@ -141,10 +122,8 @@ def _read_columns(
     header = [h.strip() for h in header]
     width = len(header)
     problem = _header_problem(header, gold_col)
-    as_labels = kind is TaskKind.CLASSIFICATION
     columns = [[] if as_labels else array("d") for _ in header]
     shared: dict[str, str] = {}  # cell -> its first equal str in the table
-    text_rows = [0] * width  # regression: first row of text per column
     rows = 0
     while chunk := list(islice(reader, _CHUNK_ROWS)):
         start, rows = rows + 2, rows + len(chunk)
@@ -162,9 +141,7 @@ def _read_columns(
         try:
             floats = [array("d", map(float, part)) for part in parts]
         except ValueError:  # text or a blank cell
-            if kind is None:
-                return None
-            floats = _regression_floats(parts, start, text_rows)
+            return None
         for col, parsed in zip(columns, floats):
             col += parsed
 
@@ -172,10 +149,26 @@ def _read_columns(
         raise DataFormatError(f"{path}: no data rows below the header")
     if problem:
         raise DataFormatError(f"{path}: {problem}")
-    for name, k in zip(header, text_rows):
-        if k:
-            raise DataFormatError(f"{path}: column {name!r} mixes numbers and text (row {k})")
-    return kind or TaskKind.REGRESSION, dict(zip(header, columns))
+    return dict(zip(header, columns))
+
+
+def _regression_floats(path: Path, columns: dict[str, list]) -> dict[str, list]:
+    """Label columns read as numbers under ``task=regression``: the first
+    text cell, by column in header order, is an error, and a blank cell is
+    NaN, which the table reports where it is."""
+    floats = {}
+    for name, col in columns.items():
+        floats[name] = values = []
+        for k, cell in enumerate(col, start=2):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                if cell.strip():
+                    raise DataFormatError(
+                        f"{path}: column {name!r} mixes numbers and text (row {k})"
+                    ) from None
+                values.append(float("nan"))
+    return floats
 
 
 def load_table(
@@ -192,15 +185,17 @@ def load_table(
         with path.open(newline="", encoding="utf-8-sig") as handle:
             if not handle.seekable():  # a pipe: hold its text, which may be read twice
                 handle = io.StringIO(handle.read(), newline="")
-            read = _read_columns(path, handle, gold_col, kind)
-            if read is None:  # auto detection met text: every cell is a label
+            columns = _read_columns(path, handle, gold_col, kind is TaskKind.CLASSIFICATION)
+            if columns is None:  # a text or blank cell: every cell is a label
                 handle.seek(0)
-                read = _read_columns(path, handle, gold_col, TaskKind.CLASSIFICATION)
+                columns = _read_columns(path, handle, gold_col, True)
+                if kind is TaskKind.REGRESSION:
+                    columns = _regression_floats(path, columns)
+                kind = kind or TaskKind.CLASSIFICATION
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
-    kind, columns = read
     gold = columns.pop(gold_col)
-    return PredictionTable.build(gold, columns, kind)
+    return PredictionTable.build(gold, columns, kind or TaskKind.REGRESSION)
 
 
 def load_custom_metric(path: str | Path) -> ScoreSpec:
@@ -208,8 +203,9 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
 
     The file must define ``score(gold, pred) -> float`` over two equal-length
     arrays.  Its optional constants ``NAME`` (a non-empty str, default the
-    file's stem), ``DIRECTION`` ("higher", the default, or "lower") and
-    ``CAPPED_AT_ONE`` (a bool, default False) alone set those of the spec.
+    file's stem), ``DIRECTION`` ("higher" or "lower") and ``CAPPED_AT_ONE``
+    (a bool) alone set those of the spec; left out, the last two take
+    ``METRICS["custom"]``'s.
     """
     path = Path(path)
     module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
@@ -223,49 +219,43 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
     fn = getattr(module, "score", None)
     if not callable(fn):
         raise ConfigError(f"{path} does not define a callable score(gold, pred)")
-    name = getattr(module, "NAME", path.stem)
-    direction = getattr(module, "DIRECTION", HIGHER)
-    capped_at_one = getattr(module, "CAPPED_AT_ONE", False)
-    for constant, value, ok, wanted in (
-        ("NAME", name, isinstance(name, str) and name != "", "a non-empty str"),
-        ("DIRECTION", direction, direction in DIRECTIONS, " or ".join(map(repr, DIRECTIONS))),
-        ("CAPPED_AT_ONE", capped_at_one, isinstance(capped_at_one, bool), "True or False"),
+    given = {"name": path.stem}
+    for constant, field, ok, wanted in (
+        ("NAME", "name", lambda v: isinstance(v, str) and v != "", "a non-empty str"),
+        ("DIRECTION", "direction", lambda v: v in DIRECTIONS, " or ".join(map(repr, DIRECTIONS))),
+        ("CAPPED_AT_ONE", "capped_at_one", lambda v: isinstance(v, bool), "True or False"),
     ):
-        if not ok:
-            raise ConfigError(f"{path}: {constant} must be {wanted}, not {value!r}")
-    return ScoreSpec.custom(name=name, fn=fn, direction=direction, capped_at_one=capped_at_one)
+        if hasattr(module, constant):
+            value = getattr(module, constant)
+            if not ok(value):
+                raise ConfigError(f"{path}: {constant} must be {wanted}, not {value!r}")
+            given[field] = value
+    return ScoreSpec.custom(fn=fn, **given)
 
 
 def parse_metric(text: str) -> ScoreSpec:
     """Build a ScoreSpec from its command-line syntax.
 
     accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<path>
+
+    Which metrics take classes, and how many, is ``ScoreSpec``'s to check.
     """
-    kind, _, arg = text.partition(":")
-    kind = kind.strip().lower()
+    kind, colon, arg = text.partition(":")
+    kind = kind.strip().lower().replace("-", "_")
+    if kind == "custom":
+        if not arg:
+            raise ConfigError("custom metric needs a path, e.g. custom:metric.py")
+        return load_custom_metric(arg)
+    if kind not in METRICS:
+        raise ConfigError(f"unknown metric {text!r}")
+    if kind == "macro_f1":
+        labels = comma_list(arg)
+    else:  # f1's class is the whole argument, commas and all; accuracy and mae reject any
+        labels = (arg.strip(),) if colon else ()
     try:
-        if kind == "accuracy":
-            spec = ScoreSpec.accuracy()
-        elif kind == "f1":
-            if not arg:
-                raise ConfigError("f1 metric needs a class, e.g. f1:toxic")
-            spec = ScoreSpec.f1(arg)
-        elif kind in ("macro-f1", "macro_f1"):
-            labels = comma_list(arg)
-            if not labels:
-                raise ConfigError("macro-f1 needs classes, e.g. macro-f1:favor,against")
-            spec = ScoreSpec.macro_f1(labels)
-        elif kind == "mae":
-            spec = ScoreSpec.mae()
-        elif kind == "custom":
-            if not arg:
-                raise ConfigError("custom metric needs a path, e.g. custom:metric.py")
-            spec = load_custom_metric(arg)
-        else:
-            raise ConfigError(f"unknown metric {text!r}")
+        return ScoreSpec(metric=kind, labels=labels)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return spec
 
 
 def fmt_float(value: float) -> str:

@@ -35,16 +35,13 @@ class PairedDelta:
 
     ``delta_values[r]`` is the reference score minus the competitor score on
     replicate r's shared resample, sign-flipped for lower-is-better metrics so
-    that positive always means the reference performed better.  ``reoriented``
-    records that the caller's reference was observed worse and the pair was
-    swapped.
+    that positive always means the reference performed better.
     """
 
     reference: str
     competitor: str
     delta_values: np.ndarray
     observed_delta: float
-    reoriented: bool = False
 
     def __post_init__(self):
         self.delta_values.flags.writeable = False
@@ -115,28 +112,17 @@ def delta_from_distributions(
     dist_ref: SamplingDistribution,
     dist_comp: SamplingDistribution,
     spec: ScoreSpec,
-    reorient: bool = True,
 ) -> PairedDelta:
-    """Pair two sampling distributions that share resample indices.
-
-    With ``reorient`` (default) the observed winner becomes the reference and
-    the swap is recorded; pass False to keep the caller's orientation, e.g.
-    for calibration studies where the sign must stay fixed.  A delta past
-    the float maximum, observed or on any replicate, is a ``MetricError``.
+    """Pair two sampling distributions that share resample indices, in the
+    caller's orientation: a reference observed worse gets a negative delta.
+    A delta past the float maximum, observed or on any replicate, is a
+    ``MetricError``.
     """
     _check_replicates(reference, dist_ref, {competitor: dist_comp})
     observed, (values,) = _deltas(dist_ref, [dist_comp], spec, np.empty((1, len(dist_ref.values))))
     observed = float(observed[0])
     if not (np.isfinite(observed) and np.isfinite(values).all()):
         raise _pair_not_finite(spec, reference, competitor)
-    if reorient and observed < 0.0:
-        return PairedDelta(
-            reference=competitor,
-            competitor=reference,
-            delta_values=-values,
-            observed_delta=-observed,
-            reoriented=True,
-        )
     return PairedDelta(
         reference=reference,
         competitor=competitor,
@@ -151,13 +137,11 @@ def paired_difference(
     plan: BootstrapPlan,
     reference: str,
     competitor: str,
-    reorient: bool = True,
 ) -> PairedDelta:
     """Bootstrap the score difference of two systems with shared resamples."""
     dists = distributions(table, spec, plan, systems=[reference, competitor])
     return delta_from_distributions(
-        reference, competitor, dists[reference], dists[competitor], spec,
-        reorient=reorient,
+        reference, competitor, dists[reference], dists[competitor], spec
     )
 
 

@@ -154,7 +154,7 @@ class ResampleScorer:
         if spec.metric == "accuracy":
             self._set_columns([gold == pred])
             self._finish = self._mean
-        elif spec.metric in ("f1", "macro_f1"):
+        elif spec.labels:  # f1 or macro-F1
             if _looks_numeric(gold):
                 raise MetricError(f"{spec.metric} requires categorical outcomes")
             # For class c: F1 = 2*tp / (pred_count + gold_count), so two

@@ -212,8 +212,7 @@ def _write_artifacts(out, config, spec, table, rep):
             ),
             "plot_delta_hist": render_delta_histogram(
                 delta_from_distributions(
-                    ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec,
-                    reorient=False,
+                    ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec
                 )
             ),
         }

@@ -193,8 +193,7 @@ def calibrate(config: SynthConfig, plan: BootstrapPlan, trials: int) -> Calibrat
         p = None
         if null_pair:
             pd = delta_from_distributions(
-                null_pair[0], null_pair[1], dists[null_pair[0]], dists[null_pair[1]],
-                spec, reorient=False,
+                null_pair[0], null_pair[1], dists[null_pair[0]], dists[null_pair[1]], spec
             )
             p = p_value(pd)
         return covered, observed_in, p

@@ -8,6 +8,7 @@ immutable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -20,10 +21,15 @@ HIGHER = "higher"
 LOWER = "lower"
 DIRECTIONS = (HIGHER, LOWER)
 
-# each built-in metric's (direction, capped_at_one), stated here only
-BUILTIN_METRICS = {"accuracy": (HIGHER, True), "f1": (HIGHER, True),
-                   "macro_f1": (HIGHER, True), "mae": (LOWER, False)}
-METRICS = (*BUILTIN_METRICS, "custom")
+# how many classes a metric takes, by the words its errors use
+NO_CLASS, ONE_CLASS, SOME_CLASSES = "no class", "exactly one class", "one or more classes"
+_CLASS_COUNTS = {NO_CLASS: range(1), ONE_CLASS: range(1, 2), SOME_CLASSES: range(1, sys.maxsize)}
+
+# each metric's (direction, capped_at_one, classes), stated here only; the
+# custom entry holds the defaults that a custom metric's file may override
+METRICS = {"accuracy": (HIGHER, True, NO_CLASS), "f1": (HIGHER, True, ONE_CLASS),
+           "macro_f1": (HIGHER, True, SOME_CLASSES), "mae": (LOWER, False, NO_CLASS),
+           "custom": (HIGHER, False, NO_CLASS)}
 
 
 class TaskKind(str, Enum):
@@ -186,33 +192,44 @@ class ScoreSpec:
     """Which metric to compute, over which classes, and which way is up.
 
     ``capped_at_one`` marks metrics whose ideal value is 1; the improvement
-    headroom statistic is only defined for those.  A built-in metric's
-    direction and cap are its ``BUILTIN_METRICS`` entry; a custom one's are
-    its own.
+    headroom statistic is only defined for those.  A metric's direction,
+    cap and class count are its ``METRICS`` entry: ``direction`` and
+    ``capped_at_one`` are filled in from it when left None, and only a
+    custom metric may set its own.
     """
 
     metric: str
     labels: tuple[str, ...] = ()
-    direction: str = HIGHER
-    capped_at_one: bool = True
+    direction: Optional[str] = None
+    capped_at_one: Optional[bool] = None
     name: str = ""
     fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        direction, capped_at_one, classes = METRICS[self.metric]
+        if self.direction is None:
+            object.__setattr__(self, "direction", direction)
+        if self.capped_at_one is None:
+            object.__setattr__(self, "capped_at_one", capped_at_one)
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be {HIGHER!r} or {LOWER!r}")
-        if self.metric in ("f1", "macro_f1") and not self.labels:
-            raise ValueError(f"{self.metric} requires a non-empty label subset")
-        if self.metric not in ("f1", "macro_f1") and self.labels:
-            raise ValueError(f"{self.metric} takes no label subset")
-        fixed = BUILTIN_METRICS.get(self.metric)
-        if fixed is None and self.fn is None:
-            raise ValueError("custom metric requires a scoring function")
-        if fixed and (self.direction, self.capped_at_one) != fixed:
-            raise ValueError(f"{self.metric} has direction {fixed[0]!r}, capped_at_one={fixed[1]}")
-        if fixed and (self.name or self.fn is not None):
+        if len(self.labels) not in _CLASS_COUNTS[classes]:
+            raise ValueError(f"{self.metric} takes {classes}, not {len(self.labels)}")
+        for i, label in enumerate(self.labels):
+            if not label:
+                raise ValueError(f"{self.metric} classes must be non-empty")
+            if label in self.labels[:i]:
+                raise ValueError(f"{self.metric} lists {label!r} more than once")
+        if self.metric == "custom":
+            if self.fn is None:
+                raise ValueError("custom metric requires a scoring function")
+        elif (self.direction, self.capped_at_one) != (direction, capped_at_one):
+            raise ValueError(
+                f"{self.metric} has direction {direction!r}, capped_at_one={capped_at_one}"
+            )
+        elif self.name or self.fn is not None:
             raise ValueError(f"{self.metric} is built in: it takes no name or scoring function")
 
     @property
@@ -243,16 +260,15 @@ class ScoreSpec:
 
     @classmethod
     def mae(cls) -> "ScoreSpec":
-        direction, capped_at_one = BUILTIN_METRICS["mae"]
-        return cls(metric="mae", direction=direction, capped_at_one=capped_at_one)
+        return cls(metric="mae")
 
     @classmethod
     def custom(
         cls,
         name: str,
         fn: Callable[[np.ndarray, np.ndarray], float],
-        direction: str = HIGHER,
-        capped_at_one: bool = False,
+        direction: Optional[str] = None,
+        capped_at_one: Optional[bool] = None,
     ) -> "ScoreSpec":
         return cls(metric="custom", name=name, fn=fn, direction=direction,
                    capped_at_one=capped_at_one)

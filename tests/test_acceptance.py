@@ -265,9 +265,7 @@ def test_criterion_9_plot_contracts(criterion, stance_small):
         winner = "alpha.01"
         diffs = []
         for comp in ("alpha.02", "bravo.01", "charlie.01", "bravo.02"):
-            pd = delta_from_distributions(
-                winner, comp, dists[winner], dists[comp], spec, reorient=False
-            )
+            pd = delta_from_distributions(winner, comp, dists[winner], dists[comp], spec)
             diffs.append((comp, difference_ci(pd, 0.95)))
         fig = render_difference_plot(diffs, reference=winner)
         root = ET.fromstring(fig.svg)
@@ -288,8 +286,7 @@ def test_criterion_9_plot_contracts(criterion, stance_small):
         assert "charlie.01" not in straddlers
 
         pd = delta_from_distributions(
-            winner, "charlie.01", dists[winner], dists["charlie.01"], spec,
-            reorient=False,
+            winner, "charlie.01", dists[winner], dists["charlie.01"], spec
         )
         hist = render_delta_histogram(pd)
         edges = np.asarray(hist.data["bin_edges"])

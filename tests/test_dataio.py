@@ -184,7 +184,7 @@ def test_loaded_labels_are_one_str_per_distinct_label(tmp_path, text, task, labe
     assert all(type(v) is str for col in cells for v in col)
     # the reader already shares raw cells, before the table strips them
     with open(p, newline="", encoding="utf-8-sig") as handle:
-        _, raw = _read_columns(p, handle, "y", TaskKind.CLASSIFICATION)
+        raw = _read_columns(p, handle, "y", as_labels=True)
     assert len({id(v) for col in raw.values() for v in col}) == len(
         {v for col in raw.values() for v in col}
     )
@@ -251,12 +251,12 @@ def test_parse_metric_variants():
     spec = parse_metric("macro-f1:favor,against")
     assert spec.metric == "macro_f1" and spec.labels == ("favor", "against")
     assert parse_metric("mae").direction == "lower"
-    with pytest.raises(ConfigError):
-        parse_metric("bleu")
-    with pytest.raises(ConfigError):
-        parse_metric("f1:")
-    with pytest.raises(ConfigError):
-        parse_metric("macro-f1:")
+    # f1 takes its whole stripped argument as one class, comma and all
+    assert parse_metric("f1: a,b ").labels == ("a,b",)
+    for text in ("bleu", "f1:", "f1: ", "f1", "macro-f1:", "macro-f1:a,a,b", "accuracy:zzz",
+                 "accuracy:", "mae:1"):
+        with pytest.raises(ConfigError):
+            parse_metric(text)
 
 
 def test_custom_metric_plugin(tmp_path):

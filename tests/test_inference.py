@@ -86,25 +86,19 @@ def _two_dists(obs_a, obs_b, vals_a, vals_b):
     )
 
 
-def test_reorientation_swaps_and_records():
+def test_a_pair_keeps_the_callers_orientation():
     da, db = _two_dists(0.4, 0.6, [0.41, 0.39], [0.61, 0.59])
-    spec = ScoreSpec.accuracy()
-    pd = delta_from_distributions("a", "b", da, db, spec)
-    assert pd.reoriented
-    assert (pd.reference, pd.competitor) == ("b", "a")
-    assert pd.observed_delta == pytest.approx(0.2)
-
-    fixed = delta_from_distributions("a", "b", da, db, spec, reorient=False)
-    assert not fixed.reoriented
-    assert fixed.observed_delta == pytest.approx(-0.2)
-    assert np.allclose(fixed.delta_values, -pd.delta_values)
+    pd = delta_from_distributions("a", "b", da, db, ScoreSpec.accuracy())
+    assert (pd.reference, pd.competitor) == ("a", "b")
+    assert pd.observed_delta == pytest.approx(-0.2)
+    assert np.allclose(pd.delta_values, [-0.2, -0.2])
 
 
 def test_antisymmetry_of_fixed_orientation():
     da, db = _two_dists(0.7, 0.5, [0.72, 0.68, 0.71], [0.52, 0.48, 0.51])
     spec = ScoreSpec.accuracy()
-    ab = delta_from_distributions("a", "b", da, db, spec, reorient=False)
-    ba = delta_from_distributions("b", "a", db, da, spec, reorient=False)
+    ab = delta_from_distributions("a", "b", da, db, spec)
+    ba = delta_from_distributions("b", "a", db, da, spec)
     assert ab.observed_delta == -ba.observed_delta
     assert np.array_equal(ab.delta_values, -ba.delta_values)
 
@@ -113,7 +107,6 @@ def test_lower_better_sign_flip():
     # reference has the smaller error, so it is better: delta must be positive
     da, db = _two_dists(1.0, 3.0, [1.1, 0.9], [3.1, 2.9])
     pd = delta_from_distributions("a", "b", da, db, ScoreSpec.mae())
-    assert not pd.reoriented
     assert pd.observed_delta == pytest.approx(2.0)
     assert np.all(pd.delta_values > 0)
 
@@ -179,9 +172,7 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
     assert len(dm.entries) == 6
     for (i, j), entry in dm.entries.items():
         assert j < i
-        pd = paired_difference(
-            table, spec, plan, dm.systems[j], dm.systems[i], reorient=False
-        )
+        pd = paired_difference(table, spec, plan, dm.systems[j], dm.systems[i])
         # bit for bit: MAE's identical pair has deltas of -0.0, which == cannot
         # tell from +0.0; the plain signed difference is the reference
         ref, comp = dists[dm.systems[j]], dists[dm.systems[i]]

@@ -327,6 +327,11 @@ def test_rerun_without_a_readable_manifest_deletes_nothing(tmp_path):
     assert main(["--input", str(csv), "--samples", "50", "--formats", "json",
                  "--out-dir", str(out)]) == 0
     assert csv.exists() and (out / "stray.md").exists()
+    # artifacts that are not a list: a dict of names lists nothing either
+    (out / "manifest.json").write_text(json.dumps({"artifacts": {"stray.md": 1}}), encoding="utf-8")
+    assert main(["--input", str(csv), "--samples", "50", "--formats", "json",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "stray.md").exists()
 
 
 def test_cli_rejects_infinite_regression_value(tmp_path, capsys):

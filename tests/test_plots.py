@@ -6,7 +6,7 @@ import pytest
 from boardstats.bootstrap import CI
 from boardstats.inference import PairedDelta, p_value, rank_systems
 from boardstats.plots import render_delta_histogram, render_difference_plot, render_forest_plot
-from boardstats.table import LOWER, ScoreSpec
+from boardstats.table import ScoreSpec
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -57,7 +57,7 @@ def test_forest_plot_orders_best_first():
 
 def test_forest_plot_lower_better_orders_ascending():
     summaries = [summary("late", 2.0, 1.8, 2.2), summary("early", 1.0, 0.9, 1.1)]
-    spec = ScoreSpec(metric="mae", direction=LOWER, capped_at_one=False)
+    spec = ScoreSpec(metric="mae")
     fig = ranked_forest(summaries, spec)
     rows = groups(fig.svg, "system")
     assert [g.get("data-name") for g in rows] == ["early", "late"]

@@ -70,6 +70,9 @@ def test_equal_labels_are_one_object_across_columns():
     cells = [table.gold, *table.systems.values()]
     assert len({id(v) for col in cells for v in col}) == 2
     assert all(type(v) is str for col in cells for v in col)
+    # as dict keys 1, 1.0 and True are one key; as labels they are three
+    table = PredictionTable.build([1, 1.0, True], {"s": ["1", "1.0", "True"]})
+    assert table.label_set == ("1", "1.0", "True")
 
 
 def test_missing_values_are_violations():
@@ -172,6 +175,10 @@ def test_scorespec_invariants():
         dict(metric="custom", fn=len, labels=("a",)),
         dict(metric="accuracy", name="mae"),
         dict(metric="accuracy", fn=len),
+        dict(metric="accuracy", labels=("zzz",)),
+        dict(metric="f1", labels=("a", "b")),
+        dict(metric="f1", labels=("",)),
+        dict(metric="macro_f1", labels=("a", "")),
     ]
     for metric, labels in (("accuracy", ()), ("f1", ("a",)), ("macro_f1", ("a", "b"))):
         contradictions += [dict(metric=metric, labels=labels, direction="lower"),
@@ -185,8 +192,14 @@ def test_scorespec_invariants():
         ScoreSpec(metric="custom")
     with pytest.raises(ValueError):
         ScoreSpec(metric="nope")
+    with pytest.raises(ValueError, match="macro_f1 lists 'a' more than once"):
+        ScoreSpec(metric="macro_f1", labels=("a", "b", "a"))
+    assert ScoreSpec(metric="mae") == ScoreSpec.mae()
     assert ScoreSpec.mae().direction == "lower"
     assert not ScoreSpec.mae().capped_at_one
+    # a custom metric's defaults are one pair, however the spec is built
+    for custom in (ScoreSpec(metric="custom", fn=len), ScoreSpec.custom("x", len)):
+        assert (custom.direction, custom.capped_at_one) == ("higher", False)
     assert ScoreSpec.f1("x").labels == ("x",)
     assert ScoreSpec.macro_f1(["a", "b"]).display_name == "macro-f1:a,b"
 
