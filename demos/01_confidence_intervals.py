@@ -14,9 +14,10 @@ from boardstats import (
     LabelNoise,
     ScoreSpec,
     SynthConfig,
+    distributions,
     generate,
+    percentile_ci,
     render_forest_plot,
-    summarize,
 )
 from boardstats.inference import rank_systems
 
@@ -46,12 +47,15 @@ spec = ScoreSpec.macro_f1(["favor", "against"])
 
 # 10,000 resamples, one shared index vector per replicate across systems.
 plan = BootstrapPlan(replicates=10_000, seed=7)
-summaries = summarize(table, spec, plan)
+dists = distributions(table, spec, plan)
 
 # rank_systems orders best first under the metric's direction, as the
 # pipeline does; the table below and the forest plot both keep that order.
-order = rank_systems({name: observed for name, (observed, _) in summaries.items()}, spec)
-ranked = [(name, *summaries[name]) for name in order]
+order = rank_systems({name: dist.observed for name, dist in dists.items()}, spec)
+ranked = [
+    (name, dists[name].observed, percentile_ci(dists[name], plan.confidence))
+    for name in order
+]
 
 print(f"{'system':<14} {'observed':>9} {'lci':>8} {'mean':>8} {'uci':>8}")
 for name, observed, ci in ranked:

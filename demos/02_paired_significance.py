@@ -15,14 +15,12 @@ from boardstats import (
     LabelNoise,
     ScoreSpec,
     SynthConfig,
-    difference_ci,
+    build_report,
     generate,
-    p_value,
-    paired_difference,
     render_delta_histogram,
     render_difference_plot,
-    significance_stars,
 )
+from boardstats.inference import delta_from_distributions
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -43,29 +41,32 @@ table = generate(config)
 spec = ScoreSpec.macro_f1(["favor", "against"])
 plan = BootstrapPlan(replicates=10_000, seed=7)
 
-winner = "team_a.run1"
+# One bootstrap of every system; the report's difference matrix holds each
+# ranked pair, the winner (rank 0) against rank i at entry (i, 0).
+report = build_report(table, spec, plan)
+winner = report.ranking[0]
 rows = []
-for competitor in ("team_a.run2", "team_b.run1", "team_c.run1"):
-    pd = paired_difference(table, spec, plan, winner, competitor)
-    ci = difference_ci(pd, plan.confidence)
-    p = p_value(pd)
-    rows.append((competitor, pd, ci, p))
-    zero = "contains 0" if ci.contains_zero else "excludes 0"
+for i, competitor in enumerate(report.ranking[1:], start=1):
+    e = report.matrix.entry(i, 0)
+    rows.append((competitor, e.ci))
+    zero = "contains 0" if e.ci.contains_zero else "excludes 0"
     print(
-        f"{winner} vs {competitor}: delta={pd.observed_delta:+.4f} "
-        f"CI=({ci.lci:+.4f}, {ci.uci:+.4f}) [{zero}]  "
-        f"p={p:.4f} {significance_stars(p)}"
+        f"{winner} vs {competitor}: delta={e.delta:+.4f} "
+        f"CI=({e.ci.lci:+.4f}, {e.ci.uci:+.4f}) [{zero}]  "
+        f"p={e.p:.4f} {e.stars}"
     )
 
 # An interval that straddles zero (drawn red) means the winner cannot be
 # distinguished from that competitor on this test set.
-fig = render_difference_plot([(name, ci) for name, _, ci, _ in rows], reference=winner)
+fig = render_difference_plot(rows, reference=winner)
 (OUT / "differences.svg").write_text(fig.svg)
 
 # The histogram shows the whole bootstrap difference distribution for the
 # closest race, with reference lines at 0, delta and 2*delta: the p-value
 # is the mass strictly right of the 2*delta line.
-closest = rows[0][1]
+runner_up = report.ranking[1]
+dists = report.distributions
+closest = delta_from_distributions(winner, runner_up, dists[winner], dists[runner_up], spec)
 fig = render_delta_histogram(closest)
 (OUT / "delta_histogram.svg").write_text(fig.svg)
 print(f"\nwrote {OUT / 'differences.svg'} and {OUT / 'delta_histogram.svg'}")

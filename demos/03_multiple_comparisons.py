@@ -18,7 +18,7 @@ from boardstats import (
     SynthConfig,
     adjust_all,
     build_families,
-    difference_matrix,
+    build_report,
     generate,
 )
 
@@ -38,7 +38,7 @@ plan = BootstrapPlan(replicates=10_000, seed=13)
 
 # The lower-triangular matrix carries every pairwise delta with its
 # uncorrected significance marker.
-matrix = difference_matrix(table, spec, plan)
+matrix = build_report(table, spec, plan).matrix
 print("ranking:", " > ".join(matrix.systems))
 print("\npairwise deltas (column system minus row system):")
 for i in range(1, len(matrix.systems)):

@@ -10,11 +10,8 @@ __version__ = "0.3.0"
 from .bootstrap import (
     CI,
     SamplingDistribution,
-    distribution,
     distributions,
     percentile_ci,
-    resample_indices,
-    summarize,
 )
 from .corrections import PValueFamily, adjust, adjust_all, build_families
 from .dataio import RunConfig, load_table, parse_metric
@@ -29,9 +26,7 @@ from .inference import (
     DifferenceMatrix,
     PairedDelta,
     difference_ci,
-    difference_matrix,
     p_value,
-    paired_difference,
     significance_stars,
 )
 from .metrics import score
@@ -92,25 +87,20 @@ __all__ = [
     "calibrate",
     "cv",
     "difference_ci",
-    "difference_matrix",
-    "distribution",
     "distributions",
     "expected_score",
     "generate",
     "load_table",
     "p_value",
-    "paired_difference",
     "parse_metric",
     "percentile_ci",
     "ppi",
     "render_delta_histogram",
     "render_difference_plot",
     "render_forest_plot",
-    "resample_indices",
     "run_pipeline",
     "score",
     "significance_stars",
-    "summarize",
     "tie_counts",
     "validate",
     "win_med_gap",

@@ -62,19 +62,6 @@ class CI(NamedTuple):
         return self.lci <= 0.0 <= self.uci
 
 
-def resample_indices(plan: BootstrapPlan, n: int, replicate_id: int) -> np.ndarray:
-    """The n resample indices of one replicate of the plan.
-
-    Fully determined by (seed, replicate_id); n independent uniform draws
-    from [0, n).
-    """
-    if not 0 <= replicate_id < plan.replicates:
-        raise ValueError(
-            f"replicate_id {replicate_id} outside [0, {plan.replicates})"
-        )
-    return rng.index_block(plan.seed, n, replicate_id, replicate_id + 1)[0]
-
-
 def _scored(spec: ScoreSpec, system: str, fn, *args):
     """``fn(*args)``; a custom metric's exception becomes a located MetricError."""
     try:
@@ -170,16 +157,6 @@ def _not_finite(spec: ScoreSpec, system: str, where: str):
     raise MetricError(f"{spec.display_name} is not finite for system {system!r} on {where}")
 
 
-def distribution(
-    table: PredictionTable,
-    system: str,
-    spec: ScoreSpec,
-    plan: BootstrapPlan,
-) -> SamplingDistribution:
-    """Sampling distribution of one system's score under the plan."""
-    return distributions(table, spec, plan, systems=[system])[system]
-
-
 def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """numpy's linear-rule interpolation between order statistics a <= b:
     ``a + (b - a)·t``, or ``b - (b - a)·(1 - t)`` where ``t >= 0.5``."""
@@ -268,16 +245,3 @@ def percentile_ci(dist: SamplingDistribution, confidence: float) -> CI:
     """Percentile confidence interval and mean of a sampling distribution."""
     return CI(*map(float, percentile_rows(dist.values, confidence)))
 
-
-def summarize(
-    table: PredictionTable,
-    spec: ScoreSpec,
-    plan: BootstrapPlan,
-    systems: Optional[Sequence[str]] = None,
-) -> dict[str, tuple[float, CI]]:
-    """Observed score and bootstrap CI (with its mean) for each system."""
-    dists = distributions(table, spec, plan, systems=systems)
-    return {
-        name: (dist.observed, percentile_ci(dist, plan.confidence))
-        for name, dist in dists.items()
-    }

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import CI, SamplingDistribution, distributions, percentile_rows
+from .bootstrap import CI, SamplingDistribution, percentile_rows
 from .errors import MetricError
-from .table import BootstrapPlan, PredictionTable, ScoreSpec
+from .table import ScoreSpec
 
 # bytes of the one delta buffer a matrix pass reuses for every pair-kernel
 # call; bounds the pass's memory
@@ -131,20 +131,6 @@ def delta_from_distributions(
     )
 
 
-def paired_difference(
-    table: PredictionTable,
-    spec: ScoreSpec,
-    plan: BootstrapPlan,
-    reference: str,
-    competitor: str,
-) -> PairedDelta:
-    """Bootstrap the score difference of two systems with shared resamples."""
-    dists = distributions(table, spec, plan, systems=[reference, competitor])
-    return delta_from_distributions(
-        reference, competitor, dists[reference], dists[competitor], spec
-    )
-
-
 def difference_ci(pd: PairedDelta, confidence: float) -> CI:
     """Percentile CI of the difference distribution."""
     return CI(*map(float, percentile_rows(pd.delta_values, confidence)))
@@ -231,11 +217,3 @@ def matrix_from_distributions(
                 )
     return DifferenceMatrix(systems=tuple(ranked), entries=entries)
 
-
-def difference_matrix(
-    table: PredictionTable,
-    spec: ScoreSpec,
-    plan: BootstrapPlan,
-) -> DifferenceMatrix:
-    """All pairwise deltas with significance markers, ranked best-first."""
-    return matrix_from_distributions(distributions(table, spec, plan), spec, plan.confidence)

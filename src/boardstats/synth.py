@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,15 +22,11 @@ from .table import BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
 
 @dataclass(frozen=True)
 class LabelNoise:
-    """Replace each gold label with probability ``rate`` by a kernel draw.
-
-    ``kernel`` maps each gold label to a distribution over replacement
-    labels; by default the replacement is uniform over the wrong labels, so
-    the expected accuracy is exactly 1 - rate.
-    """
+    """Replace each gold label with probability ``rate`` by a label drawn
+    uniformly from the wrong labels, so the expected accuracy is exactly
+    1 - rate."""
 
     rate: float
-    kernel: Optional[Mapping[str, Mapping[str, float]]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
@@ -78,30 +74,18 @@ def _child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
 
 
-def _kernel_row(noise: LabelNoise, labels: tuple[str, ...], gold_label: str) -> np.ndarray:
-    if noise.kernel is None:
-        probs = np.array([0.0 if c == gold_label else 1.0 for c in labels])
-        return probs / probs.sum()
-    row = noise.kernel[gold_label]
-    probs = np.array([row.get(c, 0.0) for c in labels], dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-9 or probs.min() < 0:
-        raise ValueError(f"kernel row for {gold_label!r} is not a distribution")
-    return probs
+def _wrong_label_row(labels: tuple[str, ...], gold_label: str) -> np.ndarray:
+    probs = np.array([0.0 if c == gold_label else 1.0 for c in labels])
+    return probs / probs.sum()
 
 
 def expected_score(config: SynthConfig, system: str) -> float:
-    """Closed-form population score of one generated system.
-
-    Expected accuracy for classification (1 - rate plus any kernel
-    self-mass), expected mean absolute error for regression.
+    """Closed-form population score of one generated system: expected
+    accuracy for classification, expected mean absolute error for regression.
     """
     noise = config.systems[system]
     if config.task_kind is TaskKind.CLASSIFICATION:
-        self_mass = 0.0
-        for label, prob in zip(config.labels, config.label_probs):
-            row = _kernel_row(noise, config.labels, label)
-            self_mass += prob * row[config.labels.index(label)]
-        return 1.0 - noise.rate + noise.rate * self_mass
+        return 1.0 - noise.rate
     return noise.rate * noise.sd * math.sqrt(2.0 / math.pi)
 
 
@@ -119,7 +103,7 @@ def generate(config: SynthConfig) -> PredictionTable:
                 mask = hit & (gold == label)
                 cnt = int(mask.sum())
                 if cnt:
-                    probs = _kernel_row(noise, config.labels, label)
+                    probs = _wrong_label_row(config.labels, label)
                     pred[mask] = sys_rng.choice(config.labels, size=cnt, p=probs)
             systems[name] = pred
         return PredictionTable.build(gold, systems, TaskKind.CLASSIFICATION)
@@ -155,16 +139,18 @@ def _ks_uniform(values: np.ndarray) -> float:
 
 
 def calibrate(config: SynthConfig, plan: BootstrapPlan, trials: int) -> CalibrationSummary:
-    """Run the pipeline on fresh synthetic data per trial, scoring accuracy,
-    or MAE for regression: the two metrics ``expected_score`` has in closed
-    form.
+    """Bootstrap fresh synthetic data per trial, scoring accuracy, or MAE
+    for regression: the two metrics ``expected_score`` has in closed form.
 
-    Measures how often the first system's CI covers its closed-form
-    population score and, when the first two systems share an identical
-    corruption model, collects the fixed-orientation p-value of that null
-    pair per trial.  Per-trial seeds derive from (master seed, trial index),
-    so trials can run concurrently in any order: ``plan.workers`` trials at a
-    time, each bootstrapped on one thread.
+    Each trial draws one table with ``generate`` and makes one
+    ``distributions`` call over the first system, plus the second when the
+    first two share an identical corruption model.  It measures how often
+    the first system's CI covers its closed-form population score and, for
+    that null pair, takes the p-value of one fixed-orientation pair
+    (``delta_from_distributions``, first system as reference).  Per-trial
+    seeds derive from (master seed, trial index), so trials can run
+    concurrently in any order: ``plan.workers`` trials at a time, each
+    bootstrapped on one thread.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -17,7 +17,7 @@ import pytest
 from boardstats.bootstrap import distributions
 from boardstats.corrections import PValueFamily, adjust, adjust_all, build_families
 from boardstats.dataio import RunConfig
-from boardstats.inference import delta_from_distributions, p_value, paired_difference
+from boardstats.inference import delta_from_distributions, p_value
 from boardstats.metrics import score
 from boardstats.pipeline import run_pipeline
 from boardstats.plots import render_delta_histogram, render_difference_plot
@@ -128,7 +128,9 @@ def test_criterion_4_observed_delta_oracle(criterion, stance_small):
         assert round(observed["alpha.01"] - observed["charlie.01"], 4) == 0.1478
         assert round(observed["alpha.01"] - observed["alpha.02"], 4) == 0.0269
         plan = BootstrapPlan(replicates=50, seed=1)
-        pd = paired_difference(stance_small, spec, plan, "alpha.01", "charlie.01")
+        ref, comp = "alpha.01", "charlie.01"
+        dists = distributions(stance_small, spec, plan, systems=[ref, comp])
+        pd = delta_from_distributions(ref, comp, dists[ref], dists[comp], spec)
         assert round(pd.observed_delta, 4) == 0.1478
 
 

@@ -8,16 +8,8 @@ import pytest
 
 import boardstats
 from boardstats import bootstrap, metrics, rng
-from boardstats.bootstrap import (
-    SamplingDistribution,
-    distribution,
-    distributions,
-    percentile_ci,
-    resample_indices,
-    summarize,
-)
+from boardstats.bootstrap import SamplingDistribution, distributions, percentile_ci
 from boardstats.errors import ConfigError, MetricError
-from boardstats.inference import difference_matrix, paired_difference
 from boardstats.metrics import ResampleScorer, resample_counts
 from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
@@ -33,11 +25,20 @@ def make_table(n=60, seed=3):
     return PredictionTable.build(gold, {"noisy": noisy, "perfect": gold})
 
 
+def replicate_indices(plan, n, r):
+    """The n resample indices of replicate r of the plan."""
+    return rng.index_block(plan.seed, n, r, r + 1)[0]
+
+
+def system_distribution(table, system, spec, plan):
+    return distributions(table, spec, plan, systems=[system])[system]
+
+
 def test_single_replicate_is_slice_of_stream():
     plan = BootstrapPlan(replicates=50, seed=99)
     block = rng.index_block(99, 37, 0, 50)
     for r in (0, 1, 17, 49):
-        assert np.array_equal(resample_indices(plan, 37, r), block[r])
+        assert np.array_equal(replicate_indices(plan, 37, r), block[r])
 
 
 def _python_draws(seed, counter_lo, lane, count):
@@ -146,8 +147,8 @@ def test_out_of_wrong_shape_or_dtype_is_rejected():
 
 def test_indices_deterministic_and_in_range():
     plan = BootstrapPlan(replicates=5, seed=123)
-    a = resample_indices(plan, 11, 3)
-    b = resample_indices(plan, 11, 3)
+    a = replicate_indices(plan, 11, 3)
+    b = replicate_indices(plan, 11, 3)
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 11 and len(a) == 11
 
@@ -155,15 +156,7 @@ def test_indices_deterministic_and_in_range():
 def test_n_one_always_yields_zero():
     plan = BootstrapPlan(replicates=10, seed=1)
     for r in range(10):
-        assert resample_indices(plan, 1, r).tolist() == [0]
-
-
-def test_replicate_id_out_of_range():
-    plan = BootstrapPlan(replicates=3, seed=0)
-    with pytest.raises(ValueError):
-        resample_indices(plan, 5, 3)
-    with pytest.raises(ValueError):
-        resample_indices(plan, 5, -1)
+        assert replicate_indices(plan, 1, r).tolist() == [0]
 
 
 def test_index_frequencies_are_uniform():
@@ -176,7 +169,7 @@ def test_index_frequencies_are_uniform():
 def test_perfect_system_is_perfect_on_every_resample():
     table = make_table()
     plan = BootstrapPlan(replicates=500, seed=5)
-    dist = distribution(table, "perfect", ScoreSpec.accuracy(), plan)
+    dist = system_distribution(table, "perfect", ScoreSpec.accuracy(), plan)
     assert np.all(dist.values == 1.0)
     assert dist.observed == 1.0
 
@@ -184,7 +177,7 @@ def test_perfect_system_is_perfect_on_every_resample():
 def test_b_one_with_single_row_is_identity():
     table = PredictionTable.build(["a"], {"s": ["a"]})
     plan = BootstrapPlan(replicates=2, seed=8)
-    dist = distribution(table, "s", ScoreSpec.accuracy(), plan)
+    dist = system_distribution(table, "s", ScoreSpec.accuracy(), plan)
     assert dist.values.tolist() == [dist.observed] * 2 == [1.0, 1.0]
 
 
@@ -194,20 +187,20 @@ def test_distribution_matches_per_replicate_scoring_exactly():
     table = make_table()
     plan = BootstrapPlan(replicates=64, seed=21)
     for spec in (ScoreSpec.accuracy(), ScoreSpec.macro_f1(["a", "b"])):
-        dist = distribution(table, "noisy", spec, plan)
+        dist = system_distribution(table, "noisy", spec, plan)
         for r in range(64):
             manual = score_on_indices(
-                table.gold, table.systems["noisy"], spec, resample_indices(plan, table.n, r)
+                table.gold, table.systems["noisy"], spec, replicate_indices(plan, table.n, r)
             )
             assert dist.values[r] == manual
 
     reg = PredictionTable.build(
         np.linspace(0, 5, 40), {"s": np.linspace(0.3, 4.6, 40)}, "regression"
     )
-    dist = distribution(reg, "s", ScoreSpec.mae(), plan)
+    dist = system_distribution(reg, "s", ScoreSpec.mae(), plan)
     for r in range(64):
         manual = score_on_indices(
-            reg.gold, reg.systems["s"], ScoreSpec.mae(), resample_indices(plan, 40, r)
+            reg.gold, reg.systems["s"], ScoreSpec.mae(), replicate_indices(plan, 40, r)
         )
         assert dist.values[r] == manual
 
@@ -315,7 +308,7 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
             assert got[name].observed == gathered[name].observed
     built.clear()
     assert np.array_equal(
-        distribution(table, "noisy", spec, plan).values, gathered["noisy"].values
+        system_distribution(table, "noisy", spec, plan).values, gathered["noisy"].values
     )
     assert built == []
 
@@ -436,7 +429,8 @@ def test_agreement_rate_against_binomial_oracle():
     table = PredictionTable.build(gold, {"s": pred})
     rate = float(agree.mean())
 
-    dist = distribution(table, "s", ScoreSpec.accuracy(), BootstrapPlan(replicates=10_000, seed=1))
+    plan = BootstrapPlan(replicates=10_000, seed=1)
+    dist = system_distribution(table, "s", ScoreSpec.accuracy(), plan)
     ci = percentile_ci(dist, 0.95)
     assert abs(ci.mean - rate) < 0.01
     wald = 2 * 1.959964 * np.sqrt(rate * (1 - rate) / n)
@@ -491,7 +485,9 @@ def test_percentile_ci_rejects_degenerate_input():
 def test_unknown_system():
     table = make_table()
     with pytest.raises(KeyError):
-        distribution(table, "ghost", ScoreSpec.accuracy(), BootstrapPlan(replicates=10, seed=0))
+        distributions(
+            table, ScoreSpec.accuracy(), BootstrapPlan(replicates=10, seed=0), systems=["ghost"]
+        )
 
 
 def test_non_finite_scores_raise_metric_error():
@@ -524,7 +520,7 @@ def test_non_finite_error_names_first_system_in_caller_order():
         "sentinel",
         lambda g, p: float("inf") if np.count_nonzero(np.isin(p, ["E", "L"])) > 1 else 1.0,
     )
-    draws = [np.bincount(resample_indices(plan, n, r), minlength=n) for r in range(plan.replicates)]
+    draws = [np.bincount(replicate_indices(plan, n, r), minlength=n) for r in range(plan.replicates)]
     first_bad = {
         name: next(r for r, c in enumerate(draws) if c[row] > 1)
         for name, row in (("early", 0), ("late", 1))
@@ -546,9 +542,7 @@ def test_metric_classes_absent_from_the_data_are_a_config_error():
     plan = BootstrapPlan(replicates=20, seed=1)
     absent = ScoreSpec.macro_f1(["a", "zzz"])
     entries = (
-        lambda spec: summarize(table, spec, plan),
-        lambda spec: paired_difference(table, spec, plan, "one", "two"),
-        lambda spec: difference_matrix(table, spec, plan),
+        lambda spec: distributions(table, spec, plan),
         lambda spec: build_report(table, spec, plan),
     )
     for entry in entries:
@@ -564,8 +558,9 @@ def test_metric_classes_absent_from_the_data_are_a_config_error():
 def test_summarize_invariants():
     table = make_table(n=120)
     plan = BootstrapPlan(replicates=2000, seed=13)
-    summaries = summarize(table, ScoreSpec.accuracy(), plan)
-    assert list(summaries) == list(table.names)
-    for observed, ci in summaries.values():
+    dists = distributions(table, ScoreSpec.accuracy(), plan)
+    assert list(dists) == list(table.names)
+    for dist in dists.values():
+        ci = percentile_ci(dist, plan.confidence)
         assert ci.lci <= ci.mean <= ci.uci
-        assert ci.lci <= observed <= ci.uci
+        assert ci.lci <= dist.observed <= ci.uci

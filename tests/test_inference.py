@@ -10,10 +10,8 @@ from boardstats.inference import (
     PairedDelta,
     delta_from_distributions,
     difference_ci,
-    difference_matrix,
     matrix_from_distributions,
     p_value,
-    paired_difference,
     significance_stars,
 )
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
@@ -30,9 +28,9 @@ def make_pd(values, observed, reference="a", competitor="b"):
 
 def test_self_comparison_is_all_zero():
     table = PredictionTable.build(["x", "y"] * 10, {"a": ["x", "y"] * 10})
-    pd = paired_difference(
-        table, ScoreSpec.accuracy(), BootstrapPlan(replicates=200, seed=1), "a", "a"
-    )
+    spec = ScoreSpec.accuracy()
+    (dist,) = distributions(table, spec, BootstrapPlan(replicates=200, seed=1)).values()
+    pd = delta_from_distributions("a", "a", dist, dist, spec)
     assert pd.observed_delta == 0.0
     assert np.all(pd.delta_values == 0.0)
     ci = difference_ci(pd, 0.95)
@@ -134,7 +132,9 @@ def test_difference_matrix_two_identical_systems():
     table = PredictionTable.build(
         ["x", "y"] * 8, {"a": ["x", "y"] * 8, "b": ["x", "y"] * 8}
     )
-    dm = difference_matrix(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=100, seed=2))
+    spec = ScoreSpec.accuracy()
+    dists = distributions(table, spec, BootstrapPlan(replicates=100, seed=2))
+    dm = matrix_from_distributions(dists, spec, 0.95)
     assert dm.systems == ("a", "b")
     entry = dm.entry(1, 0)
     assert entry.delta == 0.0
@@ -166,13 +166,18 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
     table = PredictionTable.build(gold, systems, task_kind=kind)
     plan = BootstrapPlan(replicates=800, seed=3)
 
-    dm = difference_matrix(table, spec, plan)
     dists = distributions(table, spec, plan)
+    dm = matrix_from_distributions(dists, spec, plan.confidence)
     sign = 1.0 if metric == "accuracy" else -1.0
     assert len(dm.entries) == 6
     for (i, j), entry in dm.entries.items():
         assert j < i
-        pd = paired_difference(table, spec, plan, dm.systems[j], dm.systems[i])
+        # the reference: the pair bootstrapped on its own
+        reference, competitor = dm.systems[j], dm.systems[i]
+        pair = distributions(table, spec, plan, systems=[reference, competitor])
+        pd = delta_from_distributions(
+            reference, competitor, pair[reference], pair[competitor], spec
+        )
         # bit for bit: MAE's identical pair has deltas of -0.0, which == cannot
         # tell from +0.0; the plain signed difference is the reference
         ref, comp = dists[dm.systems[j]], dists[dm.systems[i]]
@@ -195,8 +200,10 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
 
 def test_difference_matrix_needs_two_systems():
     table = PredictionTable.build(["x"], {"only": ["x"]})
+    spec = ScoreSpec.accuracy()
+    dists = distributions(table, spec, BootstrapPlan(replicates=10, seed=0))
     with pytest.raises(ValueError):
-        difference_matrix(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=10, seed=0))
+        matrix_from_distributions(dists, spec, 0.95)
 
 
 def test_matrix_pass_memory_is_bounded_by_its_delta_buffer():

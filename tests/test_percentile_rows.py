@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boardstats.bootstrap import distributions, percentile_rows, summarize
-from boardstats.inference import difference_matrix
+from boardstats.bootstrap import distributions, percentile_ci, percentile_rows
+from boardstats.inference import matrix_from_distributions
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 
 
@@ -141,12 +141,12 @@ def test_signed_zero_scores_give_np_quantile_bytes_at_the_public_boundary():
         return [float(v).hex() for v in np.quantile(values, [tail, 1.0 - tail])]
 
     dists = distributions(table, spec, plan)
-    for name, (_, ci) in summarize(table, spec, plan).items():
-        values = dists[name].values
+    for dist in dists.values():
+        values, ci = dist.values, percentile_ci(dist, plan.confidence)
         assert np.signbit(values).any() and not np.signbit(values).all()
         assert [ci.lci.hex(), ci.uci.hex()] == quantile_hex(values)
 
-    matrix = difference_matrix(table, spec, plan)
+    matrix = matrix_from_distributions(dists, spec, plan.confidence)
     mixed = 0
     for entry in matrix.entries.values():
         deltas = dists[entry.reference].values - dists[entry.competitor].values

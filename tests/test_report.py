@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from boardstats.bootstrap import distributions
 from boardstats.corrections import adjust_all, build_families
 from boardstats.errors import ConfigError
-from boardstats.inference import difference_matrix
+from boardstats.inference import matrix_from_distributions
 from boardstats.report import build_report, cv, ppi, tie_counts, win_med_gap
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 
@@ -146,7 +147,8 @@ def test_build_report_matches_component_recomputation():
     assert rep.ties_with_winner["bonferroni"] >= rep.ties_with_winner["none"]
     assert rep.ties_all_pairs["bonferroni"] >= rep.ties_all_pairs["holm"] >= rep.ties_all_pairs["bh"] - 1
     # the pairwise comparisons and corrections the panel was counted from
-    assert rep.matrix == difference_matrix(table, spec, plan)
+    dists = distributions(table, spec, plan)
+    assert rep.matrix == matrix_from_distributions(dists, spec, plan.confidence)
     raw = {(e.reference, e.competitor): e.p for e in rep.matrix.entries.values()}
     assert rep.adjusted == adjust_all(build_families(ranked, raw, "per_reference"))
 
@@ -213,7 +215,8 @@ def test_three_way_mae_tie_keeps_column_order():
     rep = build_report(table, ScoreSpec.mae(), plan)
     assert rep.ranking == ("best", "zeta", "alpha", "mid", "worst")
     assert rep.ranking_ties == ("zeta", "alpha", "mid")
-    assert difference_matrix(table, ScoreSpec.mae(), plan).systems == rep.ranking
+    dists = distributions(table, ScoreSpec.mae(), plan)
+    assert matrix_from_distributions(dists, ScoreSpec.mae(), plan.confidence).systems == rep.ranking
 
 
 def test_mae_report_flags_cv_and_omits_ppi():
