@@ -8,8 +8,9 @@ column parses as numbers end to end, and the caller can always override,
 because a label that happens to look like a number must never be silently
 coerced.
 
-All writers are byte-deterministic: sorted JSON keys, fixed float
-formatting in the table formats, no timestamps.
+All writers are byte-deterministic: sorted JSON keys, no timestamps, and
+every float in CSV, Markdown or SVG text printed by ``fmt_float``: fixed
+point below 1e16 in magnitude, exponent notation from there on.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .table import DIRECTIONS, METRICS, BootstrapPlan, PredictionTable, ScoreSpe
 
 FORMATS = ("json", "csv", "md", "svg")
 TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
-TABLE_PRECISION = 4
+# from 1e16 up the integer part has 17 digits, beyond float64's precision, so
+# fixed point would only add width and noise digits
+_FIXED_POINT_BELOW = 1e16
 _CHUNK_ROWS = 256  # CSV rows held at once while a table is read
 
 # accepted value types per RunConfig field annotation; a bool is never a number
@@ -258,8 +261,11 @@ def parse_metric(text: str) -> ScoreSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def fmt_float(value: float) -> str:
-    return f"{value:.{TABLE_PRECISION}f}"
+def fmt_float(value: float, places: int) -> str:
+    """``value`` as artifact text with ``places`` decimals, in fixed point below
+    ``_FIXED_POINT_BELOW`` in magnitude and in exponent notation from there on."""
+    kind = "f" if abs(value) < _FIXED_POINT_BELOW else "e"
+    return f"{value:.{places}{kind}}"
 
 
 def write_json(path: Path, payload) -> None:

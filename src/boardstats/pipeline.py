@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -108,7 +109,9 @@ def _write_artifacts(out, config, spec, table, rep):
         rows = [[fmt(r[k]) for k, _, fmt in columns] for r in records]
         emit(stem, {**payload, key: records}, [h for _, h, _ in columns], rows, title)
 
-    ci_columns = [(k, k, fmt_float) for k in ("lci", "mean", "uci")]
+    # table cells at 4 places; matrix and p-value deltas and panel statistics at 3
+    cell4, cell3 = partial(fmt_float, places=4), partial(fmt_float, places=3)
+    ci_columns = [(k, k, cell4) for k in ("lci", "mean", "uci")]
     emit_records(
         "performance",
         {"metric": rep.metric},
@@ -117,7 +120,7 @@ def _write_artifacts(out, config, spec, table, rep):
             {"system": s, "observed": dists[s].observed, **summaries[s]._asdict()}
             for s in ranked
         ],
-        [("system", "system", str), ("observed", "observed", fmt_float), *ci_columns],
+        [("system", "system", str), ("observed", "observed", cell4), *ci_columns],
         "Bootstrap confidence intervals",
     )
 
@@ -132,7 +135,7 @@ def _write_artifacts(out, config, spec, table, rep):
              "contains_zero": e.ci.contains_zero}
             for e in best
         ],
-        [("competitor", "competitor", str), ("observed_delta", "delta", fmt_float),
+        [("competitor", "competitor", str), ("observed_delta", "delta", cell4),
          *ci_columns, ("contains_zero", "contains_zero", lambda b: str(b).lower())],
         f"Differences from the best ({ranked[0]})",
     )
@@ -145,7 +148,7 @@ def _write_artifacts(out, config, spec, table, rep):
         for j in range(len(matrix.systems) - 1):
             if j < i:
                 e = matrix.entry(i, j)
-                row.append(f"{e.delta:.3f} {e.stars}".rstrip())
+                row.append(f"{cell3(e.delta)} {e.stars}".rstrip())
             else:
                 row.append("")
         matrix_rows.append(row)
@@ -175,8 +178,8 @@ def _write_artifacts(out, config, spec, table, rep):
             for pair, adj in rep.adjusted.items()
         ],
         [("reference", "reference", str), ("competitor", "competitor", str),
-         ("delta", "delta", "{:.3f}".format), ("p_value", "p-value", fmt_float)]
-        + [(m, m, fmt_float) for m in columns],
+         ("delta", "delta", cell3), ("p_value", "p-value", cell4)]
+        + [(m, m, cell4) for m in columns],
         "Estimated p-values with multiple-comparison adjustments",
     )
 
@@ -193,10 +196,10 @@ def _write_artifacts(out, config, spec, table, rep):
         ["ties with winner (" + "/".join(("none",) + methods) + ")", tie_w],
         ["possible comparisons", rep.possible_comparisons],
         ["ties all pairs (" + "/".join(("none",) + methods) + ")", tie_a],
-        ["|win - med|", f"{rep.win_med_gap:.3f}"],
+        ["|win - med|", cell3(rep.win_med_gap)],
         ["cv", "-" if rep.cv is None
-         else f"{rep.cv:.3f}" + ("" if rep.cv_comparable else " (not comparable)")],
-        ["ppi", f"{rep.ppi:.3f}" if rep.ppi is not None else "-"],
+         else cell3(rep.cv) + ("" if rep.cv_comparable else " (not comparable)")],
+        ["ppi", cell3(rep.ppi) if rep.ppi is not None else "-"],
     ]
     emit("report", rep.panel(), ["statistic", "value"], rep_rows, "Competition summary")
 

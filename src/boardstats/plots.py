@@ -8,8 +8,8 @@ twice the observed delta.
 
 Every renderer returns an ``SvgFigure`` carrying the SVG markup plus a plain
 data dictionary (the JSON sidecar) from which the figure can be re-rendered.
-The markup is deterministic: fixed canvas, fixed number formatting, no
-timestamps or random ids.
+The markup is deterministic: fixed canvas, every number written by
+``dataio.fmt_float``, no timestamps or random ids.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bootstrap import CI
+from .dataio import fmt_float
 from .inference import PairedDelta, p_value
 
 RED = "#c0392b"
@@ -35,8 +36,9 @@ _TOP = 34
 _BOTTOM = 30
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _coords(**values: float) -> str:
+    """Coordinate attributes, each at 2 places."""
+    return " ".join(f'{name}="{fmt_float(v, 2)}"' for name, v in values.items())
 
 
 class _Canvas:
@@ -53,25 +55,24 @@ class _Canvas:
         attrs = f'class="{cls}" ' if cls else ""
         attrs += f'stroke-dasharray="{dash}" ' if dash else ""
         self.parts.append(
-            f'<line {attrs}x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
+            f'<line {attrs}{_coords(x1=x1, y1=y1, x2=x2, y2=y2)} '
+            f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def circle(self, cx, cy, r, fill, cls):
         self.parts.append(
-            f'<circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" fill="{fill}"/>'
+            f'<circle class="{cls}" {_coords(cx=cx, cy=cy)} r="{r}" fill="{fill}"/>'
         )
 
     def rect(self, x, y, w, h, fill, cls):
         self.parts.append(
-            f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{fill}"/>'
+            f'<rect class="{cls}" {_coords(x=x, y=y, width=w, height=h)} fill="{fill}"/>'
         )
 
     def text(self, x, y, content, anchor="start", cls=""):
         attrs = f'class="{cls}" ' if cls else ""
         self.parts.append(
-            f'<text {attrs}x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
+            f'<text {attrs}{_coords(x=x, y=y)} text-anchor="{anchor}" '
             f'fill="{INK}">{_escape(content)}</text>'
         )
 
@@ -125,7 +126,7 @@ def _axis(canvas: _Canvas, to_x, lo: float, hi: float, y: float):
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = lo + frac * (hi - lo)
         canvas.line(to_x(v), y, to_x(v), y + 4, width=1)
-        canvas.text(to_x(v), y + 16, f"{v:.3f}", anchor="middle")
+        canvas.text(to_x(v), y + 16, fmt_float(v, 3), anchor="middle")
 
 
 def _interval_row(canvas: _Canvas, to_x, y: float, name: str, ci: CI,
@@ -153,8 +154,8 @@ def render_forest_plot(systems: Sequence[tuple[str, float, CI]]) -> SvgFigure:
     for k, (name, observed, ci) in enumerate(systems):
         y = _TOP + _ROW_H * (k + 0.5)
         canvas.group_open(
-            "system", name=name, observed=f"{observed:.6f}",
-            lci=f"{ci.lci:.6f}", mean=f"{ci.mean:.6f}", uci=f"{ci.uci:.6f}",
+            "system", name=name, observed=fmt_float(observed, 6),
+            lci=fmt_float(ci.lci, 6), mean=fmt_float(ci.mean, 6), uci=fmt_float(ci.uci, 6),
         )
         _interval_row(canvas, to_x, y, name, ci)
         canvas.group_close()
@@ -180,8 +181,8 @@ def render_difference_plot(diffs: Sequence[tuple[str, CI]], reference: str) -> S
         color = RED if ci.contains_zero else GREEN
         cls = "interval contains-zero" if ci.contains_zero else "interval excludes-zero"
         canvas.group_open(
-            "comparison", name=name, lci=f"{ci.lci:.6f}", mean=f"{ci.mean:.6f}",
-            uci=f"{ci.uci:.6f}", contains_zero=str(ci.contains_zero).lower(),
+            "comparison", name=name, lci=fmt_float(ci.lci, 6), mean=fmt_float(ci.mean, 6),
+            uci=fmt_float(ci.uci, 6), contains_zero=str(ci.contains_zero).lower(),
         )
         _interval_row(canvas, to_x, y, name, ci, color, cls, width=2)
         canvas.group_close()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ GOLD_ALIAS = "Gold_Standard"
 
 CORRECTION_KEYS = ("none",) + METHODS
 
-# Fields that shape the numbers but belong to the run, not the panel: the
-# manifest records them and report.json leaves them out.
+# What shapes the numbers but belongs to the run, not the panel: the manifest
+# records it and report.json leaves it out.  The last two are class constants.
 PROVENANCE = ("replicates", "seed", "confidence", "quantile_rule", "rng_family")
 
 
@@ -56,8 +56,8 @@ class CompetitionReport:
     replicates: int
     seed: int
     confidence: float
-    quantile_rule: str = QUANTILE_RULE
-    rng_family: str = rng.RNG_FAMILY
+    quantile_rule: ClassVar[str] = QUANTILE_RULE
+    rng_family: ClassVar[str] = rng.RNG_FAMILY
     excluded_systems: tuple[str, ...] = ()
     ranking_ties: tuple[str, ...] = ()
     ranking: tuple[str, ...] = ()

@@ -311,10 +311,27 @@ def test_runconfig_validation():
         RunConfig(input="x.csv", task="ranking")
 
 
+@pytest.mark.parametrize(
+    "value, places, text",
+    [(-0.0, 3, "-0.000"),
+     (0.98765, 4, "0.9877"),
+     (9999999999999998.0, 4, "9999999999999998.0000"),
+     (1e16, 4, "1.0000e+16"),
+     (-1e16, 2, "-1.00e+16"),
+     (-1.7976931348623157e308, 3, "-1.798e+308"),
+     (float("inf"), 4, "inf"),
+     (float("-inf"), 2, "-inf"),
+     (float("nan"), 6, "nan")],
+)
+def test_fmt_float_is_fixed_point_below_1e16_and_exponent_from_there(value, places, text):
+    assert fmt_float(value, places) == text
+    assert fmt_float(np.float64(value), places) == text
+
+
 def test_csv_and_md_round_trip_to_table_precision(tmp_path):
     header = ["system", "observed", "lci"]
     values = [["a", 0.123456789, 0.1], ["|win - med|", 0.98765, 0.9]]
-    rows = [[r[0], fmt_float(r[1]), fmt_float(r[2])] for r in values]
+    rows = [[r[0], fmt_float(r[1], 4), fmt_float(r[2], 4)] for r in values]
 
     csv_path = tmp_path / "t.csv"
     write_csv(csv_path, header, rows)

@@ -1,6 +1,8 @@
-"""Stand-ins for a linter's unused-import and export checks, stdlib only."""
+"""Stand-ins for a linter's unused-import and export checks, and a guard
+that one function formats every float, stdlib only."""
 
 import ast
+import string
 from pathlib import Path
 
 import boardstats
@@ -92,3 +94,52 @@ def test_the_check_sees_an_unused_private_name():
 def test_package_exports_are_sorted_and_resolve():
     assert boardstats.__all__ == sorted(boardstats.__all__)
     assert [name for name in boardstats.__all__ if not hasattr(boardstats, name)] == []
+
+
+FLOAT_TYPES = tuple("eEfFgG%")
+
+
+def float_formats(source: str, formatter: str = "fmt_float") -> list[int]:
+    """The lines that give a float presentation type (e, f, g or %) outside
+    the function named ``formatter``, in an f-string's format spec or in a
+    ``str.format`` template."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == formatter
+              for node in ast.walk(fn)}
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            last = node.format_spec.values[-1:]
+            specs = [last[0].value] if last and isinstance(last[0], ast.Constant) else []
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                specs = [spec for _, field, spec, _ in string.Formatter().parse(node.value)
+                         if field is not None]
+            except ValueError:  # a brace that is not a template's
+                continue
+        else:
+            continue
+        if any(spec.endswith(FLOAT_TYPES) for spec in specs):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_one_function_formats_every_float():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := float_formats(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_the_check_sees_a_float_format():
+    source = (
+        'def fmt_float(x, places):\n    return f"{x:.{places}f}"\n'
+        'A = f"{1.5:.2f} {2:>4} {3:{4}}"\nB = "{:.3e}".format\nC = "{0:d} {1!r}".format\n'
+        'D = f"{0.5:.1%}"\nE = "{"\nF = "{k}: {v:g}".format\n'
+    )
+    assert float_formats(source) == [3, 4, 6, 8]

@@ -193,12 +193,29 @@ def test_md_tables_round_trip_to_four_decimals(tmp_path):
         assert float(row[4]) == round(entry["uci"], 4)
 
 
-def test_every_table_round_trips_at_printed_precision(tmp_path):
+# finite MAE near the float maximum: scores, CIs and deltas reach 1.5e308
+NEAR_MAX_MAE_CSV = "y,a,b\n1.5e308,0,1.0\n2.0,2.0,2.0\n0,0,1\n"
+
+
+def printed_at(cell: str, value: float, places: int) -> bool:
+    """Whether a table cell reads back as ``value`` at ``places``: rounded
+    in fixed point, or to ``places`` mantissa decimals in exponent form."""
+    return float(cell) == (float(f"{value:.{places}e}") if "e" in cell else round(value, places))
+
+
+@pytest.mark.parametrize("inputs", ["classification", "near-max-mae"])
+def test_every_table_round_trips_at_printed_precision(tmp_path, inputs):
     # parse back each serialized table and compare against the full-precision
-    # JSON: values must agree at the precision they were printed with
-    csv = write_classification_csv(tmp_path / "comp.csv", noises=(0.1, 0.25, 0.4))
+    # JSON: values must agree at the precision they were printed with, and
+    # no text line grows with the values' magnitude
     out = tmp_path / "out"
-    run_pipeline(RunConfig(input=str(csv), samples=600, seed=12, out_dir=str(out)))
+    if inputs == "classification":
+        csv = write_classification_csv(tmp_path / "comp.csv", noises=(0.1, 0.25, 0.4))
+        run_pipeline(RunConfig(input=str(csv), samples=600, seed=12, out_dir=str(out)))
+    else:
+        csv = tmp_path / "values.csv"
+        csv.write_text(NEAR_MAX_MAE_CSV, encoding="utf-8")
+        run_pipeline(RunConfig(input=str(csv), metric="mae", samples=200, out_dir=str(out)))
 
     def csv_rows(stem):
         lines = (out / f"{stem}.csv").read_text().splitlines()
@@ -210,24 +227,24 @@ def test_every_table_round_trips_at_printed_precision(tmp_path):
         _, rows = parser("performance")
         for row, entry in zip(rows, perf):
             for col, key in ((1, "observed"), (2, "lci"), (3, "mean"), (4, "uci")):
-                assert float(row[col]) == round(entry[key], 4)
+                assert printed_at(row[col], entry[key], 4)
 
     diffs = json.loads((out / "differences.json").read_text())["comparisons"]
     for parser in (csv_rows, lambda s: read_md_table(out / f"{s}.md")):
         _, rows = parser("differences")
         for row, entry in zip(rows, diffs):
-            assert float(row[1]) == round(entry["observed_delta"], 4)
-            assert float(row[2]) == round(entry["lci"], 4)
+            assert printed_at(row[1], entry["observed_delta"], 4)
+            assert printed_at(row[2], entry["lci"], 4)
             assert row[5] == str(entry["contains_zero"]).lower()
 
     pvals = json.loads((out / "pvalues.json").read_text())["comparisons"]
     for parser in (csv_rows, lambda s: read_md_table(out / f"{s}.md")):
         header, rows = parser("pvalues")
         for row, entry in zip(rows, pvals):
-            assert float(row[2]) == round(entry["delta"], 3)
-            assert float(row[3]) == round(entry["p_value"], 4)
+            assert printed_at(row[2], entry["delta"], 3)
+            assert printed_at(row[3], entry["p_value"], 4)
             for col, key in enumerate(header[4:], start=4):
-                assert float(row[col]) == round(entry[key.replace("-", "_")], 4)
+                assert printed_at(row[col], entry[key.replace("-", "_")], 4)
 
     matrix = json.loads((out / "difference_matrix.json").read_text())["entries"]
     by_pair = {(e["reference"], e["competitor"]): e for e in matrix}
@@ -239,9 +256,22 @@ def test_every_table_round_trips_at_printed_precision(tmp_path):
                 continue
             cell = row[col].split()
             entry = by_pair[(reference, competitor)]
-            assert float(cell[0]) == round(entry["delta"], 3)
+            assert printed_at(cell[0], entry["delta"], 3)
             stars = cell[1] if len(cell) > 1 else ""
             assert stars == entry["stars"]
+
+    panel = json.loads((out / "report.json").read_text())
+    cells = dict(csv_rows("report")[1])
+    for key, name in (("win_med_gap", "|win - med|"), ("cv", "cv"), ("ppi", "ppi")):
+        text = cells[name].split()[0]  # cv may say "(not comparable)"
+        assert (text == "-") if panel[key] is None else printed_at(text, panel[key], 3)
+
+    widest = max(
+        (len(line), path.name)
+        for path in out.iterdir() if path.suffix in (".md", ".csv", ".svg")
+        for line in path.read_text(encoding="utf-8").splitlines()
+    )
+    assert widest[0] <= 200, widest
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -366,7 +396,7 @@ def test_cli_scores_finite_mae_near_the_float_maximum(tmp_path):
     # a resample drawing the 1.5e308 error twice overflows a float sum, and
     # so do the bootstrap values' sum for the mean
     csv = tmp_path / "values.csv"
-    csv.write_text("y,a,b\n1.5e308,0,1.0\n2.0,2.0,2.0\n0,0,1\n", encoding="utf-8")
+    csv.write_text(NEAR_MAX_MAE_CSV, encoding="utf-8")
     out = tmp_path / "out"
     assert main([
         "--input", str(csv), "--metric", "mae", "--samples", "200", "--out-dir", str(out),
