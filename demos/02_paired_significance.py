@@ -66,7 +66,9 @@ fig = render_difference_plot(rows, reference=winner)
 # is the mass strictly right of the 2*delta line.
 runner_up = report.ranking[1]
 dists = report.distributions
-closest = delta_from_distributions(winner, runner_up, dists[winner], dists[runner_up], spec)
-fig = render_delta_histogram(closest)
+entry, deltas = delta_from_distributions(
+    winner, runner_up, dists[winner], dists[runner_up], spec, plan.confidence
+)
+fig = render_delta_histogram(entry, deltas)
 (OUT / "delta_histogram.svg").write_text(fig.svg)
 print(f"\nwrote {OUT / 'differences.svg'} and {OUT / 'delta_histogram.svg'}")

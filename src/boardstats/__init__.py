@@ -24,9 +24,7 @@ from .errors import (
 )
 from .inference import (
     DifferenceMatrix,
-    PairedDelta,
     difference_ci,
-    p_value,
     significance_stars,
 )
 from .metrics import score
@@ -68,7 +66,6 @@ __all__ = [
     "LabelNoise",
     "MetricError",
     "PValueFamily",
-    "PairedDelta",
     "PipelineResult",
     "PredictionTable",
     "RunConfig",
@@ -91,7 +88,6 @@ __all__ = [
     "expected_score",
     "generate",
     "load_table",
-    "p_value",
     "parse_metric",
     "percentile_ci",
     "ppi",

@@ -30,21 +30,19 @@ STAR_LEVELS = (
 
 
 @dataclass(frozen=True)
-class PairedDelta:
-    """Per-replicate score differences of one system pair.
-
-    ``delta_values[r]`` is the reference score minus the competitor score on
-    replicate r's shared resample, sign-flipped for lower-is-better metrics so
-    that positive always means the reference performed better.
-    """
+class MatrixEntry:
+    """One compared pair: the reference's signed delta over the competitor
+    (positive means the reference did better), its p-value and stars, and
+    the percentile CI of its difference distribution.  In a matrix the
+    reference is the better-ranked system (column), the competitor the
+    worse-ranked one (row)."""
 
     reference: str
     competitor: str
-    delta_values: np.ndarray
-    observed_delta: float
-
-    def __post_init__(self):
-        self.delta_values.flags.writeable = False
+    delta: float
+    p: float
+    stars: str
+    ci: CI
 
 
 def _deltas(ref: SamplingDistribution, comps: list, spec: ScoreSpec, out: np.ndarray):
@@ -64,11 +62,6 @@ def _deltas(ref: SamplingDistribution, comps: list, spec: ScoreSpec, out: np.nda
     return observed, rows
 
 
-def _pair_not_finite(spec: ScoreSpec, reference: str, competitor: str) -> MetricError:
-    pair = f"the {spec.display_name} difference of {reference!r} and {competitor!r}"
-    return MetricError(f"{pair} or its CI is not finite")
-
-
 def _check_replicates(reference: str, dist_ref: SamplingDistribution, dists: dict):
     """Raise a ValueError naming the first of ``dists`` whose replicate count
     differs from the reference's; mismatched values would broadcast."""
@@ -80,30 +73,44 @@ def _check_replicates(reference: str, dist_ref: SamplingDistribution, dists: dic
             )
 
 
-def _p_values(values: np.ndarray, observed):
+def _p_values(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Per row of ``values``: the share of replicates (last axis) whose delta
     strictly exceeds twice ``observed``.  Identical systems (every delta 0)
     get 1, as equality can never be rejected for them."""
-    observed = np.asarray(observed)
     with np.errstate(over="ignore"):  # twice a delta past half the float maximum is inf
-        above = np.count_nonzero(values > 2.0 * observed[..., None], axis=-1)
-    p = np.asarray(above / values.shape[-1])
-    rows, flat = values.reshape(-1, values.shape[-1]), p.reshape(-1)
+        above = np.count_nonzero(values > 2.0 * observed[:, None], axis=-1)
+    p = above / values.shape[-1]
     # identical systems tie exactly, so only rows of a 0.0 delta are read
-    for r in np.flatnonzero(observed.reshape(-1) == 0.0):
-        if not rows[r].any():
-            flat[r] = 1.0
+    for r in np.flatnonzero(observed == 0.0):
+        if not values[r].any():
+            p[r] = 1.0
     return p
 
 
 def _pair_kernel(
-    ref: SamplingDistribution, comps: list, spec: ScoreSpec, confidence: float, out: np.ndarray
-):
-    """Compare ``ref`` with all of ``comps`` at once, their deltas written into
-    ``out``'s first len(comps) rows: arrays over ``comps`` of the signed
-    observed deltas, the p-values and (lci, mean, uci)."""
-    observed, deltas = _deltas(ref, comps, spec, out)
-    return observed, _p_values(deltas, observed), percentile_rows(deltas, confidence)
+    reference: str,
+    ref: SamplingDistribution,
+    comps: dict[str, SamplingDistribution],
+    spec: ScoreSpec,
+    confidence: float,
+    out: np.ndarray,
+) -> list[MatrixEntry]:
+    """Compare ``ref`` with every one of ``comps`` at once, their deltas
+    written into ``out``'s first len(comps) rows: one entry per competitor,
+    in the order of ``comps``.  The first pair whose observed delta or CI is
+    not finite (a delta past the float maximum) is a ``MetricError``."""
+    with np.errstate(invalid="ignore"):  # an inf delta and its CI, rejected below
+        observed, deltas = _deltas(ref, list(comps.values()), spec, out)
+        p = _p_values(deltas, observed)
+        ci = percentile_rows(deltas, confidence)
+    bad = np.flatnonzero(~np.isfinite([observed, *ci]).all(axis=0))
+    if bad.size:
+        pair = f"the {spec.display_name} difference of {reference!r} and {list(comps)[bad[0]]!r}"
+        raise MetricError(f"{pair} or its CI is not finite")
+    return [
+        MatrixEntry(reference, name, d, pi, significance_stars(pi), CI(*bounds))
+        for name, d, pi, *bounds in zip(comps, *(a.tolist() for a in (observed, p, *ci)))
+    ]
 
 
 def delta_from_distributions(
@@ -112,34 +119,24 @@ def delta_from_distributions(
     dist_ref: SamplingDistribution,
     dist_comp: SamplingDistribution,
     spec: ScoreSpec,
-) -> PairedDelta:
-    """Pair two sampling distributions that share resample indices, in the
-    caller's orientation: a reference observed worse gets a negative delta.
-    A delta past the float maximum, observed or on any replicate, is a
-    ``MetricError``.
+    confidence: float,
+) -> tuple[MatrixEntry, np.ndarray]:
+    """Compare two sampling distributions that share resample indices, in the
+    caller's orientation (a reference observed worse gets a negative delta),
+    through the matrix's own kernel: the pair's entry and its read-only row
+    of per-replicate deltas.  A delta past the float maximum, observed or on
+    any replicate, is a ``MetricError``.
     """
     _check_replicates(reference, dist_ref, {competitor: dist_comp})
-    observed, (values,) = _deltas(dist_ref, [dist_comp], spec, np.empty((1, len(dist_ref.values))))
-    observed = float(observed[0])
-    if not (np.isfinite(observed) and np.isfinite(values).all()):
-        raise _pair_not_finite(spec, reference, competitor)
-    return PairedDelta(
-        reference=reference,
-        competitor=competitor,
-        delta_values=values,
-        observed_delta=observed,
-    )
+    out = np.empty((1, len(dist_ref.values)))
+    (entry,) = _pair_kernel(reference, dist_ref, {competitor: dist_comp}, spec, confidence, out)
+    out.flags.writeable = False
+    return entry, out[0]
 
 
-def difference_ci(pd: PairedDelta, confidence: float) -> CI:
-    """Percentile CI of the difference distribution."""
-    return CI(*map(float, percentile_rows(pd.delta_values, confidence)))
-
-
-def p_value(pd: PairedDelta) -> float:
-    """Fraction of replicates whose difference strictly exceeds 2x observed;
-    1 for two systems with identical predictions."""
-    return float(_p_values(pd.delta_values, pd.observed_delta))
+def difference_ci(deltas: np.ndarray, confidence: float) -> CI:
+    """Percentile CI of a row of per-replicate deltas."""
+    return CI(*map(float, percentile_rows(deltas, confidence)))
 
 
 def significance_stars(p: float) -> str:
@@ -150,16 +147,6 @@ def significance_stars(p: float) -> str:
         if p < threshold:
             return marker
     return ""
-
-
-@dataclass(frozen=True)
-class MatrixEntry:
-    reference: str  # the better-ranked system (column)
-    competitor: str  # the worse-ranked system (row)
-    delta: float
-    p: float
-    stars: str
-    ci: CI  # percentile CI of the difference distribution
 
 
 @dataclass(frozen=True)
@@ -205,15 +192,8 @@ def matrix_from_distributions(
     entries = {}
     for j in range(m - 1):
         for start in range(j + 1, m, step):
-            comps = [dists[name] for name in ranked[start:start + step]]
-            with np.errstate(invalid="ignore"):  # the CI of an inf delta row, rejected below
-                delta, p, ci = _pair_kernel(dists[ranked[j]], comps, spec, confidence, out)
-            bad = np.flatnonzero(~np.isfinite([delta, *ci]).all(axis=0))
-            if bad.size:
-                raise _pair_not_finite(spec, ranked[j], ranked[start + bad[0]])
-            for i, d, pi, *bounds in zip(range(start, m), *(a.tolist() for a in (delta, p, *ci))):
-                entries[(i, j)] = MatrixEntry(
-                    ranked[j], ranked[i], d, pi, significance_stars(pi), CI(*bounds)
-                )
+            comps = {name: dists[name] for name in ranked[start:start + step]}
+            found = _pair_kernel(ranked[j], dists[ranked[j]], comps, spec, confidence, out)
+            entries.update(((i, j), entry) for i, entry in enumerate(found, start))
     return DifferenceMatrix(systems=tuple(ranked), entries=entries)
 

@@ -214,8 +214,9 @@ def _write_artifacts(out, config, spec, table, rep):
                 [(e.competitor, e.ci) for e in best], reference=ranked[0]
             ),
             "plot_delta_hist": render_delta_histogram(
-                delta_from_distributions(
-                    ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec
+                *delta_from_distributions(
+                    ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec,
+                    rep.confidence,
                 )
             ),
         }

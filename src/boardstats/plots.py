@@ -22,7 +22,7 @@ import numpy as np
 
 from .bootstrap import CI
 from .dataio import fmt_float
-from .inference import PairedDelta, p_value
+from .inference import MatrixEntry
 
 RED = "#c0392b"
 GREEN = "#1e8449"
@@ -77,7 +77,7 @@ class _Canvas:
         )
 
     def group_open(self, cls: str, **data):
-        attrs = "".join(f' data-{k.replace("_", "-")}="{v}"' for k, v in data.items())
+        attrs = "".join(f' data-{k.replace("_", "-")}="{_escape(v)}"' for k, v in data.items())
         self.parts.append(f'<g class="{cls}"{attrs}>')
 
     def group_close(self):
@@ -196,15 +196,17 @@ def render_difference_plot(diffs: Sequence[tuple[str, CI]], reference: str) -> S
     )
 
 
-def render_delta_histogram(pd: PairedDelta) -> SvgFigure:
-    """Histogram of the bootstrap difference distribution of one pair.
+def render_delta_histogram(entry: MatrixEntry, deltas: np.ndarray) -> SvgFigure:
+    """Histogram of ``deltas``, the bootstrap difference distribution of the
+    pair that ``entry`` compares; names, observed delta and p-value are the
+    entry's.
 
     Vertical reference lines mark zero, the observed delta and twice the
     observed delta; the doubled delta is always a bin boundary when it falls
     inside the data range, so the mass drawn to its right matches the
     exceedance fraction behind the p-value.
     """
-    values = np.asarray(pd.delta_values, dtype=float)
+    values = np.asarray(deltas, dtype=float)
     B = len(values)
     if B < 1:
         raise ValueError("need at least one replicate to plot")
@@ -216,8 +218,8 @@ def render_delta_histogram(pd: PairedDelta) -> SvgFigure:
     edges = np.linspace(lo, hi, nbins + 1)
     marks = {
         "zero": 0.0,
-        "delta": pd.observed_delta,
-        "two_delta": 2.0 * pd.observed_delta,
+        "delta": entry.delta,
+        "two_delta": 2.0 * entry.delta,
     }
     for v in marks.values():
         if lo < v < hi and not np.any(np.isclose(edges, v, rtol=0, atol=1e-12)):
@@ -230,7 +232,7 @@ def render_delta_histogram(pd: PairedDelta) -> SvgFigure:
     canvas = _Canvas(_WIDTH, height)
     canvas.text(
         _MARGIN_LEFT, 18,
-        f"Bootstrap differences: {pd.reference} vs {pd.competitor}", cls="title",
+        f"Bootstrap differences: {entry.reference} vs {entry.competitor}", cls="title",
     )
     to_x, axis_lo, axis_hi = _x_scale(float(edges[0]), float(edges[-1]))
     peak = max(int(counts.max()), 1)
@@ -253,12 +255,12 @@ def render_delta_histogram(pd: PairedDelta) -> SvgFigure:
         svg=canvas.render(),
         data={
             "kind": "delta_histogram",
-            "reference": pd.reference,
-            "competitor": pd.competitor,
-            "observed_delta": pd.observed_delta,
+            "reference": entry.reference,
+            "competitor": entry.competitor,
+            "observed_delta": entry.delta,
             "bin_edges": edges.tolist(),
             "counts": counts.tolist(),
-            "p_value": p_value(pd),
+            "p_value": entry.p,
             "replicates": B,
         },
     )

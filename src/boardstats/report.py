@@ -125,13 +125,12 @@ def win_med_gap(ranked_scores: Sequence[float]) -> float:
 
 
 def tie_counts(
-    pairs: Sequence[tuple[str, str]],
     raw_p: dict[tuple[str, str], float],
     adjusted: dict[tuple[str, str], dict[str, float]],
     winner: str,
     alpha: float,
 ) -> tuple[dict[str, int], dict[str, int]]:
-    """Counts of pairs whose (adjusted) p-value is >= alpha.
+    """Counts of the pairs of ``adjusted`` whose (adjusted) p-value is >= alpha.
 
     A comparison that cannot reject equal performance at level alpha is a
     statistical tie.  Returns (ties involving the winner, ties over all
@@ -139,7 +138,7 @@ def tie_counts(
     """
     with_winner = dict.fromkeys(CORRECTION_KEYS, 0)
     all_pairs = dict.fromkeys(CORRECTION_KEYS, 0)
-    for pair in pairs:
+    for pair in adjusted:
         involves_winner = winner in pair
         values = {"none": raw_p[pair], **adjusted[pair]}
         for method, p in values.items():
@@ -182,9 +181,7 @@ def build_report(
 
     raw = {(e.reference, e.competitor): e.p for e in matrix.entries.values()}
     adjusted = adjust_all(build_families(ranked, raw, policy=family_policy))
-    with_winner, all_pairs = tie_counts(
-        list(adjusted), raw, adjusted, ranked[0], plan.alpha
-    )
+    with_winner, all_pairs = tie_counts(raw, adjusted, ranked[0], plan.alpha)
     if family_policy == "vs_winner":
         all_pairs = None
 

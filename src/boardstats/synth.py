@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bootstrap import distributions, map_workers, percentile_ci
-from .inference import delta_from_distributions, p_value
+from .inference import delta_from_distributions
 from .table import BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
 
 
@@ -178,10 +178,9 @@ def calibrate(config: SynthConfig, plan: BootstrapPlan, trials: int) -> Calibrat
         observed_in = ci.lci <= dists[first].observed <= ci.uci
         p = None
         if null_pair:
-            pd = delta_from_distributions(
-                null_pair[0], null_pair[1], dists[null_pair[0]], dists[null_pair[1]], spec
-            )
-            p = p_value(pd)
+            p = delta_from_distributions(
+                *null_pair, dists[null_pair[0]], dists[null_pair[1]], spec, trial_plan.confidence
+            )[0].p
         return covered, observed_in, p
 
     results = map_workers(run_trial, range(trials), plan.workers)

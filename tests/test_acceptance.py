@@ -17,7 +17,7 @@ import pytest
 from boardstats.bootstrap import distributions
 from boardstats.corrections import PValueFamily, adjust, adjust_all, build_families
 from boardstats.dataio import RunConfig
-from boardstats.inference import delta_from_distributions, p_value
+from boardstats.inference import delta_from_distributions
 from boardstats.metrics import score
 from boardstats.pipeline import run_pipeline
 from boardstats.plots import render_delta_histogram, render_difference_plot
@@ -91,9 +91,7 @@ def test_criterion_2_tie_count_oracle(criterion):
     with criterion(2, "tie-count oracle"):
         start = time.perf_counter()
         adjusted = adjust_all(build_families(RANKED5, TABLE5, "per_reference"))
-        with_winner, all_pairs = tie_counts(
-            list(TABLE5), TABLE5, adjusted, "r1", alpha=0.05
-        )
+        with_winner, all_pairs = tie_counts(TABLE5, adjusted, "r1", alpha=0.05)
         assert with_winner == {"none": 2, "bonferroni": 2, "holm": 2, "bh": 2}
         assert all_pairs == {"none": 3, "bonferroni": 4, "holm": 3, "bh": 3}
         assert time.perf_counter() - start < 1.0
@@ -130,8 +128,8 @@ def test_criterion_4_observed_delta_oracle(criterion, stance_small):
         plan = BootstrapPlan(replicates=50, seed=1)
         ref, comp = "alpha.01", "charlie.01"
         dists = distributions(stance_small, spec, plan, systems=[ref, comp])
-        pd = delta_from_distributions(ref, comp, dists[ref], dists[comp], spec)
-        assert round(pd.observed_delta, 4) == 0.1478
+        entry, _ = delta_from_distributions(ref, comp, dists[ref], dists[comp], spec, 0.95)
+        assert round(entry.delta, 4) == 0.1478
 
 
 def test_criterion_5a_ci_coverage(criterion):
@@ -175,15 +173,15 @@ def test_criterion_5c_pvalue_bands_on_calibrated_data(criterion, stance_small):
                 stance_small, spec, plan,
                 systems=["alpha.01", "alpha.02", "charlie.01"],
             )
-            clear = delta_from_distributions(
-                "alpha.01", "charlie.01", dists["alpha.01"], dists["charlie.01"], spec
+            clear, _ = delta_from_distributions(
+                "alpha.01", "charlie.01", dists["alpha.01"], dists["charlie.01"], spec, 0.95
             )
-            tied = delta_from_distributions(
-                "alpha.01", "alpha.02", dists["alpha.01"], dists["alpha.02"], spec
+            tied, _ = delta_from_distributions(
+                "alpha.01", "alpha.02", dists["alpha.01"], dists["alpha.02"], spec, 0.95
             )
-            if abs(p_value(clear) - 0.0014) <= 0.02:
+            if abs(clear.p - 0.0014) <= 0.02:
                 hit_small += 1
-            if abs(p_value(tied) - 0.2064) <= 0.02:
+            if abs(tied.p - 0.2064) <= 0.02:
                 hit_large += 1
         assert hit_small >= 0.9 * len(seeds), hit_small
         assert hit_large >= 0.9 * len(seeds), hit_large
@@ -262,13 +260,14 @@ def test_criterion_9_plot_contracts(criterion, stance_small):
         spec = ScoreSpec.macro_f1(STANCE_SUBSET)
         plan = BootstrapPlan(replicates=4000, seed=31)
         dists = distributions(stance_small, spec, plan)
-        from boardstats.inference import difference_ci
 
         winner = "alpha.01"
         diffs = []
         for comp in ("alpha.02", "bravo.01", "charlie.01", "bravo.02"):
-            pd = delta_from_distributions(winner, comp, dists[winner], dists[comp], spec)
-            diffs.append((comp, difference_ci(pd, 0.95)))
+            entry, _ = delta_from_distributions(
+                winner, comp, dists[winner], dists[comp], spec, 0.95
+            )
+            diffs.append((comp, entry.ci))
         fig = render_difference_plot(diffs, reference=winner)
         root = ET.fromstring(fig.svg)
         straddlers = set()
@@ -287,11 +286,11 @@ def test_criterion_9_plot_contracts(criterion, stance_small):
         assert "alpha.02" in straddlers  # the near-tied runner-up
         assert "charlie.01" not in straddlers
 
-        pd = delta_from_distributions(
-            winner, "charlie.01", dists[winner], dists["charlie.01"], spec
+        entry, deltas = delta_from_distributions(
+            winner, "charlie.01", dists[winner], dists["charlie.01"], spec, 0.95
         )
-        hist = render_delta_histogram(pd)
+        hist = render_delta_histogram(entry, deltas)
         edges = np.asarray(hist.data["bin_edges"])
         counts = np.asarray(hist.data["counts"])
-        mass = counts[edges[:-1] >= 2 * pd.observed_delta].sum() / plan.replicates
-        assert abs(mass - p_value(pd)) <= 1 / plan.replicates + 1e-12
+        mass = counts[edges[:-1] >= 2 * entry.delta].sum() / plan.replicates
+        assert abs(mass - entry.p) <= 1 / plan.replicates + 1e-12

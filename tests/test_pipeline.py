@@ -530,6 +530,63 @@ def test_histogram_and_pvalues_agree_on_identical_top_two(tmp_path):
     assert hist["p_value"] == pair[0]["p_value"] == 1.0
 
 
+@pytest.mark.parametrize("metric", ["accuracy", "mae"])
+def test_histogram_sidecar_is_the_matrix_entry_of_the_top_pair(tmp_path, metric):
+    if metric == "mae":
+        g = np.random.default_rng(12)
+        gold = g.normal(size=120)
+        cols = {f"s{k}": gold + g.normal(scale=0.2 + 0.1 * k, size=120) for k in range(4)}
+        csv = tmp_path / "reg.csv"
+        lines = ["y," + ",".join(cols)]
+        lines += [",".join(repr(float(v)) for v in (gold[i], *(c[i] for c in cols.values())))
+                  for i in range(120)]
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        extra = ["--metric", "mae", "--task", "regression"]
+    else:
+        csv = write_classification_csv(tmp_path / "comp.csv", noises=(0.15, 0.18, 0.3, 0.5))
+        extra = []
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--samples", "300", "--out-dir", str(out), *extra]) == 0
+    hist = json.loads((out / "plot_delta_hist.json").read_text())
+    entries = json.loads((out / "difference_matrix.json").read_text())["entries"]
+    ranking = json.loads((out / "report.json").read_text())["ranking"]
+    top = next(e for e in entries if (e["reference"], e["competitor"]) == tuple(ranking[:2]))
+    assert (hist["reference"], hist["competitor"]) == tuple(ranking[:2])
+    assert float.hex(hist["p_value"]) == float.hex(top["p_value"])
+    assert float.hex(hist["observed_delta"]) == float.hex(top["delta"])
+
+
+def test_system_names_with_markup_characters_round_trip_through_every_svg(tmp_path):
+    from xml.dom import minidom
+
+    # the odd name ranks second, so it is a forest row, a difference-plot
+    # competitor row and half of the histogram's title
+    g = np.random.default_rng(5)
+    gold = g.choice(["p", "n"], size=80)
+    cols = []
+    for wrong in (4, 12, 30):
+        pred = gold.copy()
+        pred[:wrong] = np.where(gold[:wrong] == "p", "n", "p")
+        cols.append(pred)
+    lines = ['y,s1,"a""<b>&c",s2'] + [",".join(r) for r in zip(gold, *cols)]
+    csv = tmp_path / "odd.csv"
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--samples", "100", "--out-dir", str(out)]) == 0
+    name = 'a"<b>&c'
+    docs = {stem: minidom.parse(str(out / f"{stem}.svg"))
+            for stem in ("plot_forest", "plot_differences", "plot_delta_hist")}
+
+    def data_names(stem):
+        return [e.getAttribute("data-name") for e in docs[stem].getElementsByTagName("g")]
+
+    assert data_names("plot_forest") == ["s1", name, "s2"]
+    assert data_names("plot_differences") == [name, "s2"]
+    titles = [t.firstChild.data for t in docs["plot_delta_hist"].getElementsByTagName("text")
+              if t.getAttribute("class") == "title"]
+    assert titles == [f"Bootstrap differences: s1 vs {name}"]
+
+
 def test_cli_custom_metric_and_formats(tmp_path):
     csv = write_classification_csv(tmp_path / "comp.csv")
     plugin = tmp_path / "plugin.py"

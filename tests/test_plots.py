@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from boardstats.bootstrap import CI
-from boardstats.inference import PairedDelta, p_value, rank_systems
+from boardstats.bootstrap import CI, SamplingDistribution
+from boardstats.inference import MatrixEntry, delta_from_distributions, rank_systems
 from boardstats.plots import render_delta_histogram, render_difference_plot, render_forest_plot
 from boardstats.table import ScoreSpec
 
@@ -98,17 +98,19 @@ def test_difference_plot_colors_by_zero_straddle():
         render_difference_plot([], reference="winner")
 
 
-def make_pd(values, observed):
-    return PairedDelta(
-        reference="ref", competitor="comp",
-        delta_values=np.asarray(values, float), observed_delta=observed,
+def compare(values, observed):
+    """The entry and delta row of a pair whose deltas are exactly ``values``:
+    a distribution holding them against an all-zero one."""
+    values = np.asarray(values, float)
+    return delta_from_distributions(
+        "ref", "comp", SamplingDistribution(values, observed),
+        SamplingDistribution(np.zeros_like(values), 0.0), ScoreSpec.accuracy(), 0.95,
     )
 
 
 def test_histogram_reference_lines_and_bins():
     g = np.random.default_rng(3)
-    pd = make_pd(g.normal(0.15, 0.05, 4000), 0.15)
-    fig = render_delta_histogram(pd)
+    fig = render_delta_histogram(*compare(g.normal(0.15, 0.05, 4000), 0.15))
     root = ET.fromstring(fig.svg)
     marks = [l for l in root.iter(f"{SVG}line") if "mark" in (l.get("class") or "")]
     assert len(marks) == 3
@@ -121,19 +123,26 @@ def test_histogram_reference_lines_and_bins():
 def test_histogram_mass_right_of_two_delta_equals_p_value():
     g = np.random.default_rng(9)
     for loc in (0.02, 0.05, 0.1):
-        pd = make_pd(g.normal(loc, 0.04, 3000), loc)
-        fig = render_delta_histogram(pd)
+        entry, deltas = compare(g.normal(loc, 0.04, 3000), loc)
+        fig = render_delta_histogram(entry, deltas)
         edges = np.asarray(fig.data["bin_edges"])
         counts = np.asarray(fig.data["counts"])
-        two_delta = 2 * pd.observed_delta
-        mass = counts[edges[:-1] >= two_delta].sum() / len(pd.delta_values)
-        assert abs(mass - fig.data["p_value"]) <= 1 / len(pd.delta_values) + 1e-12
-        assert fig.data["p_value"] == p_value(pd)
+        mass = counts[edges[:-1] >= 2 * entry.delta].sum() / len(deltas)
+        assert abs(mass - fig.data["p_value"]) <= 1 / len(deltas) + 1e-12
+        assert fig.data["p_value"] == entry.p
+
+
+def test_histogram_reads_names_delta_and_p_from_the_entry():
+    entry = MatrixEntry("x<y", "z", 0.125, 0.375, "", CI(0.0, 0.1, 0.2))
+    fig = render_delta_histogram(entry, np.linspace(-0.1, 0.3, 40))
+    assert (fig.data["reference"], fig.data["competitor"]) == ("x<y", "z")
+    assert (fig.data["observed_delta"], fig.data["p_value"]) == (0.125, 0.375)
+    title = next(t for t in ET.fromstring(fig.svg).iter(f"{SVG}text") if t.get("class") == "title")
+    assert title.text == "Bootstrap differences: x<y vs z"
 
 
 def test_histogram_degenerate_all_equal():
-    pd = make_pd([0.0] * 50, 0.0)
-    fig = render_delta_histogram(pd)
+    fig = render_delta_histogram(*compare([0.0] * 50, 0.0))
     root = ET.fromstring(fig.svg)
     bars = [r for r in root.iter(f"{SVG}rect") if (r.get("class") or "") == "bar"]
     assert len(bars) == 1
@@ -145,5 +154,5 @@ def test_histogram_degenerate_all_equal():
 
 def test_render_is_deterministic():
     g = np.random.default_rng(1)
-    pd = make_pd(g.normal(0.1, 0.03, 500), 0.1)
-    assert render_delta_histogram(pd).svg == render_delta_histogram(pd).svg
+    pair = compare(g.normal(0.1, 0.03, 500), 0.1)
+    assert render_delta_histogram(*pair).svg == render_delta_histogram(*pair).svg

@@ -88,9 +88,7 @@ TABLE5_RAW = {
 def test_tie_counts_reference_case():
     ranked = ["r1", "r2", "r3", "r4", "r5"]
     adjusted = adjust_all(build_families(ranked, TABLE5_RAW, "per_reference"))
-    with_winner, all_pairs = tie_counts(
-        list(TABLE5_RAW), TABLE5_RAW, adjusted, "r1", alpha=0.05
-    )
+    with_winner, all_pairs = tie_counts(TABLE5_RAW, adjusted, "r1", alpha=0.05)
     assert with_winner == {"none": 2, "bonferroni": 2, "holm": 2, "bh": 2}
     assert all_pairs == {"none": 3, "bonferroni": 4, "holm": 3, "bh": 3}
 
@@ -99,7 +97,7 @@ def test_tie_counts_all_significant():
     pairs = [("a", "b"), ("a", "c")]
     raw = {p: 0.0 for p in pairs}
     adjusted = {p: {"bonferroni": 0.0, "holm": 0.0, "bh": 0.0} for p in pairs}
-    with_winner, all_pairs = tie_counts(pairs, raw, adjusted, "a", alpha=0.05)
+    with_winner, all_pairs = tie_counts(raw, adjusted, "a", alpha=0.05)
     assert set(with_winner.values()) == {0}
     assert set(all_pairs.values()) == {0}
 
