@@ -17,7 +17,7 @@ The same run from a shell:
 import csv
 from pathlib import Path
 
-from boardstats import LabelNoise, RunConfig, SynthConfig, generate, run_pipeline
+from boardstats import BootstrapPlan, LabelNoise, RunConfig, SynthConfig, generate, run_pipeline
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -49,8 +49,7 @@ result = run_pipeline(
     RunConfig(
         input=str(csv_path),
         metric="macro-f1:favor,against",
-        samples=10_000,
-        seed=7,
+        plan=BootstrapPlan(replicates=10_000, seed=7),
         out_dir=str(OUT / "analysis"),
     )
 )

@@ -13,14 +13,15 @@ from dataclasses import MISSING, fields
 
 from .corrections import POLICIES
 from .dataio import FORMATS, TASKS, RunConfig, comma_list
-from .errors import BoardstatsError
+from .errors import BoardstatsError, ConfigError
 from .pipeline import run_pipeline
 from .report import CORRECTION_KEYS
+from .table import BootstrapPlan
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Every default comes from ``RunConfig`` and every choice list from the
-    module that owns it; the option dests are ``RunConfig``'s field names."""
+    """Every default comes from ``RunConfig`` or ``BootstrapPlan``, whose field
+    names are the option dests, and every choice list from its owning module."""
     parser = argparse.ArgumentParser(
         prog="boardstats",
         description=(
@@ -36,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<file.py> "
         "(default: %(default)s)",
     )
-    parser.add_argument("--samples", type=int, help="bootstrap replicates (default: %(default)s)")
+    parser.add_argument("--samples", dest="replicates", metavar="SAMPLES", type=int,
+                        help="bootstrap replicates (default: %(default)s)")
     parser.add_argument("--seed", type=int, help="master seed (default: %(default)s)")
     parser.add_argument("--alpha", type=float, help="tie significance level (default: %(default)s)")
     parser.add_argument("--confidence", type=float, help="CI level (default: %(default)s)")
@@ -68,13 +70,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     parser.add_argument("--workers", type=int, help="parallel evaluation hint (default: %(default)s)")
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    defaults = {f.name: f.default for f in fields(RunConfig) + fields(BootstrapPlan)
+                if f.default is not MISSING and f.name != "plan"}
     parser.set_defaults(**{**defaults, "family": RunConfig.family.replace("_", "-")})
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{**vars(args), "family": args.family.replace("-", "_")})
+    values = {**vars(args), "family": args.family.replace("-", "_")}
+    try:
+        plan = BootstrapPlan(**{f.name: values.pop(f.name) for f in fields(BootstrapPlan)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values, plan=plan)
 
 
 def main(argv=None) -> int:

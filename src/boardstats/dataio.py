@@ -20,7 +20,7 @@ import importlib.util
 import io
 import json
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -28,7 +28,8 @@ from typing import Optional, Sequence, TextIO
 from .corrections import DEFAULT_POLICY, METHODS, POLICIES
 from .errors import ConfigError, DataFormatError
 from .report import CORRECTION_KEYS, GOLD_ALIAS
-from .table import DIRECTIONS, METRICS, BootstrapPlan, PredictionTable, ScoreSpec, TaskKind
+from .table import (DIRECTIONS, METRICS, BootstrapPlan, PredictionTable, ScoreSpec, TaskKind,
+                    check_field_types)
 
 FORMATS = ("json", "csv", "md", "svg")
 TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
@@ -37,35 +38,25 @@ TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
 _FIXED_POINT_BELOW = 1e16
 _CHUNK_ROWS = 256  # CSV rows held at once while a table is read
 
-# accepted value types per RunConfig field annotation; a bool is never a number
-_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "tuple[str, ...]": tuple}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one analysis run depends on, and the one home of its
-    defaults: the command line reads its own from here."""
+    defaults but the ``plan``'s: the command line reads its own from both."""
 
     input: str
     gold_col: str = "y"
     metric: str = "accuracy"
-    samples: int = BootstrapPlan.replicates
-    seed: int = BootstrapPlan.seed
-    alpha: float = BootstrapPlan.alpha
-    confidence: float = BootstrapPlan.confidence
+    plan: BootstrapPlan = BootstrapPlan()
     corrections: tuple[str, ...] = METHODS
     family: str = DEFAULT_POLICY
     gold_alias: str = GOLD_ALIAS
     out_dir: str = "boardstats-out"
     formats: tuple[str, ...] = FORMATS
     task: str = "auto"
-    workers: int = BootstrapPlan.workers
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+        check_field_types(self, ConfigError)
         if not self.formats:
             raise ConfigError("at least one output format is required")
         for name in ("corrections", "formats"):
@@ -129,7 +120,7 @@ def _read_columns(
     shared: dict[str, str] = {}  # cell -> its first equal str in the table
     rows = 0
     while chunk := list(islice(reader, _CHUNK_ROWS)):
-        start, rows = rows + 2, rows + len(chunk)
+        start, rows = rows, rows + len(chunk)  # data rows count from 0, as Violation.row
         if problem:
             continue
         if set(map(len, chunk)) != {width}:
@@ -162,7 +153,7 @@ def _regression_floats(path: Path, columns: dict[str, list]) -> dict[str, list]:
     floats = {}
     for name, col in columns.items():
         floats[name] = values = []
-        for k, cell in enumerate(col, start=2):
+        for k, cell in enumerate(col):
             try:
                 values.append(float(cell))
             except ValueError:
@@ -251,10 +242,8 @@ def parse_metric(text: str) -> ScoreSpec:
         return load_custom_metric(arg)
     if kind not in METRICS:
         raise ConfigError(f"unknown metric {text!r}")
-    if kind == "macro_f1":
-        labels = comma_list(arg)
-    else:  # f1's class is the whole argument, commas and all; accuracy and mae reject any
-        labels = (arg.strip(),) if colon else ()
+    # f1's class is the whole argument, commas and all; accuracy and mae reject any
+    labels = comma_list(arg) if kind == "macro_f1" else (arg,) if colon else ()
     try:
         return ScoreSpec(metric=kind, labels=labels)
     except ValueError as exc:

@@ -19,11 +19,9 @@ from . import __version__
 # benchmarks/tests checks that the span tracer wraps ``pipeline.distributions``
 from .bootstrap import distributions, percentile_ci  # noqa: F401
 from .dataio import RunConfig, fmt_float, load_table, parse_metric, write_csv, write_json, write_md
-from .errors import ConfigError
 from .inference import delta_from_distributions
 from .plots import render_delta_histogram, render_difference_plot, render_forest_plot
 from .report import CompetitionReport, build_report
-from .table import BootstrapPlan
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -35,10 +33,9 @@ class PipelineResult:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute the full analysis described by ``config``."""
     spec = parse_metric(config.metric)
-    plan = _plan(config)
     table = load_table(config.input, gold_col=config.gold_col, task=config.task)
     rep = build_report(
-        table, spec, plan, family_policy=config.family, gold_alias=config.gold_alias
+        table, spec, config.plan, family_policy=config.family, gold_alias=config.gold_alias
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -63,19 +60,6 @@ def _remove_listed_artifacts(out: Path) -> None:
             (out / name).unlink()
 
 
-def _plan(config: RunConfig) -> BootstrapPlan:
-    try:
-        return BootstrapPlan(
-            replicates=config.samples,
-            confidence=config.confidence,
-            seed=config.seed,
-            alpha=config.alpha,
-            workers=config.workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _pair(e) -> dict:
     """One ranked pair as the difference matrix and the p-value table list it."""
     return {"reference": e.reference, "competitor": e.competitor, "delta": e.delta,
@@ -89,7 +73,7 @@ def _write_artifacts(out, config, spec, table, rep):
     ranked = rep.ranking
     matrix = rep.matrix
     dists = rep.distributions
-    summaries = {name: percentile_ci(dists[name], rep.confidence) for name in ranked}
+    summaries = {name: percentile_ci(dists[name], rep.plan.confidence) for name in ranked}
 
     def emit(stem, payload, header, rows, title):
         if "json" in formats:
@@ -216,7 +200,7 @@ def _write_artifacts(out, config, spec, table, rep):
             "plot_delta_hist": render_delta_histogram(
                 *delta_from_distributions(
                     ranked[0], runner_up, dists[ranked[0]], dists[runner_up], spec,
-                    rep.confidence,
+                    rep.plan.confidence,
                 )
             ),
         }

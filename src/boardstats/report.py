@@ -25,19 +25,15 @@ GOLD_ALIAS = "Gold_Standard"
 
 CORRECTION_KEYS = ("none",) + METHODS
 
-# What shapes the numbers but belongs to the run, not the panel: the manifest
-# records it and report.json leaves it out.  The last two are class constants.
-PROVENANCE = ("replicates", "seed", "confidence", "quantile_rule", "rng_family")
-
 
 @dataclass(frozen=True)
 class CompetitionReport:
     """The per-competition summary panel plus reproducibility provenance.
 
     ``cv`` is None when the mean competitor score is 0.  ``distributions``,
-    ``matrix`` and ``adjusted`` carry what the panel was counted from: each
-    competitor's sampling distribution, every ranked pair, and the adjusted
-    p-values under every method of the pairs in the chosen family.
+    ``matrix`` and ``adjusted`` carry what the panel was counted from under
+    ``plan``: each competitor's sampling distribution, every ranked pair, and
+    the adjusted p-values under every method of the pairs in the chosen family.
     """
 
     n: int
@@ -49,13 +45,10 @@ class CompetitionReport:
     cv: Optional[float]
     cv_comparable: bool
     ppi: Optional[float]
-    alpha: float
     metric: str
     direction: str
     family_policy: str
-    replicates: int
-    seed: int
-    confidence: float
+    plan: BootstrapPlan = field(repr=False)
     quantile_rule: ClassVar[str] = QUANTILE_RULE
     rng_family: ClassVar[str] = rng.RNG_FAMILY
     excluded_systems: tuple[str, ...] = ()
@@ -72,17 +65,19 @@ class CompetitionReport:
 
     def panel(self) -> dict:
         """The summary panel as report.json holds it: every field shown in
-        the repr except ``PROVENANCE``."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self) if f.repr and f.name not in PROVENANCE
-        }
+        the repr, plus the plan's ``alpha``."""
+        shown = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return {**shown, "alpha": self.plan.alpha}
 
     def run_record(self) -> dict:
         """What the manifest records of the run: the panel fields that name
-        the analysis, plus ``PROVENANCE``."""
-        named = ("n", "metric", "direction", "alpha", "family_policy", "excluded_systems")
-        return {name: getattr(self, name) for name in named + PROVENANCE}
+        the analysis, the quantile rule, the RNG family and every plan value
+        but ``workers``, which changes no number."""
+        named = ("n", "metric", "direction", "family_policy", "excluded_systems",
+                 "quantile_rule", "rng_family")
+        planned = ("alpha", "replicates", "seed", "confidence")
+        return {**{name: getattr(self, name) for name in named},
+                **{name: getattr(self.plan, name) for name in planned}}
 
 
 def cv(scores: Sequence[float]) -> float:
@@ -201,13 +196,10 @@ def build_report(
         cv=cv_value,
         cv_comparable=ppi_value is not None,
         ppi=ppi_value,
-        alpha=plan.alpha,
         metric=spec.display_name,
         direction=spec.direction,
         family_policy=family_policy,
-        replicates=plan.replicates,
-        seed=plan.seed,
-        confidence=plan.confidence,
+        plan=plan,
         excluded_systems=excluded,
         ranking_ties=ties,
         ranking=tuple(ranked),

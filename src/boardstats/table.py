@@ -8,8 +8,10 @@ immutable.
 
 from __future__ import annotations
 
+import numbers
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -24,6 +26,9 @@ DIRECTIONS = (HIGHER, LOWER)
 # how many classes a metric takes, by the words its errors use
 NO_CLASS, ONE_CLASS, SOME_CLASSES = "no class", "exactly one class", "one or more classes"
 _CLASS_COUNTS = {NO_CLASS: range(1), ONE_CLASS: range(1, 2), SOME_CLASSES: range(1, sys.maxsize)}
+
+# what SVG text cannot hold: XML 1.0's forbidden characters (listed; the complement compiles slowly)
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 # each metric's (direction, capped_at_one, classes), stated here only; the
 # custom entry holds the defaults that a custom metric's file may override
@@ -152,6 +157,9 @@ def validate(table: PredictionTable) -> list[Violation]:
     for name in table.systems:
         if not name or not name.strip():
             out.append(Violation("system-name", "system name is empty", system=name))
+        elif bad := _NOT_XML.search(name):
+            why = f"system name holds U+{ord(bad.group()):04X}, which XML cannot hold"
+            out.append(Violation("system-name", why, system=name))
 
     for name, col in table.systems.items():
         if len(col) != n:
@@ -195,7 +203,7 @@ class ScoreSpec:
     headroom statistic is only defined for those.  A metric's direction,
     cap and class count are its ``METRICS`` entry: ``direction`` and
     ``capped_at_one`` are filled in from it when left None, and only a
-    custom metric may set its own.
+    custom metric may set its own.  Classes are trimmed, as table labels are.
     """
 
     metric: str
@@ -206,6 +214,7 @@ class ScoreSpec:
     fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(str(c).strip() for c in self.labels))
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         direction, capped_at_one, classes = METRICS[self.metric]
@@ -252,11 +261,11 @@ class ScoreSpec:
 
     @classmethod
     def f1(cls, label: str) -> "ScoreSpec":
-        return cls(metric="f1", labels=(str(label).strip(),))
+        return cls(metric="f1", labels=(label,))
 
     @classmethod
     def macro_f1(cls, labels: Iterable[str]) -> "ScoreSpec":
-        return cls(metric="macro_f1", labels=tuple(str(c).strip() for c in labels))
+        return cls(metric="macro_f1", labels=tuple(labels))
 
     @classmethod
     def mae(cls) -> "ScoreSpec":
@@ -289,13 +298,30 @@ class BootstrapPlan:
     workers: int = 1
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2 for percentile intervals")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        for name in ("confidence", "alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie strictly between 0 and 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+
+# per field annotation, the accepted types and the type a number is stored as
+_FIELD_TYPES = {"str": (str, None), "int": (numbers.Integral, int), "float": (numbers.Real, float),
+                "tuple[str, ...]": (tuple, None), "BootstrapPlan": (BootstrapPlan, None)}
+
+
+def check_field_types(record, error: type[Exception]) -> None:
+    """Raise ``error`` on the first field of ``record`` that its annotation does not
+    accept (a bool is never a number); store numpy numbers as ``int`` or ``float``."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        accepted, number = _FIELD_TYPES[f.type]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise error(f"{f.name} must be {f.type}, not {value!r}")
+        if number is not None:
+            object.__setattr__(record, f.name, number(value))

@@ -203,7 +203,8 @@ def test_criterion_6_determinism(criterion, stance_small_with_gold, tmp_path):
             run_pipeline(
                 RunConfig(
                     input=str(csv), metric="macro-f1:favor,against",
-                    samples=2000, seed=99, workers=workers, out_dir=str(out),
+                    plan=BootstrapPlan(replicates=2000, seed=99, workers=workers),
+                    out_dir=str(out),
                 )
             )
             return {

@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from boardstats.cli import build_parser, config_from_args
@@ -19,19 +20,24 @@ def test_run_config_round_trip():
         "--corrections", "bonferroni,bh", "--formats", "json,svg", "--family", "global",
     )
     assert cfg == RunConfig(
-        input="x.csv", metric="macro-f1:favor,against", samples=5000, seed=11,
+        input="x.csv", metric="macro-f1:favor,against",
+        plan=BootstrapPlan(replicates=5000, seed=11),
         corrections=("bonferroni", "bh"), formats=("json", "svg"), family="global",
     )
 
 
 def test_run_config_accepts_an_int_for_a_float():
-    assert RunConfig(input="x.csv", alpha=1).alpha == 1
+    # RunConfig's numbers are its plan's, whose type rule RunConfig shares: an
+    # int passes as a float, so alpha=1 fails only the range check
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        BootstrapPlan(alpha=1)
+    assert RunConfig(input="x.csv", plan=BootstrapPlan(alpha=np.float32(0.5))).plan.alpha == 0.5
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("samples", "many"), ("alpha", True), ("workers", "2"), ("seed", 1.5), ("input", 3),
-     ("gold_col", 1), ("corrections", {"bh": 1})],
+    [("input", 3), ("gold_col", 1), ("metric", None), ("family", 1), ("out_dir", 0),
+     ("plan", None), ("corrections", {"bh": 1})],
 )
 def test_run_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be "):
@@ -56,14 +62,19 @@ def test_run_config_rejects_duplicate_list_entries(field, value, entry):
 
 def test_cli_and_library_share_run_config_defaults():
     assert parse_cli() == RunConfig(input="x.csv")
+    assert RunConfig(input="x.csv").plan == BootstrapPlan()
     dests = {action.dest for action in build_parser()._actions} - {"help"}
-    assert dests == {f.name for f in fields(RunConfig)}
-    config, plan = RunConfig(input="x.csv"), BootstrapPlan()
-    assert (config.samples, config.seed, config.alpha, config.confidence, config.workers) == (
-        plan.replicates, plan.seed, plan.alpha, plan.confidence, plan.workers
-    )
+    assert dests == {f.name for f in fields(RunConfig) + fields(BootstrapPlan)} - {"plan"}
     for policy in POLICIES:
         assert parse_cli("--family", policy.replace("_", "-")).family == policy
+
+
+def test_cli_options_map_onto_the_plan():
+    cfg = parse_cli("--samples", "50", "--seed", "3", "--alpha", "0.1", "--confidence", "0.9",
+                    "--workers", "2")
+    assert cfg.plan == BootstrapPlan(replicates=50, seed=3, alpha=0.1, confidence=0.9, workers=2)
+    with pytest.raises(ConfigError, match="seed must fit in 64 unsigned bits"):
+        parse_cli("--seed", "-1")
 
 
 def test_cli_splits_comma_lists_dropping_blank_items():

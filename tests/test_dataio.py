@@ -65,9 +65,15 @@ def test_missing_gold_column(tmp_path):
 
 
 def test_ragged_row(tmp_path):
+    # a ragged record and a missing cell on the same data row get one number,
+    # its 0-based index below the header
     p = write(tmp_path, "y,A\nx,x\nx\n")
-    with pytest.raises(DataFormatError, match="row 3"):
+    with pytest.raises(DataFormatError, match="row 1 has 1 fields"):
         load_table(p)
+    p = write(tmp_path, "y,A\nx,x\nx,\n", name="missing.csv")
+    with pytest.raises(TableValidationError) as err:
+        load_table(p)
+    assert [v.row for v in err.value.violations] == [1]
 
 
 def test_empty_inputs(tmp_path):
@@ -89,11 +95,11 @@ def test_empty_inputs(tmp_path):
          "not a readable UTF-8 CSV"),
         (b"y,A,A\nx,x\nx\n", "duplicated column name 'A'"),
         (b"label,A\nx,x\nx\n", "gold column 'y' not found"),
-        (b"y,A\nx,x\nx\nx,x,x\n", "row 3 has 1 fields, header has 2"),
-        (b"y,A\nx,x\n\nx,x\n", "row 3 has 0 fields, header has 2"),
-        (b"y,A\n\"x\ny\",x\nx\n", "row 3 has 1 fields, header has 2"),
+        (b"y,A\nx,x\nx\nx,x,x\n", "row 1 has 1 fields, header has 2"),
+        (b"y,A\nx,x\n\nx,x\n", "row 1 has 0 fields, header has 2"),
+        (b"y,A\n\"x\ny\",x\nx\n", "row 1 has 1 fields, header has 2"),
         # numbers for more than one read chunk, then text: the table is read as labels
-        (b"y,A\n" + b"1,2\n" * 300 + b"x,1\n1\n", "row 303 has 1 fields, header has 2"),
+        (b"y,A\n" + b"1,2\n" * 300 + b"x,1\n1\n", "row 301 has 1 fields, header has 2"),
         (b"y,A\n" + b"1,2\n" * 300 + b"x,1\n" + b"x,x\n" * 4096 + b"x,\xff\n",
          "not a readable UTF-8 CSV"),
     ],
@@ -112,10 +118,10 @@ def test_ingest_error_precedence(tmp_path, content, message):
 def test_regression_text_error_names_first_column_then_first_row(tmp_path):
     # column order decides, not file order: A's bad cell is on a later row
     p = write(tmp_path, "y,A,B\n1,2,x\n1,a,3\n1,b,3\n")
-    with pytest.raises(DataFormatError, match=r"column 'A' mixes numbers and text \(row 3\)"):
+    with pytest.raises(DataFormatError, match=r"column 'A' mixes numbers and text \(row 1\)"):
         load_table(p, task="regression")
     p = write(tmp_path, "y,A\nz,1\n1,b\n", name="gold.csv")
-    with pytest.raises(DataFormatError, match=r"column 'y' mixes numbers and text \(row 2\)"):
+    with pytest.raises(DataFormatError, match=r"column 'y' mixes numbers and text \(row 0\)"):
         load_table(p, task="regression")
 
 

@@ -9,6 +9,7 @@ from boardstats.cli import main
 from boardstats.dataio import RunConfig
 from boardstats.pipeline import run_pipeline
 from boardstats.report import cv
+from boardstats.table import BootstrapPlan
 from helpers import read_md_table
 
 TABLE_FILES = ["performance", "differences", "difference_matrix", "pvalues", "report"]
@@ -41,7 +42,7 @@ def test_smoke_run_writes_all_tables_and_manifest(tmp_path):
     csv = write_classification_csv(tmp_path / "comp.csv")
     out = tmp_path / "out"
     result = run_pipeline(
-        RunConfig(input=str(csv), samples=500, seed=3, out_dir=str(out))
+        RunConfig(input=str(csv), plan=BootstrapPlan(replicates=500, seed=3), out_dir=str(out))
     )
     for stem in TABLE_FILES:
         for ext in ("json", "csv", "md"):
@@ -64,8 +65,8 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
         out = tmp_path / f"out{k}"
         run_pipeline(
             RunConfig(
-                input=str(csv), samples=800, seed=11, out_dir=str(out),
-                workers=workers, metric="macro-f1:pos,neg",
+                input=str(csv), plan=BootstrapPlan(replicates=800, seed=11, workers=workers),
+                out_dir=str(out), metric="macro-f1:pos,neg",
             )
         )
         digests.append(digest_dir(out))
@@ -74,8 +75,11 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
 
 def test_seed_changes_outputs(tmp_path):
     csv = write_classification_csv(tmp_path / "comp.csv")
-    a = run_pipeline(RunConfig(input=str(csv), samples=300, seed=1, out_dir=str(tmp_path / "a")))
-    b = run_pipeline(RunConfig(input=str(csv), samples=300, seed=2, out_dir=str(tmp_path / "b")))
+    a, b = (
+        run_pipeline(RunConfig(input=str(csv), plan=BootstrapPlan(replicates=300, seed=seed),
+                               out_dir=str(tmp_path / tag)))
+        for tag, seed in (("a", 1), ("b", 2))
+    )
     pa = json.loads((tmp_path / "a" / "performance.json").read_text())
     pb = json.loads((tmp_path / "b" / "performance.json").read_text())
     assert pa != pb
@@ -84,7 +88,9 @@ def test_seed_changes_outputs(tmp_path):
 def test_fdr_column_equals_bh_row_for_row(tmp_path):
     csv = write_classification_csv(tmp_path / "comp.csv", noises=(0.1, 0.2, 0.35, 0.5))
     out = tmp_path / "out"
-    run_pipeline(RunConfig(input=str(csv), samples=600, seed=5, out_dir=str(out)))
+    run_pipeline(
+        RunConfig(input=str(csv), plan=BootstrapPlan(replicates=600, seed=5), out_dir=str(out))
+    )
     payload = json.loads((out / "pvalues.json").read_text())
     assert len(payload["comparisons"]) == 6
     for row in payload["comparisons"]:
@@ -122,7 +128,7 @@ def test_winner_family_bonferroni_saturates_only_near_tie(tmp_path):
     out = tmp_path / "out"
     run_pipeline(
         RunConfig(
-            input=str(csv), metric="f1:p", samples=4000, seed=2,
+            input=str(csv), metric="f1:p", plan=BootstrapPlan(replicates=4000, seed=2),
             family="vs_winner", out_dir=str(out),
         )
     )
@@ -148,7 +154,9 @@ def test_gold_alias_is_excluded_from_analysis(tmp_path):
     csv = tmp_path / "with_gold.csv"
     csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    result = run_pipeline(RunConfig(input=str(csv), samples=300, seed=1, out_dir=str(out)))
+    result = run_pipeline(
+        RunConfig(input=str(csv), plan=BootstrapPlan(replicates=300, seed=1), out_dir=str(out))
+    )
     assert result.report.m == 2
     perf = json.loads((out / "performance.json").read_text())
     assert [s["system"] for s in perf["systems"]] == ["s1", "s2"]
@@ -168,7 +176,8 @@ def test_mae_pipeline(tmp_path):
     csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     result = run_pipeline(
-        RunConfig(input=str(csv), metric="mae", samples=400, seed=9, out_dir=str(out))
+        RunConfig(input=str(csv), metric="mae", plan=BootstrapPlan(replicates=400, seed=9),
+                  out_dir=str(out))
     )
     assert result.report.ranking[0] == "close"
     rep = json.loads((out / "report.json").read_text())
@@ -182,7 +191,9 @@ def test_mae_pipeline(tmp_path):
 def test_md_tables_round_trip_to_four_decimals(tmp_path):
     csv = write_classification_csv(tmp_path / "comp.csv")
     out = tmp_path / "out"
-    run_pipeline(RunConfig(input=str(csv), samples=400, seed=4, out_dir=str(out)))
+    run_pipeline(
+        RunConfig(input=str(csv), plan=BootstrapPlan(replicates=400, seed=4), out_dir=str(out))
+    )
     payload = json.loads((out / "performance.json").read_text())
     header, rows = read_md_table(out / "performance.md")
     assert header == ["system", "observed", "lci", "mean", "uci"]
@@ -211,11 +222,13 @@ def test_every_table_round_trips_at_printed_precision(tmp_path, inputs):
     out = tmp_path / "out"
     if inputs == "classification":
         csv = write_classification_csv(tmp_path / "comp.csv", noises=(0.1, 0.25, 0.4))
-        run_pipeline(RunConfig(input=str(csv), samples=600, seed=12, out_dir=str(out)))
+        run_pipeline(RunConfig(input=str(csv), plan=BootstrapPlan(replicates=600, seed=12),
+                               out_dir=str(out)))
     else:
         csv = tmp_path / "values.csv"
         csv.write_text(NEAR_MAX_MAE_CSV, encoding="utf-8")
-        run_pipeline(RunConfig(input=str(csv), metric="mae", samples=200, out_dir=str(out)))
+        run_pipeline(RunConfig(input=str(csv), metric="mae", plan=BootstrapPlan(replicates=200),
+                               out_dir=str(out)))
 
     def csv_rows(stem):
         lines = (out / f"{stem}.csv").read_text().splitlines()
@@ -291,7 +304,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     ragged.write_text("y,A\nx,x\nx\n", encoding="utf-8")
     assert main(["--input", str(ragged)]) == 1
     err = capsys.readouterr().err
-    assert "input" in err and "row 3" in err
+    assert "input" in err and "row 1 has 1 fields" in err
 
     single = tmp_path / "single.csv"
     single.write_text("y,A\nx,x\n", encoding="utf-8")
@@ -305,6 +318,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     # rejected with the plan, before any resampling
     assert main(["--input", str(csv), "--samples", "1"]) == 2
     assert "boardstats: configuration: replicates must be >= 2" in capsys.readouterr().err
+    assert main(["--input", str(csv), "--seed", "-1"]) == 2
+    assert "boardstats: configuration: seed must fit in 64" in capsys.readouterr().err
 
     assert main(["--input", str(csv), "--metric", "mae", "--samples", "10"]) == 2
     err = capsys.readouterr().err
@@ -587,6 +602,18 @@ def test_system_names_with_markup_characters_round_trip_through_every_svg(tmp_pa
     assert titles == [f"Bootstrap differences: s1 vs {name}"]
 
 
+def test_cli_rejects_a_system_name_that_xml_cannot_hold(tmp_path, capsys):
+    csv = tmp_path / "control.csv"
+    csv.write_text("y,s\x0bx,s2\np,p,n\nn,n,n\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--samples", "50", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("boardstats: input: ")
+    assert ("[system-name] system name holds U+000B, which XML cannot hold "
+            "(system='s\\x0bx')") in err
+    assert not out.exists()
+
+
 def test_cli_custom_metric_and_formats(tmp_path):
     csv = write_classification_csv(tmp_path / "comp.csv")
     plugin = tmp_path / "plugin.py"
@@ -619,7 +646,7 @@ def test_vs_winner_pvalues_only_winner_rows(tmp_path, corrections):
     out = tmp_path / "out"
     result = run_pipeline(
         RunConfig(
-            input=str(csv), samples=300, seed=8, family="vs_winner",
+            input=str(csv), plan=BootstrapPlan(replicates=300, seed=8), family="vs_winner",
             corrections=corrections, out_dir=str(out),
         )
     )

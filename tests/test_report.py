@@ -134,8 +134,9 @@ def test_build_report_matches_component_recomputation():
     assert rep.cv == pytest.approx(cv(scores))
     assert rep.ppi == pytest.approx(ppi(scores[0], spec))
     assert rep.win_med_gap == pytest.approx(win_med_gap(scores))
-    assert rep.alpha == plan.alpha
-    assert rep.replicates == 1500 and rep.seed == 23
+    assert rep.plan is plan
+    assert rep.panel()["alpha"] == plan.alpha and "workers" not in rep.run_record()
+    assert (rep.run_record()["replicates"], rep.run_record()["seed"]) == (1500, 23)
     assert rep.metric == "accuracy"
     assert rep.quantile_rule == "linear"
     for method in ("none", "bonferroni", "holm", "bh"):

@@ -1,6 +1,9 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from boardstats.bootstrap import distributions
 from boardstats.errors import TableValidationError
 from boardstats.table import (
     BootstrapPlan,
@@ -60,6 +63,15 @@ def test_label_set_order_is_gold_first_then_column_order():
 def test_labels_are_trimmed_but_not_case_folded():
     table = PredictionTable.build(["  FAVOR ", "favor"], {"s": ["FAVOR", " favor"]})
     assert table.label_set == ("FAVOR", "favor")
+
+
+def test_score_spec_trims_its_classes_as_tables_trim_labels():
+    spec = ScoreSpec(metric="f1", labels=(" a",))
+    assert spec == ScoreSpec.f1(" a") == ScoreSpec.f1("a")
+    assert ScoreSpec(metric="macro_f1", labels=[" a", "B "]).labels == ("a", "B")
+    table = PredictionTable.build(["a", "b", "a"], {"s": ["a ", "a", "b"], "t": ["b", "b", "a"]})
+    dists = distributions(table, spec, BootstrapPlan(replicates=2))
+    assert [d.observed for d in dists.values()] == pytest.approx([1 / 2, 2 / 3])
 
 
 def test_equal_labels_are_one_object_across_columns():
@@ -221,4 +233,21 @@ def test_bootstrap_plan_invariants():
     assert plan.replicates == 10_000
     assert plan.confidence == 0.95
     assert plan.alpha == 0.05
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("replicates", "many"), ("replicates", 50.0), ("alpha", True), ("alpha", "0.1"),
+     ("seed", 1.5), ("seed", True), ("workers", "2"), ("workers", 2.0)],
+)
+def test_bootstrap_plan_rejects_mistyped_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be "):
+        BootstrapPlan(**{field: value})
+
+
+def test_bootstrap_plan_keeps_numpy_scalars_as_python_numbers():
+    plan = BootstrapPlan(replicates=np.int32(50), seed=np.uint64(2**64 - 1),
+                         alpha=np.float32(0.5), confidence=np.float64(0.9), workers=np.int64(2))
+    assert plan == BootstrapPlan(50, 0.9, 2**64 - 1, 0.5, 2)
+    assert list(map(type, astuple(plan))) == [int, float, int, float, int]
 
