@@ -22,7 +22,8 @@ DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 
 N = 300
 SAMPLES = "200"
-METRICS = {"accuracy": "labels.csv", "macro-f1:a,b": "labels.csv", "mae": "values.csv"}
+METRICS = {"accuracy": "labels.csv", "f1:a": "labels.csv", "macro-f1:a,b": "labels.csv",
+           "mae": "values.csv", "custom:agree.py": "labels.csv"}
 FAMILIES = ("per-reference", "vs-winner", "global")
 CORRECTIONS = {"default": None, "none": "none"}
 CASES = [
@@ -31,8 +32,12 @@ CASES = [
 
 
 def write_inputs(directory: Path) -> None:
-    """Two fixed CSVs, five systems each; the fourth system copies the third
-    so ranking ties and identical-prediction comparisons are covered."""
+    """Two fixed CSVs, five systems each, and a custom accuracy metric; the
+    fourth system copies the third so ranking ties and identical-prediction
+    comparisons are covered."""
+    (directory / "agree.py").write_text(
+        "def score(gold, pred):\n    return float((gold == pred).mean())\n", encoding="utf-8"
+    )
     g = np.random.default_rng(20240307)
     labels = np.array(["a", "b", "c"])
     gold = g.choice(labels, size=N, p=[0.45, 0.35, 0.2])
