@@ -43,7 +43,7 @@ config = SynthConfig(
 table = generate(config)
 
 # The competition metric: macro-F1 over the two stance classes only.
-spec = ScoreSpec.macro_f1(["favor", "against"])
+spec = ScoreSpec(metric="macro_f1", labels=("favor", "against"))
 
 # 10,000 resamples, one shared index vector per replicate across systems.
 plan = BootstrapPlan(replicates=10_000, seed=7)

@@ -38,7 +38,7 @@ config = SynthConfig(
     },
 )
 table = generate(config)
-spec = ScoreSpec.macro_f1(["favor", "against"])
+spec = ScoreSpec(metric="macro_f1", labels=("favor", "against"))
 plan = BootstrapPlan(replicates=10_000, seed=7)
 
 # One bootstrap of every system; the report's difference matrix holds each

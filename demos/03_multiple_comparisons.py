@@ -33,7 +33,7 @@ config = SynthConfig(
     },
 )
 table = generate(config)
-spec = ScoreSpec.accuracy()
+spec = ScoreSpec(metric="accuracy")
 plan = BootstrapPlan(replicates=10_000, seed=13)
 
 # The lower-triangular matrix carries every pairwise delta with its

@@ -28,7 +28,7 @@ def summarize(title, rates, seed):
         systems={f"run{k}": LabelNoise(rate=r) for k, r in enumerate(rates)},
     )
     table = generate(config)
-    report = build_report(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=5000, seed=1))
+    report = build_report(table, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=5000, seed=1))
     print(f"--- {title}")
     print(f"n={report.n}  m={report.m}  possible comparisons={report.possible_comparisons}")
     ties_w = "/".join(str(report.ties_with_winner[k]) for k in ("none", "bonferroni", "holm", "bh"))

@@ -12,7 +12,7 @@ import sys
 from dataclasses import MISSING, fields
 
 from .corrections import POLICIES
-from .dataio import FORMATS, TASKS, RunConfig, comma_list
+from .dataio import FORMATS, METRIC_SYNTAX, TASKS, RunConfig, comma_list
 from .errors import BoardstatsError, ConfigError
 from .pipeline import run_pipeline
 from .report import CORRECTION_KEYS
@@ -34,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gold-col", help="gold-standard column name (default: %(default)s)")
     parser.add_argument(
         "--metric",
-        help="accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<file.py> "
-        "(default: %(default)s)",
+        help=f"{METRIC_SYNTAX} (default: %(default)s)",
     )
     parser.add_argument("--samples", dest="replicates", metavar="SAMPLES", type=int,
                         help="bootstrap replicates (default: %(default)s)")

@@ -28,11 +28,17 @@ from typing import Optional, Sequence, TextIO
 from .corrections import DEFAULT_POLICY, METHODS, POLICIES
 from .errors import ConfigError, DataFormatError
 from .report import CORRECTION_KEYS, GOLD_ALIAS
-from .table import (DIRECTIONS, METRICS, BootstrapPlan, PredictionTable, ScoreSpec, TaskKind,
-                    check_field_types)
+from .table import (DIRECTIONS, METRICS, NO_CLASS, ONE_CLASS, SOME_CLASSES, BootstrapPlan,
+                    PredictionTable, ScoreSpec, TaskKind, check_field_types)
 
 FORMATS = ("json", "csv", "md", "svg")
 TASKS = ("auto",) + tuple(kind.value for kind in TaskKind)
+# the metric text's forms: each built-in metric's name with the argument its
+# class rule takes, then a custom metric's file
+_CLASS_ARGS = {NO_CLASS: "", ONE_CLASS: ":<class>", SOME_CLASSES: ":<c1,c2,...>"}
+METRIC_SYNTAX = " | ".join(name.replace("_", "-") + _CLASS_ARGS[classes]
+                           for name, (_, _, classes) in METRICS.items() if name != "custom")
+METRIC_SYNTAX += " | custom:<file.py>"
 # from 1e16 up the integer part has 17 digits, beyond float64's precision, so
 # fixed point would only add width and noise digits
 _FIXED_POINT_BELOW = 1e16
@@ -224,15 +230,15 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
             if not ok(value):
                 raise ConfigError(f"{path}: {constant} must be {wanted}, not {value!r}")
             given[field] = value
-    return ScoreSpec.custom(fn=fn, **given)
+    return ScoreSpec(metric="custom", fn=fn, **given)
 
 
 def parse_metric(text: str) -> ScoreSpec:
-    """Build a ScoreSpec from its command-line syntax.
+    """Build a ScoreSpec from its metric text, one of ``METRIC_SYNTAX``'s forms.
 
-    accuracy | f1:<class> | macro-f1:<c1,c2,...> | mae | custom:<path>
-
-    Which metrics take classes, and how many, is ``ScoreSpec``'s to check.
+    The argument after the colon is split by the metric's class rule in
+    ``METRICS``: a comma list for one or more classes, else the whole
+    argument; how many classes a metric takes is ``ScoreSpec``'s to check.
     """
     kind, colon, arg = text.partition(":")
     kind = kind.strip().lower().replace("-", "_")
@@ -242,8 +248,7 @@ def parse_metric(text: str) -> ScoreSpec:
         return load_custom_metric(arg)
     if kind not in METRICS:
         raise ConfigError(f"unknown metric {text!r}")
-    # f1's class is the whole argument, commas and all; accuracy and mae reject any
-    labels = comma_list(arg) if kind == "macro_f1" else (arg,) if colon else ()
+    labels = comma_list(arg) if METRICS[kind][2] == SOME_CLASSES else (arg,) if colon else ()
     try:
         return ScoreSpec(metric=kind, labels=labels)
     except ValueError as exc:

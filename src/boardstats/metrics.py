@@ -1,8 +1,8 @@
 """Performance scores of one prediction vector against the gold standard.
 
 Supported metrics: accuracy, per-class F1, macro-averaged F1 over a declared
-class subset, and mean absolute error.  Arbitrary metrics plug in through
-``ScoreSpec.custom``.
+class subset, and mean absolute error.  Arbitrary metrics plug in as a
+``custom`` ScoreSpec with a scoring function.
 
 The macro-F1 here averages F1 only over the declared subset.  Classes outside
 the subset still contribute false positives and false negatives to the subset

@@ -154,9 +154,7 @@ def calibrate(config: SynthConfig, plan: BootstrapPlan, trials: int) -> Calibrat
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = (
-        ScoreSpec.accuracy() if config.task_kind is TaskKind.CLASSIFICATION else ScoreSpec.mae()
-    )
+    spec = ScoreSpec(metric="accuracy" if config.task_kind is TaskKind.CLASSIFICATION else "mae")
     names = list(config.systems)
     first = names[0]
     truth = expected_score(config, first)

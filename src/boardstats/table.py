@@ -27,8 +27,9 @@ DIRECTIONS = (HIGHER, LOWER)
 NO_CLASS, ONE_CLASS, SOME_CLASSES = "no class", "exactly one class", "one or more classes"
 _CLASS_COUNTS = {NO_CLASS: range(1), ONE_CLASS: range(1, 2), SOME_CLASSES: range(1, sys.maxsize)}
 
-# what SVG text cannot hold: XML 1.0's forbidden characters (listed; the complement compiles slowly)
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# what no system name may hold: a C0 control character, which would break a
+# Markdown row or an SVG attribute, or a code point XML 1.0 forbids
+_NOT_IN_NAME = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 # each metric's (direction, capped_at_one, classes), stated here only; the
 # custom entry holds the defaults that a custom metric's file may override
@@ -157,8 +158,8 @@ def validate(table: PredictionTable) -> list[Violation]:
     for name in table.systems:
         if not name or not name.strip():
             out.append(Violation("system-name", "system name is empty", system=name))
-        elif bad := _NOT_XML.search(name):
-            why = f"system name holds U+{ord(bad.group()):04X}, which XML cannot hold"
+        elif bad := _NOT_IN_NAME.search(name):
+            why = f"system name holds U+{ord(bad.group()):04X}, a control or non-character"
             out.append(Violation("system-name", why, system=name))
 
     for name, col in table.systems.items():
@@ -203,7 +204,9 @@ class ScoreSpec:
     headroom statistic is only defined for those.  A metric's direction,
     cap and class count are its ``METRICS`` entry: ``direction`` and
     ``capped_at_one`` are filled in from it when left None, and only a
-    custom metric may set its own.  Classes are trimmed, as table labels are.
+    custom metric may set its own.  Classes are trimmed, as table labels are;
+    the classes of a metric that takes one or more hold no comma, so that
+    ``parse_metric(spec.display_name) == spec`` for every built-in metric.
     """
 
     metric: str
@@ -229,6 +232,8 @@ class ScoreSpec:
         for i, label in enumerate(self.labels):
             if not label:
                 raise ValueError(f"{self.metric} classes must be non-empty")
+            if classes == SOME_CLASSES and "," in label:
+                raise ValueError(f"{self.metric} class {label!r} holds a comma, the class separator")
             if label in self.labels[:i]:
                 raise ValueError(f"{self.metric} lists {label!r} more than once")
         if self.metric == "custom":
@@ -243,44 +248,15 @@ class ScoreSpec:
 
     @property
     def display_name(self) -> str:
+        """The custom name, or the metric text that ``parse_metric`` reads back."""
         if self.name:
             return self.name
-        if self.metric == "f1":
-            return f"f1:{self.labels[0]}"
-        if self.metric == "macro_f1":
-            return "macro-f1:" + ",".join(self.labels)
-        return self.metric
+        text = self.metric.replace("_", "-")
+        return f"{text}:{','.join(self.labels)}" if self.labels else text
 
     @property
     def higher_is_better(self) -> bool:
         return self.direction == HIGHER
-
-    @classmethod
-    def accuracy(cls) -> "ScoreSpec":
-        return cls(metric="accuracy")
-
-    @classmethod
-    def f1(cls, label: str) -> "ScoreSpec":
-        return cls(metric="f1", labels=(label,))
-
-    @classmethod
-    def macro_f1(cls, labels: Iterable[str]) -> "ScoreSpec":
-        return cls(metric="macro_f1", labels=tuple(labels))
-
-    @classmethod
-    def mae(cls) -> "ScoreSpec":
-        return cls(metric="mae")
-
-    @classmethod
-    def custom(
-        cls,
-        name: str,
-        fn: Callable[[np.ndarray, np.ndarray], float],
-        direction: Optional[str] = None,
-        capped_at_one: Optional[bool] = None,
-    ) -> "ScoreSpec":
-        return cls(metric="custom", name=name, fn=fn, direction=direction,
-                   capped_at_one=capped_at_one)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def test_criterion_3_competition_metric_oracle(criterion):
         start = time.perf_counter()
         small = [0.5734, 0.5465, 0.5024, 0.4256, 0.3428]
         large = [0.8092, 0.7906, 0.7410, 0.6738, 0.6404]
-        spec = ScoreSpec.macro_f1(["favor", "against"])
+        spec = ScoreSpec(metric="macro_f1", labels=("favor", "against"))
         assert cv(small) == pytest.approx(19.680, abs=0.01)
         assert cv(large) == pytest.approx(9.970, abs=0.01)
         assert ppi(small[0], spec) == pytest.approx(42.660, abs=0.005)
@@ -116,7 +116,7 @@ def test_criterion_3_competition_metric_oracle(criterion):
 
 def test_criterion_4_observed_delta_oracle(criterion, stance_small):
     with criterion(4, "observed deltas"):
-        spec = ScoreSpec.macro_f1(STANCE_SUBSET)
+        spec = ScoreSpec(metric="macro_f1", labels=STANCE_SUBSET)
         observed = {
             name: score(stance_small.gold, stance_small.systems[name], spec)
             for name in stance_small.names
@@ -164,7 +164,7 @@ def test_criterion_5c_pvalue_bands_on_calibrated_data(criterion, stance_small):
     # the two reference pairs: p near 0.0014 and near 0.2064, within +-0.02
     # in at least 90% of seeds
     with criterion(5, "c: p-value bands on calibrated data"):
-        spec = ScoreSpec.macro_f1(STANCE_SUBSET)
+        spec = ScoreSpec(metric="macro_f1", labels=STANCE_SUBSET)
         seeds = range(20)
         hit_small, hit_large = 0, 0
         for seed in seeds:
@@ -222,13 +222,13 @@ def test_criterion_7_metric_correctness(criterion):
     with criterion(7, "metric correctness"):
         gold = ["F", "F", "F", "N", "A", "A"]
         pred = ["F", "F", "A", "F", "A", "N"]
-        assert round(score(gold, pred, ScoreSpec.macro_f1(["F", "A"])), 4) == 0.5833
+        assert round(score(gold, pred, ScoreSpec(metric="macro_f1", labels=("F", "A"))), 4) == 0.5833
         labels = ["F", "N", "A", "F", "A", "N"]
         for spec in (
-            ScoreSpec.accuracy(),
-            ScoreSpec.f1("F"),
-            ScoreSpec.macro_f1(["F", "A"]),
-            ScoreSpec.macro_f1(["F", "N", "A"]),
+            ScoreSpec(metric="accuracy"),
+            ScoreSpec(metric="f1", labels=("F",)),
+            ScoreSpec(metric="macro_f1", labels=("F", "A")),
+            ScoreSpec(metric="macro_f1", labels=("F", "N", "A")),
         ):
             assert score(labels, labels, spec) == 1.0
 
@@ -258,7 +258,7 @@ def test_criterion_8_correction_properties(criterion):
 
 def test_criterion_9_plot_contracts(criterion, stance_small):
     with criterion(9, "plot contracts"):
-        spec = ScoreSpec.macro_f1(STANCE_SUBSET)
+        spec = ScoreSpec(metric="macro_f1", labels=STANCE_SUBSET)
         plan = BootstrapPlan(replicates=4000, seed=31)
         dists = distributions(stance_small, spec, plan)
 

@@ -54,13 +54,13 @@ def test_traced_counts_cover_every_system_and_block(spans, monkeypatch, metric, 
         table = PredictionTable.build(
             gold, {f"s{i}": gold + g.normal(size=n) for i in range(m)}, "regression"
         )
-        spec = ScoreSpec.mae()
+        spec = ScoreSpec(metric="mae")
     else:
         gold = g.choice(["a", "b", "c"], size=n)
         table = PredictionTable.build(
             gold, {f"s{i}": g.choice(["a", "b", "c"], size=n) for i in range(m)}
         )
-        spec = ScoreSpec.macro_f1(["a", "c"])
+        spec = ScoreSpec(metric="macro_f1", labels=("a", "c"))
     if rows is not None:
         monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
     per_block = rows or B

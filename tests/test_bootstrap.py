@@ -169,7 +169,7 @@ def test_index_frequencies_are_uniform():
 def test_perfect_system_is_perfect_on_every_resample():
     table = make_table()
     plan = BootstrapPlan(replicates=500, seed=5)
-    dist = system_distribution(table, "perfect", ScoreSpec.accuracy(), plan)
+    dist = system_distribution(table, "perfect", ScoreSpec(metric="accuracy"), plan)
     assert np.all(dist.values == 1.0)
     assert dist.observed == 1.0
 
@@ -177,7 +177,7 @@ def test_perfect_system_is_perfect_on_every_resample():
 def test_b_one_with_single_row_is_identity():
     table = PredictionTable.build(["a"], {"s": ["a"]})
     plan = BootstrapPlan(replicates=2, seed=8)
-    dist = system_distribution(table, "s", ScoreSpec.accuracy(), plan)
+    dist = system_distribution(table, "s", ScoreSpec(metric="accuracy"), plan)
     assert dist.values.tolist() == [dist.observed] * 2 == [1.0, 1.0]
 
 
@@ -186,7 +186,7 @@ def test_distribution_matches_per_replicate_scoring_exactly():
     # at a time, for integer-count and float metrics alike
     table = make_table()
     plan = BootstrapPlan(replicates=64, seed=21)
-    for spec in (ScoreSpec.accuracy(), ScoreSpec.macro_f1(["a", "b"])):
+    for spec in (ScoreSpec(metric="accuracy"), ScoreSpec(metric="macro_f1", labels=("a", "b"))):
         dist = system_distribution(table, "noisy", spec, plan)
         for r in range(64):
             manual = score_on_indices(
@@ -197,17 +197,17 @@ def test_distribution_matches_per_replicate_scoring_exactly():
     reg = PredictionTable.build(
         np.linspace(0, 5, 40), {"s": np.linspace(0.3, 4.6, 40)}, "regression"
     )
-    dist = system_distribution(reg, "s", ScoreSpec.mae(), plan)
+    dist = system_distribution(reg, "s", ScoreSpec(metric="mae"), plan)
     for r in range(64):
         manual = score_on_indices(
-            reg.gold, reg.systems["s"], ScoreSpec.mae(), replicate_indices(plan, 40, r)
+            reg.gold, reg.systems["s"], ScoreSpec(metric="mae"), replicate_indices(plan, 40, r)
         )
         assert dist.values[r] == manual
 
 
 def test_worker_count_never_changes_values():
     table = make_table(n=200)
-    spec = ScoreSpec.macro_f1(["a", "c"])
+    spec = ScoreSpec(metric="macro_f1", labels=("a", "c"))
     base = distributions(table, spec, BootstrapPlan(replicates=3000, seed=77))
     for workers in (4, 8):
         par = distributions(
@@ -220,10 +220,10 @@ def test_worker_count_never_changes_values():
 @pytest.mark.parametrize(
     "spec",
     [
-        ScoreSpec.accuracy(),
-        ScoreSpec.macro_f1(["a", "c"]),
-        ScoreSpec.mae(),
-        ScoreSpec.custom("agree", lambda g, p: float(np.mean(g == p))),
+        ScoreSpec(metric="accuracy"),
+        ScoreSpec(metric="macro_f1", labels=("a", "c")),
+        ScoreSpec(metric="mae"),
+        ScoreSpec(metric="custom", name="agree", fn=lambda g, p: float(np.mean(g == p))),
     ],
     ids=["accuracy", "macro_f1", "mae", "custom"],
 )
@@ -269,7 +269,7 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
 
 @pytest.mark.parametrize(
     "spec,gathers",
-    [(ScoreSpec.accuracy(), 1), (ScoreSpec.macro_f1(["a", "c"]), 2)],
+    [(ScoreSpec(metric="accuracy"), 1), (ScoreSpec(metric="macro_f1", labels=("a", "c")), 2)],
     ids=["accuracy", "macro_f1"],
 )
 def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec, gathers):
@@ -322,7 +322,7 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
     table = PredictionTable.build(
         gold, {"near": gold + g.normal(scale=0.3, size=n), "far": gold + 1e-3}, "regression"
     )
-    spec, plan = ScoreSpec.mae(), BootstrapPlan(replicates=B, seed=13)
+    spec, plan = ScoreSpec(metric="mae"), BootstrapPlan(replicates=B, seed=13)
     built = []
 
     def recording_counts(idx, size, out=None):
@@ -381,15 +381,15 @@ wide = PredictionTable.build(wide_gold, {
 })
 # (table, spec, log2 of the block bytes, replicates)
 cases = [
-    (classes, ScoreSpec.accuracy(), 20, 300),
-    (classes, ScoreSpec.macro_f1(["a", "c"]), 20, 300),
-    (regression, ScoreSpec.mae(), 20, 300),
-    (classes, ScoreSpec.macro_f1(["a", "b", "c"]), 23, 1024),
-    (regression, ScoreSpec.mae(), 23, 2000),
-    (wide, ScoreSpec.accuracy(), 20, 20),
+    (classes, ScoreSpec(metric="accuracy"), 20, 300),
+    (classes, ScoreSpec(metric="macro_f1", labels=("a", "c")), 20, 300),
+    (regression, ScoreSpec(metric="mae"), 20, 300),
+    (classes, ScoreSpec(metric="macro_f1", labels=("a", "b", "c")), 23, 1024),
+    (regression, ScoreSpec(metric="mae"), 23, 2000),
+    (wide, ScoreSpec(metric="accuracy"), 20, 20),
 ]
 zeros = np.zeros((1, n), dtype=np.int64)
-for table, spec in ((classes, ScoreSpec.accuracy()), (regression, ScoreSpec.mae())):
+for table, spec in ((classes, ScoreSpec(metric="accuracy")), (regression, ScoreSpec(metric="mae"))):
     scorers = [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
     assert metrics.shared_counts(scorers, zeros, n).dtype == np.float64
 digest = hashlib.sha256()
@@ -430,7 +430,7 @@ def test_agreement_rate_against_binomial_oracle():
     rate = float(agree.mean())
 
     plan = BootstrapPlan(replicates=10_000, seed=1)
-    dist = system_distribution(table, "s", ScoreSpec.accuracy(), plan)
+    dist = system_distribution(table, "s", ScoreSpec(metric="accuracy"), plan)
     ci = percentile_ci(dist, 0.95)
     assert abs(ci.mean - rate) < 0.01
     wald = 2 * 1.959964 * np.sqrt(rate * (1 - rate) / n)
@@ -486,19 +486,19 @@ def test_unknown_system():
     table = make_table()
     with pytest.raises(KeyError):
         distributions(
-            table, ScoreSpec.accuracy(), BootstrapPlan(replicates=10, seed=0), systems=["ghost"]
+            table, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=10, seed=0), systems=["ghost"]
         )
 
 
 def test_non_finite_scores_raise_metric_error():
     table = make_table(n=30)
     plan = BootstrapPlan(replicates=50, seed=2)
-    always_nan = ScoreSpec.custom("nan", lambda g, p: float("nan"))
+    always_nan = ScoreSpec(metric="custom", name="nan", fn=lambda g, p: float("nan"))
     with pytest.raises(MetricError, match="'noisy' on the original data"):
         distributions(table, always_nan, plan)
     first_row = table.gold[0]
-    resampled_inf = ScoreSpec.custom(
-        "inf", lambda g, p: 1.0 if g[0] == first_row else float("inf")
+    resampled_inf = ScoreSpec(
+        metric="custom", name="inf", fn=lambda g, p: 1.0 if g[0] == first_row else float("inf")
     )
     with pytest.raises(MetricError, match=r"inf is not finite for system 'noisy' on replicate \d+"):
         distributions(table, resampled_inf, plan)
@@ -516,9 +516,10 @@ def test_non_finite_error_names_first_system_in_caller_order():
             "late": ["L" if i == 1 else "a" for i in range(n)],
         },
     )
-    sentinel_twice = ScoreSpec.custom(
-        "sentinel",
-        lambda g, p: float("inf") if np.count_nonzero(np.isin(p, ["E", "L"])) > 1 else 1.0,
+    sentinel_twice = ScoreSpec(
+        metric="custom",
+        name="sentinel",
+        fn=lambda g, p: float("inf") if np.count_nonzero(np.isin(p, ["E", "L"])) > 1 else 1.0,
     )
     draws = [np.bincount(replicate_indices(plan, n, r), minlength=n) for r in range(plan.replicates)]
     first_bad = {
@@ -540,7 +541,7 @@ def test_metric_classes_absent_from_the_data_are_a_config_error():
         ["a", "b"] * 10, {"one": ["a", "b"] * 10, "two": ["a", "a"] * 9 + ["only", "b"]}
     )
     plan = BootstrapPlan(replicates=20, seed=1)
-    absent = ScoreSpec.macro_f1(["a", "zzz"])
+    absent = ScoreSpec(metric="macro_f1", labels=("a", "zzz"))
     entries = (
         lambda spec: distributions(table, spec, plan),
         lambda spec: build_report(table, spec, plan),
@@ -549,16 +550,16 @@ def test_metric_classes_absent_from_the_data_are_a_config_error():
         with pytest.raises(ConfigError, match=r"metric classes absent from the data: \['zzz'\]"):
             entry(absent)
         with pytest.raises(ConfigError, match="absent"):
-            entry(ScoreSpec.f1("zzz"))
+            entry(ScoreSpec(metric="f1", labels=("zzz",)))
         # a class that only one system predicts is part of the data
-        entry(ScoreSpec.macro_f1(["a", "only"]))
-        entry(ScoreSpec.f1("only"))
+        entry(ScoreSpec(metric="macro_f1", labels=("a", "only")))
+        entry(ScoreSpec(metric="f1", labels=("only",)))
 
 
 def test_summarize_invariants():
     table = make_table(n=120)
     plan = BootstrapPlan(replicates=2000, seed=13)
-    dists = distributions(table, ScoreSpec.accuracy(), plan)
+    dists = distributions(table, ScoreSpec(metric="accuracy"), plan)
     assert list(dists) == list(table.names)
     for dist in dists.values():
         ci = percentile_ci(dist, plan.confidence)

@@ -15,7 +15,7 @@ from boardstats.dataio import (
     write_md,
 )
 from boardstats.errors import ConfigError, DataFormatError, TableValidationError
-from boardstats.table import TaskKind
+from boardstats.table import METRICS, NO_CLASS, ONE_CLASS, SOME_CLASSES, ScoreSpec, TaskKind
 from helpers import read_md_table
 
 
@@ -263,6 +263,26 @@ def test_parse_metric_variants():
                  "accuracy:", "mae:1"):
         with pytest.raises(ConfigError):
             parse_metric(text)
+
+
+# classes for each class rule; a colon, a space and (for f1) a comma inside a class
+_CLASSES = {NO_CLASS: [()], ONE_CLASS: [("x",), ("a,b: c",)],
+            SOME_CLASSES: [("x",), ("favor", "a: b", "c d")]}
+
+
+@pytest.mark.parametrize("metric", [m for m in METRICS if m != "custom"])
+def test_parse_metric_reads_back_every_display_name(metric):
+    for labels in _CLASSES[METRICS[metric][2]]:
+        spec = ScoreSpec(metric=metric, labels=labels)
+        assert parse_metric(spec.display_name) == spec
+
+
+def test_a_comma_splits_macro_f1_classes_but_not_f1s_class():
+    assert ScoreSpec(metric="f1", labels=("a,b",)).display_name == "f1:a,b"
+    assert parse_metric("f1:a,b") == ScoreSpec(metric="f1", labels=("a,b",))
+    with pytest.raises(ValueError, match="macro_f1 class 'a,b' holds a comma"):
+        ScoreSpec(metric="macro_f1", labels=("a,b", "c"))
+    assert parse_metric("macro-f1:a,b,c").labels == ("a", "b", "c")
 
 
 def test_custom_metric_plugin(tmp_path):

@@ -21,13 +21,13 @@ def compare(values, observed):
     values = np.asarray(values, dtype=float)
     return delta_from_distributions(
         "a", "b", SamplingDistribution(values, float(observed)),
-        SamplingDistribution(np.zeros_like(values), 0.0), ScoreSpec.accuracy(), 0.95,
+        SamplingDistribution(np.zeros_like(values), 0.0), ScoreSpec(metric="accuracy"), 0.95,
     )
 
 
 def test_self_comparison_is_all_zero():
     table = PredictionTable.build(["x", "y"] * 10, {"a": ["x", "y"] * 10})
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     (dist,) = distributions(table, spec, BootstrapPlan(replicates=200, seed=1)).values()
     entry, deltas = delta_from_distributions("a", "a", dist, dist, spec, 0.95)
     assert entry.delta == 0.0
@@ -83,7 +83,7 @@ def _two_dists(obs_a, obs_b, vals_a, vals_b):
 
 def test_a_pair_keeps_the_callers_orientation():
     da, db = _two_dists(0.4, 0.6, [0.41, 0.39], [0.61, 0.59])
-    entry, deltas = delta_from_distributions("a", "b", da, db, ScoreSpec.accuracy(), 0.95)
+    entry, deltas = delta_from_distributions("a", "b", da, db, ScoreSpec(metric="accuracy"), 0.95)
     assert (entry.reference, entry.competitor) == ("a", "b")
     assert entry.delta == pytest.approx(-0.2)
     assert np.allclose(deltas, [-0.2, -0.2])
@@ -91,7 +91,7 @@ def test_a_pair_keeps_the_callers_orientation():
 
 def test_antisymmetry_of_fixed_orientation():
     da, db = _two_dists(0.7, 0.5, [0.72, 0.68, 0.71], [0.52, 0.48, 0.51])
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     ab, ab_deltas = delta_from_distributions("a", "b", da, db, spec, 0.95)
     ba, ba_deltas = delta_from_distributions("b", "a", db, da, spec, 0.95)
     assert ab.delta == -ba.delta
@@ -101,7 +101,7 @@ def test_antisymmetry_of_fixed_orientation():
 def test_lower_better_sign_flip():
     # reference has the smaller error, so it is better: delta must be positive
     da, db = _two_dists(1.0, 3.0, [1.1, 0.9], [3.1, 2.9])
-    entry, deltas = delta_from_distributions("a", "b", da, db, ScoreSpec.mae(), 0.95)
+    entry, deltas = delta_from_distributions("a", "b", da, db, ScoreSpec(metric="mae"), 0.95)
     assert entry.delta == pytest.approx(2.0)
     assert np.all(deltas > 0)
 
@@ -129,7 +129,7 @@ def test_difference_matrix_two_identical_systems():
     table = PredictionTable.build(
         ["x", "y"] * 8, {"a": ["x", "y"] * 8, "b": ["x", "y"] * 8}
     )
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     dists = distributions(table, spec, BootstrapPlan(replicates=100, seed=2))
     dm = matrix_from_distributions(dists, spec, 0.95)
     assert dm.systems == ("a", "b")
@@ -145,10 +145,10 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
     monkeypatch.setattr(inference, "_PAIR_BLOCK_BYTES", 2 * 8 * 800)
     g = np.random.default_rng(11)
     if metric == "accuracy":
-        spec, kind = ScoreSpec.accuracy(), "classification"
+        spec, kind = ScoreSpec(metric="accuracy"), "classification"
         gold = g.choice(["p", "q", "r"], size=90)
     else:
-        spec, kind = ScoreSpec.mae(), "regression"
+        spec, kind = ScoreSpec(metric="mae"), "regression"
         gold = g.normal(size=90)
     systems = {}
     for k, noise in enumerate((0.1, 0.25, 0.45)):
@@ -199,7 +199,7 @@ def test_difference_matrix_matches_pairwise_recomputation(metric, monkeypatch):
 
 def test_difference_matrix_needs_two_systems():
     table = PredictionTable.build(["x"], {"only": ["x"]})
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     dists = distributions(table, spec, BootstrapPlan(replicates=10, seed=0))
     with pytest.raises(ValueError):
         matrix_from_distributions(dists, spec, 0.95)
@@ -213,7 +213,7 @@ def test_matrix_pass_memory_is_bounded_by_its_delta_buffer():
     }
     tracemalloc.start()
     try:
-        matrix_from_distributions(dists, ScoreSpec.accuracy(), 0.95)
+        matrix_from_distributions(dists, ScoreSpec(metric="accuracy"), 0.95)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,9 +230,9 @@ def test_mismatched_replicate_counts_name_the_system(short):
         "c": SamplingDistribution(g.random(short), 0.7),
     }
     with pytest.raises(ValueError, match="'c' has %d bootstrap values, but 'a' has 100" % short):
-        matrix_from_distributions(dists, ScoreSpec.accuracy(), 0.95)
+        matrix_from_distributions(dists, ScoreSpec(metric="accuracy"), 0.95)
     with pytest.raises(ValueError, match="'c' has %d bootstrap values, but 'b' has 100" % short):
-        delta_from_distributions("b", "c", dists["b"], dists["c"], ScoreSpec.accuracy(), 0.95)
+        delta_from_distributions("b", "c", dists["b"], dists["c"], ScoreSpec(metric="accuracy"), 0.95)
 
 
 def test_a_single_pair_near_the_float_maximum_behaves_as_the_matrix_does():
@@ -241,19 +241,19 @@ def test_a_single_pair_near_the_float_maximum_behaves_as_the_matrix_does():
     b = SamplingDistribution(-values, -1.6e308)
     message = "the accuracy difference of 'a' and 'b' or its CI is not finite"
     with pytest.raises(MetricError, match=message) as single:
-        delta_from_distributions("a", "b", a, b, ScoreSpec.accuracy(), 0.95)
+        delta_from_distributions("a", "b", a, b, ScoreSpec(metric="accuracy"), 0.95)
     with pytest.raises(MetricError, match=message):
-        matrix_from_distributions({"a": a, "b": b}, ScoreSpec.accuracy(), 0.95)
+        matrix_from_distributions({"a": a, "b": b}, ScoreSpec(metric="accuracy"), 0.95)
     assert single.value.stage == "bootstrap"
     # finite observed scores, a replicate delta past the maximum
     with pytest.raises(MetricError, match="difference of 'a' and 'c'"):
         delta_from_distributions("a", "c", SamplingDistribution(values, 0.0),
-                                 SamplingDistribution(-values, 0.0), ScoreSpec.accuracy(), 0.95)
+                                 SamplingDistribution(-values, 0.0), ScoreSpec(metric="accuracy"), 0.95)
     # finite deltas whose double, the p-value's threshold, is past it
     a = SamplingDistribution(np.array([1.0e308, 1.1e308, 0.9e308]), 1.0e308)
     b = SamplingDistribution(np.zeros(3), 0.0)
-    pair, _ = delta_from_distributions("a", "b", a, b, ScoreSpec.accuracy(), 0.95)
-    entry = matrix_from_distributions({"a": a, "b": b}, ScoreSpec.accuracy(), 0.95).entry(1, 0)
+    pair, _ = delta_from_distributions("a", "b", a, b, ScoreSpec(metric="accuracy"), 0.95)
+    entry = matrix_from_distributions({"a": a, "b": b}, ScoreSpec(metric="accuracy"), 0.95).entry(1, 0)
     assert pair == entry
     assert entry.p == 0.0
 
@@ -281,7 +281,7 @@ NEAR_THE_MAXIMUM = {
                          ids=list(NEAR_THE_MAXIMUM))
 @pytest.mark.parametrize("metric", ["accuracy", "mae"])
 def test_one_pair_raises_exactly_when_the_matrix_does(values, observed, raises, metric):
-    spec = ScoreSpec.accuracy() if metric == "accuracy" else ScoreSpec.mae()
+    spec = ScoreSpec(metric="accuracy") if metric == "accuracy" else ScoreSpec(metric="mae")
     sign = 1.0 if metric == "accuracy" else -1.0
     better = SamplingDistribution(sign * values, sign * observed)
     worse = SamplingDistribution(-sign * values, -sign * observed)

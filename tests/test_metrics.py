@@ -34,46 +34,46 @@ def naive_mae(gold, pred):
 
 def test_perfect_predictor_scores_one():
     gold = ["F", "N", "A", "F", "A"]
-    assert score(gold, gold, ScoreSpec.accuracy()) == 1.0
-    assert score(gold, gold, ScoreSpec.f1("F")) == 1.0
-    assert score(gold, gold, ScoreSpec.macro_f1(["F", "A"])) == 1.0
-    assert score(gold, gold, ScoreSpec.macro_f1(["F", "N", "A"])) == 1.0
+    assert score(gold, gold, ScoreSpec(metric="accuracy")) == 1.0
+    assert score(gold, gold, ScoreSpec(metric="f1", labels=("F",))) == 1.0
+    assert score(gold, gold, ScoreSpec(metric="macro_f1", labels=("F", "A"))) == 1.0
+    assert score(gold, gold, ScoreSpec(metric="macro_f1", labels=("F", "N", "A"))) == 1.0
 
 
 def test_fully_inverted_predictions_score_zero():
     assert score(["A", "A", "B", "B"], ["B", "B", "A", "A"],
-                 ScoreSpec.macro_f1(["A", "B"])) == 0.0
+                 ScoreSpec(metric="macro_f1", labels=("A", "B"))) == 0.0
 
 
 def test_two_class_subset_macro_f1_hand_example():
     gold = ["F", "F", "F", "N", "A", "A"]
     pred = ["F", "F", "A", "F", "A", "N"]
-    got = score(gold, pred, ScoreSpec.macro_f1(["F", "A"]))
+    got = score(gold, pred, ScoreSpec(metric="macro_f1", labels=("F", "A")))
     # F1_F = 2*2/(2*2+1+1) = 2/3, F1_A = 2*1/(2*1+1+1) = 1/2
     assert got == pytest.approx(7 / 12, abs=1e-12)
     assert round(got, 4) == 0.5833
 
 
 def test_mae():
-    assert score([1, 2, 3], [1, 3, 5], ScoreSpec.mae()) == pytest.approx(1.0)
+    assert score([1, 2, 3], [1, 3, 5], ScoreSpec(metric="mae")) == pytest.approx(1.0)
 
 
 def test_accuracy():
     assert score(["a", "b", "c", "d"], ["a", "b", "x", "y"],
-                 ScoreSpec.accuracy()) == 0.5
+                 ScoreSpec(metric="accuracy")) == 0.5
 
 
 def test_identity_resample_equals_plain_score():
     gold = ["F", "F", "F", "N", "A", "A"]
     pred = ["F", "F", "A", "F", "A", "N"]
-    spec = ScoreSpec.macro_f1(["F", "A"])
+    spec = ScoreSpec(metric="macro_f1", labels=("F", "A"))
     idx = list(range(6))
     assert score_on_indices(gold, pred, spec, idx) == score(gold, pred, spec)
 
 
 def test_all_zero_indices_accuracy():
     gold, pred = ["a", "b"], ["a", "a"]
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     assert score_on_indices(gold, pred, spec, [0, 0]) == 1.0
     assert score_on_indices(gold, pred, spec, [1, 1]) == 0.0
 
@@ -81,7 +81,7 @@ def test_all_zero_indices_accuracy():
 def test_resample_matches_bruteforce_enumeration():
     gold = np.array(["F", "F", "N", "A"], dtype=object)
     pred = np.array(["F", "A", "N", "F"], dtype=object)
-    spec = ScoreSpec.macro_f1(["F", "A"])
+    spec = ScoreSpec(metric="macro_f1", labels=("F", "A"))
     for idx in ([0, 0, 2, 3], [3, 3, 3, 3], [1, 0, 0, 2], [2, 2, 1, 1]):
         expected = naive_subset_macro_f1(gold[idx], pred[idx], ["F", "A"])
         assert score_on_indices(gold, pred, spec, idx) == pytest.approx(expected, abs=1e-12)
@@ -89,11 +89,11 @@ def test_resample_matches_bruteforce_enumeration():
 
 def test_empty_class_conventions():
     # an empty class scores 0 and stays in the average
-    assert score(["A", "A"], ["A", "A"], ScoreSpec.macro_f1(["A", "B"])) == 0.5
+    assert score(["A", "A"], ["A", "A"], ScoreSpec(metric="macro_f1", labels=("A", "B"))) == 0.5
 
 
 def test_custom_metric_receives_resampled_vectors():
-    spec = ScoreSpec.custom("frac_b", lambda g, p: float(np.mean(p == "b")))
+    spec = ScoreSpec(metric="custom", name="frac_b", fn=lambda g, p: float(np.mean(p == "b")))
     gold = ["a", "b", "a"]
     pred = ["b", "b", "a"]
     assert score(gold, pred, spec) == pytest.approx(2 / 3)
@@ -102,19 +102,19 @@ def test_custom_metric_receives_resampled_vectors():
 
 def test_errors():
     with pytest.raises(MetricError):
-        score([], [], ScoreSpec.accuracy())
+        score([], [], ScoreSpec(metric="accuracy"))
     with pytest.raises(MetricError):
-        score(["a", "b"], ["a"], ScoreSpec.accuracy())
+        score(["a", "b"], ["a"], ScoreSpec(metric="accuracy"))
     with pytest.raises(MetricError):
-        score(["a", "b"], ["a", "b"], ScoreSpec.mae())
+        score(["a", "b"], ["a", "b"], ScoreSpec(metric="mae"))
     with pytest.raises(MetricError):
-        score([1.0, 2.0], [1.0, 2.0], ScoreSpec.macro_f1(["a"]))
+        score([1.0, 2.0], [1.0, 2.0], ScoreSpec(metric="macro_f1", labels=("a",)))
     with pytest.raises(MetricError):
-        score_on_indices(["a", "b"], ["a", "b"], ScoreSpec.accuracy(), [0, 2])
+        score_on_indices(["a", "b"], ["a", "b"], ScoreSpec(metric="accuracy"), [0, 2])
     with pytest.raises(MetricError):
-        score_on_indices(["a", "b"], ["a", "b"], ScoreSpec.accuracy(), [-1, 0])
-    acc = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec.accuracy())
-    mae = ResampleScorer(np.array([1.0, 2.0]), np.array([1.0, 3.0]), ScoreSpec.mae())
+        score_on_indices(["a", "b"], ["a", "b"], ScoreSpec(metric="accuracy"), [-1, 0])
+    acc = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec(metric="accuracy"))
+    mae = ResampleScorer(np.array([1.0, 2.0]), np.array([1.0, 3.0]), ScoreSpec(metric="mae"))
     for dtype in (np.int32, np.int64):
         for bad in ([0, 2], [-1, 0], [[0, 1], [1, 2]], [[0, 1], [-1, 1]]):
             bad = np.array(bad, dtype=dtype)
@@ -202,7 +202,7 @@ def test_packed_tally_sums_equal_unpacked_sums(n, labels):
     gold = g.choice(list("abcd"), size=n)
     pred = np.where(g.random(n) < 0.4, g.choice(list("abcd"), size=n), gold)
     idx = np.vstack([np.arange(n), g.integers(0, n, size=(3, n))])
-    for spec in (ScoreSpec.f1(labels[0]), ScoreSpec.macro_f1(labels)):
+    for spec in (ScoreSpec(metric="f1", labels=labels[:1]), ScoreSpec(metric="macro_f1", labels=labels)):
         scorer = ResampleScorer(gold, pred, spec)
         assert scorer.gathers == len(spec.labels)
         want = unpacked_f1_sums(gold, pred, spec.labels, idx)
@@ -211,7 +211,7 @@ def test_packed_tally_sums_equal_unpacked_sums(n, labels):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
         assert_scores_equal(scorer, idx, gathered_f1_scores(want))
-    acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
+    acc = ResampleScorer(gold, pred, ScoreSpec(metric="accuracy"))
     correct = np.add.reduce((gold == pred)[idx], axis=1)
     for got in both_sums(acc, idx):
         assert np.array_equal(got[0], correct)
@@ -227,7 +227,7 @@ def test_packed_lanes_hold_their_largest_sums(n):
     idx = np.zeros((2, n), dtype=np.int64)
     for shift in range(len(labels)):
         order = labels[shift:] + labels[:shift]
-        scorer = ResampleScorer(gold, pred, ScoreSpec.macro_f1(order))
+        scorer = ResampleScorer(gold, pred, ScoreSpec(metric="macro_f1", labels=order))
         pos = order.index("c")
         want = [np.zeros(2, dtype=np.int64)] * (2 * len(order))
         want[2 * pos] = np.full(2, n)
@@ -237,7 +237,7 @@ def test_packed_lanes_hold_their_largest_sums(n):
                 assert np.array_equal(a, b)
         assert_scores_equal(scorer, idx, gathered_f1_scores(want))
         assert np.array_equal(scorer.scores(idx), np.full(2, 1 / len(order)))
-    acc = ResampleScorer(gold, pred, ScoreSpec.accuracy())
+    acc = ResampleScorer(gold, pred, ScoreSpec(metric="accuracy"))
     for got in both_sums(acc, idx):
         assert np.array_equal(got[0], np.full(2, n))
     assert_scores_equal(acc, idx, np.full(2, 1.0))
@@ -253,7 +253,7 @@ def test_macro_f1_over_many_classes_adds_class_scores_in_order():
     gold = g.choice(labels, size=n)
     pred = np.where(g.random(n) < 0.5, g.choice(labels, size=n), gold)
     idx = g.integers(0, n, size=(200, n))
-    scorer = ResampleScorer(gold, pred, ScoreSpec.macro_f1(labels))
+    scorer = ResampleScorer(gold, pred, ScoreSpec(metric="macro_f1", labels=labels))
     assert_scores_equal(scorer, idx, gathered_f1_scores(unpacked_f1_sums(gold, pred, labels, idx)))
 
 
@@ -270,10 +270,10 @@ vectors = st.integers(min_value=1, max_value=40).flatmap(
 @settings(max_examples=150, deadline=None)
 def test_f1_bounds_and_full_set_mean(pair):
     gold, pred = pair
-    spec = ScoreSpec.macro_f1(["x", "y", "z"])
+    spec = ScoreSpec(metric="macro_f1", labels=("x", "y", "z"))
     macro = score(gold, pred, spec)
     assert 0.0 <= macro <= 1.0
-    per_class = [score(gold, pred, ScoreSpec.f1(c)) for c in ["x", "y", "z"]]
+    per_class = [score(gold, pred, ScoreSpec(metric="f1", labels=(c,))) for c in ["x", "y", "z"]]
     assert macro == pytest.approx(float(np.mean(per_class)), abs=1e-12)
 
 
@@ -301,8 +301,8 @@ def test_scorer_rows_match_row_by_row_oracle(table, subset):
     gold, pred, idx = table
     g, p = np.array(gold, dtype=object), np.array(pred, dtype=object)
     cases = [
-        (ScoreSpec.accuracy(), naive_accuracy),
-        (ScoreSpec.macro_f1(subset), lambda a, b: naive_subset_macro_f1(a, b, subset)),
+        (ScoreSpec(metric="accuracy"), naive_accuracy),
+        (ScoreSpec(metric="macro_f1", labels=subset), lambda a, b: naive_subset_macro_f1(a, b, subset)),
     ]
     for spec, oracle in cases:
         scorer = ResampleScorer(g, p, spec)
@@ -320,7 +320,7 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @settings(max_examples=100, deadline=None)
 def test_scorer_rows_match_row_by_row_oracle_for_mae(table):
     gold, pred, idx = table
-    scorer = ResampleScorer(np.array(gold), np.array(pred), ScoreSpec.mae())
+    scorer = ResampleScorer(np.array(gold), np.array(pred), ScoreSpec(metric="mae"))
     got = scorer.scores(np.array(idx))
     for r, row in enumerate(idx):
         want = naive_mae([gold[i] for i in row], [pred[i] for i in row])
@@ -334,7 +334,7 @@ def test_accuracy_invariant_under_shared_permutation(pair, rnd):
     gold, pred = pair
     order = list(range(len(gold)))
     rnd.shuffle(order)
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     assert score(gold, pred, spec) == score(
         [gold[i] for i in order], [pred[i] for i in order], spec
     )
@@ -343,7 +343,7 @@ def test_accuracy_invariant_under_shared_permutation(pair, rnd):
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
 @settings(max_examples=80, deadline=None)
 def test_mae_zero_iff_identical(values):
-    spec = ScoreSpec.mae()
+    spec = ScoreSpec(metric="mae")
     assert score(values, values, spec) == 0.0
     shifted = [v + 1.5 for v in values]
     assert score(values, shifted, spec) > 0.0
@@ -357,7 +357,7 @@ def test_against_sklearn_oracle():
         n = int(rng.integers(3, 60))
         gold = rng.choice(labels, size=n)
         pred = rng.choice(labels, size=n)
-        ours = score(gold, pred, ScoreSpec.macro_f1(["u", "w"]))
+        ours = score(gold, pred, ScoreSpec(metric="macro_f1", labels=("u", "w")))
         ref = sklearn_metrics.f1_score(
             gold, pred, labels=["u", "w"], average="macro", zero_division=0
         )
@@ -382,8 +382,9 @@ def test_f1_against_confusion_counts():
         pred = rng.choice(labels, size=n)
         f1 = {c: _f1_from_confusion(gold, pred, c) for c in labels}
         for c in labels:
-            assert score(gold, pred, ScoreSpec.f1(c)) == pytest.approx(f1[c], abs=1e-12)
-        ours = score(gold, pred, ScoreSpec.macro_f1(["u", "w"]))
+            ours = score(gold, pred, ScoreSpec(metric="f1", labels=(c,)))
+            assert ours == pytest.approx(f1[c], abs=1e-12)
+        ours = score(gold, pred, ScoreSpec(metric="macro_f1", labels=("u", "w")))
         assert ours == pytest.approx((f1["u"] + f1["w"]) / 2, abs=1e-12)
 
 
@@ -400,7 +401,7 @@ MAE_COLUMNS = {
 
 
 def mae_scorer(column):
-    return ResampleScorer(column, np.zeros_like(column), ScoreSpec.mae())
+    return ResampleScorer(column, np.zeros_like(column), ScoreSpec(metric="mae"))
 
 
 def oracle_limbs(column):
@@ -474,8 +475,8 @@ def test_mae_rows_match_fsum(name):
 
 def test_mae_keeps_a_non_finite_column_non_finite():
     # an absolute error overflowing to inf has no fixed-point form
-    scorer = ResampleScorer(np.array([1e308, 2.0]), np.array([-1e308, 2.0]), ScoreSpec.mae())
+    scorer = ResampleScorer(np.array([1e308, 2.0]), np.array([-1e308, 2.0]), ScoreSpec(metric="mae"))
     assert scorer.gathers == 0
     assert scorer.observed() == math.inf
     assert np.isinf(scorer.scores(np.array([[1, 1], [0, 1]]))).all()
-    assert math.isnan(score([np.nan, 1.0], [0.0, 1.0], ScoreSpec.mae()))
+    assert math.isnan(score([np.nan, 1.0], [0.0, 1.0], ScoreSpec(metric="mae")))

@@ -131,8 +131,9 @@ def test_signed_zero_scores_give_np_quantile_bytes_at_the_public_boundary():
         for name, rate in (("a", 0.5), ("b", 0.5), ("c", 0.55))
     }
     table = PredictionTable.build(gold, preds)
-    spec = ScoreSpec.custom(
-        "signed zero", lambda gold, pred: -0.0 if np.mean(gold == pred) < 0.5 else 0.0
+    spec = ScoreSpec(
+        metric="custom", name="signed zero",
+        fn=lambda gold, pred: -0.0 if np.mean(gold == pred) < 0.5 else 0.0,
     )
     plan = BootstrapPlan(replicates=400, seed=9)
     tail = (1.0 - plan.confidence) / 2.0

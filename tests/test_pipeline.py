@@ -609,8 +609,23 @@ def test_cli_rejects_a_system_name_that_xml_cannot_hold(tmp_path, capsys):
     assert main(["--input", str(csv), "--samples", "50", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("boardstats: input: ")
-    assert ("[system-name] system name holds U+000B, which XML cannot hold "
+    assert ("[system-name] system name holds U+000B, a control or non-character "
             "(system='s\\x0bx')") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("char", ["\n", "\r", "\t"], ids=["LF", "CR", "TAB"])
+def test_cli_rejects_a_system_name_holding_a_line_break_or_tab(char, tmp_path, capsys):
+    # a quoted header cell may hold a line break; in a name it would split a
+    # Markdown row and read back from an SVG attribute as a space
+    csv = tmp_path / "control.csv"
+    csv.write_text(f'y,"a{char}b",s2\np,p,n\nn,n,n\n', encoding="utf-8", newline="")
+    out = tmp_path / "out"
+    assert main(["--input", str(csv), "--samples", "50", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("boardstats: input: ")
+    assert (f"[system-name] system name holds U+{ord(char):04X}, a control or non-character "
+            f"(system={'a' + char + 'b'!r})") in err
     assert not out.exists()
 
 

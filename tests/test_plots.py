@@ -104,7 +104,7 @@ def compare(values, observed):
     values = np.asarray(values, float)
     return delta_from_distributions(
         "ref", "comp", SamplingDistribution(values, observed),
-        SamplingDistribution(np.zeros_like(values), 0.0), ScoreSpec.accuracy(), 0.95,
+        SamplingDistribution(np.zeros_like(values), 0.0), ScoreSpec(metric="accuracy"), 0.95,
     )
 
 

@@ -38,7 +38,7 @@ def test_cv_scale_invariance():
 
 
 def test_cv_power_of_two_scale_keeps_every_bit(stance_small, stance_large):
-    spec = ScoreSpec.macro_f1(["favor", "against"])
+    spec = ScoreSpec(metric="macro_f1", labels=("favor", "against"))
     for table in (stance_small, stance_large):
         rep = build_report(table, spec, BootstrapPlan(replicates=50, seed=1))
         scores = np.array([rep.observed_scores[s] for s in rep.ranking])
@@ -53,12 +53,12 @@ def test_cv_power_of_two_scale_keeps_every_bit(stance_small, stance_large):
 
 
 def test_ppi_values():
-    spec = ScoreSpec.macro_f1(["favor", "against"])
+    spec = ScoreSpec(metric="macro_f1", labels=("favor", "against"))
     assert ppi(0.5734, spec) == pytest.approx(42.66, abs=0.005)
     assert ppi(0.8092, spec) == pytest.approx(19.08, abs=0.005)
     assert ppi(1.0, spec) == 0.0
-    assert ppi(0.31, ScoreSpec.mae()) is None
-    uncapped = ScoreSpec.custom("swing", lambda g, p: 0.0, capped_at_one=False)
+    assert ppi(0.31, ScoreSpec(metric="mae")) is None
+    uncapped = ScoreSpec(metric="custom", name="swing", fn=lambda g, p: 0.0, capped_at_one=False)
     assert ppi(0.5, uncapped) is None
 
 
@@ -116,7 +116,7 @@ def _three_system_table(seed=17, n=150):
 
 def test_build_report_matches_component_recomputation():
     table = _three_system_table()
-    spec = ScoreSpec.accuracy()
+    spec = ScoreSpec(metric="accuracy")
     plan = BootstrapPlan(replicates=1500, seed=23)
     rep = build_report(table, spec, plan)
 
@@ -158,7 +158,7 @@ def test_gold_alias_exclusion():
         gold,
         {"Gold_Standard": gold, "a": gold, "b": ["x", "x"] * 40},
     )
-    rep = build_report(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=300, seed=5))
+    rep = build_report(table, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=300, seed=5))
     assert rep.m == 2
     assert rep.excluded_systems == ("Gold_Standard",)
     assert "Gold_Standard" not in rep.ranking
@@ -170,7 +170,7 @@ def test_gold_alias_exclusion():
 def test_vs_winner_policy_omits_all_pairs_counts():
     table = _three_system_table()
     rep = build_report(
-        table, ScoreSpec.accuracy(), BootstrapPlan(replicates=300, seed=9),
+        table, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=300, seed=9),
         family_policy="vs_winner",
     )
     assert rep.ties_all_pairs is None
@@ -182,17 +182,17 @@ def test_single_competitor_is_an_error():
     gold = ["x", "y"] * 5
     table = PredictionTable.build(gold, {"only": gold})
     with pytest.raises(ConfigError):
-        build_report(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=50, seed=1))
+        build_report(table, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=50, seed=1))
     with_gold = PredictionTable.build(gold, {"Gold_Standard": gold, "only": gold})
     with pytest.raises(ConfigError):
-        build_report(with_gold, ScoreSpec.accuracy(), BootstrapPlan(replicates=50, seed=1))
+        build_report(with_gold, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=50, seed=1))
 
 
 def test_ranking_tie_is_recorded_and_column_order_breaks_it():
     gold = ["x", "y"] * 30
     same = ["x", "x"] * 30
     table = PredictionTable.build(gold, {"second": same, "first": same})
-    rep = build_report(table, ScoreSpec.accuracy(), BootstrapPlan(replicates=200, seed=2))
+    rep = build_report(table, ScoreSpec(metric="accuracy"), BootstrapPlan(replicates=200, seed=2))
     assert rep.ranking == ("second", "first")
     assert set(rep.ranking_ties) == {"second", "first"}
 
@@ -211,11 +211,12 @@ def test_three_way_mae_tie_keeps_column_order():
         "regression",
     )
     plan = BootstrapPlan(replicates=100, seed=5)
-    rep = build_report(table, ScoreSpec.mae(), plan)
+    rep = build_report(table, ScoreSpec(metric="mae"), plan)
     assert rep.ranking == ("best", "zeta", "alpha", "mid", "worst")
     assert rep.ranking_ties == ("zeta", "alpha", "mid")
-    dists = distributions(table, ScoreSpec.mae(), plan)
-    assert matrix_from_distributions(dists, ScoreSpec.mae(), plan.confidence).systems == rep.ranking
+    mae = ScoreSpec(metric="mae")
+    dists = distributions(table, mae, plan)
+    assert matrix_from_distributions(dists, mae, plan.confidence).systems == rep.ranking
 
 
 def test_mae_report_flags_cv_and_omits_ppi():
@@ -226,7 +227,7 @@ def test_mae_report_flags_cv_and_omits_ppi():
         {"close": gold + g.normal(0, 0.3, 80), "far": gold + g.normal(0, 1.0, 80)},
         "regression",
     )
-    rep = build_report(table, ScoreSpec.mae(), BootstrapPlan(replicates=400, seed=3))
+    rep = build_report(table, ScoreSpec(metric="mae"), BootstrapPlan(replicates=400, seed=3))
     assert rep.ppi is None
     assert not rep.cv_comparable
     assert rep.cv > 0

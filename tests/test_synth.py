@@ -39,7 +39,7 @@ def config(n=400, seed=123, **systems):
 def test_zero_corruption_copies_gold():
     table = generate(config(clean=LabelNoise(rate=0.0)))
     assert np.array_equal(table.systems["clean"], table.gold)
-    assert score(table.gold, table.systems["clean"], ScoreSpec.accuracy()) == 1.0
+    assert score(table.gold, table.systems["clean"], ScoreSpec(metric="accuracy")) == 1.0
 
 
 def test_generate_is_deterministic_in_seed():
@@ -55,7 +55,7 @@ def test_expected_accuracy_closed_form():
     cfg = config(n=5000, seed=77, sys=LabelNoise(rate=0.2))
     assert expected_score(cfg, "sys") == pytest.approx(0.8)
     table = generate(cfg)
-    got = score(table.gold, table.systems["sys"], ScoreSpec.accuracy())
+    got = score(table.gold, table.systems["sys"], ScoreSpec(metric="accuracy"))
     assert got == pytest.approx(0.8, abs=0.02)
 
 
@@ -75,7 +75,7 @@ def test_scores_converge_to_expectation():
     for n in (100, 1000, 10000):
         cfg = config(n=n, seed=50 + n, sys=LabelNoise(rate=0.3))
         table = generate(cfg)
-        got = score(table.gold, table.systems["sys"], ScoreSpec.accuracy())
+        got = score(table.gold, table.systems["sys"], ScoreSpec(metric="accuracy"))
         tolerance = 4 * np.sqrt(0.7 * 0.3 / n)
         assert abs(got - 0.7) < tolerance
 
@@ -90,7 +90,7 @@ def test_regression_generation_and_closed_form():
     expected = 0.5 * 0.8 * np.sqrt(2 / np.pi)
     assert expected_score(cfg, "sys") == pytest.approx(expected)
     table = generate(cfg)
-    got = score(table.gold, table.systems["sys"], ScoreSpec.mae())
+    got = score(table.gold, table.systems["sys"], ScoreSpec(metric="mae"))
     assert got == pytest.approx(expected, abs=0.05)
 
 
@@ -239,7 +239,7 @@ def test_bootstrap_sd_against_engine():
     # the delta-method estimate must track the empirical bootstrap sd
     mats = {"sys": fit_confusion_matrix(COUNTS, SUBSET, 0.58)}
     table = table_from_confusions(COUNTS, mats, seed=5)
-    spec = ScoreSpec.macro_f1(SUBSET)
+    spec = ScoreSpec(metric="macro_f1", labels=SUBSET)
     dist = distributions(table, spec, BootstrapPlan(replicates=6000, seed=8))["sys"]
     analytic = bootstrap_sd(mats["sys"], subset_f1_stat(tuple(COUNTS), SUBSET))
     empirical = float(np.std(dist.values))

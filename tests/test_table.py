@@ -67,7 +67,7 @@ def test_labels_are_trimmed_but_not_case_folded():
 
 def test_score_spec_trims_its_classes_as_tables_trim_labels():
     spec = ScoreSpec(metric="f1", labels=(" a",))
-    assert spec == ScoreSpec.f1(" a") == ScoreSpec.f1("a")
+    assert spec == ScoreSpec(metric="f1", labels=(" a",)) == ScoreSpec(metric="f1", labels=("a",))
     assert ScoreSpec(metric="macro_f1", labels=[" a", "B "]).labels == ("a", "B")
     table = PredictionTable.build(["a", "b", "a"], {"s": ["a ", "a", "b"], "t": ["b", "b", "a"]})
     dists = distributions(table, spec, BootstrapPlan(replicates=2))
@@ -206,14 +206,13 @@ def test_scorespec_invariants():
         ScoreSpec(metric="nope")
     with pytest.raises(ValueError, match="macro_f1 lists 'a' more than once"):
         ScoreSpec(metric="macro_f1", labels=("a", "b", "a"))
-    assert ScoreSpec(metric="mae") == ScoreSpec.mae()
-    assert ScoreSpec.mae().direction == "lower"
-    assert not ScoreSpec.mae().capped_at_one
+    assert ScoreSpec(metric="mae") == ScoreSpec(metric="mae")
+    assert ScoreSpec(metric="mae").direction == "lower"
+    assert not ScoreSpec(metric="mae").capped_at_one
     # a custom metric's defaults are one pair, however the spec is built
-    for custom in (ScoreSpec(metric="custom", fn=len), ScoreSpec.custom("x", len)):
+    for custom in (ScoreSpec(metric="custom", fn=len), ScoreSpec(metric="custom", name="x", fn=len)):
         assert (custom.direction, custom.capped_at_one) == ("higher", False)
-    assert ScoreSpec.f1("x").labels == ("x",)
-    assert ScoreSpec.macro_f1(["a", "b"]).display_name == "macro-f1:a,b"
+    assert ScoreSpec(metric="macro_f1", labels=("a", "b")).display_name == "macro-f1:a,b"
 
 
 def test_bootstrap_plan_invariants():
