@@ -25,13 +25,13 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, MetricError
-from .metrics import ResampleScorer, shared_counts
+from .metrics import ResampleScorer, share_patterns, shared_counts
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
 
-# Bytes of int64 resample indices evaluated per batch (a shared count matrix
-# adds as many again).  Each worker thread writes every batch it takes into
+# Bytes of int64 resample indices evaluated per batch (shared row counts add
+# as many again).  Each worker thread writes every batch it takes into
 # one index buffer and one count buffer of that size, allocated on its first
 # batch and then reused: glibc hands freed 1 MiB blocks back to the OS, so
 # fresh ones page-fault in again on every batch (457k minor faults in one
@@ -89,17 +89,19 @@ def _evaluate(
 ) -> np.ndarray:
     """The (m, B) matrix of every scorer's value on every replicate, one row
     per scorer in dict order, sharing index vectors and, where
-    ``shared_counts`` finds it pays, each block's resample counts."""
+    ``shared_counts`` finds it pays, each block's resample counts, per tally
+    pattern once ``share_patterns`` finds few patterns."""
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
+    share_patterns(scorers.values(), n)
     values = np.empty((len(scorers), B))
     buffers = threading.local()
 
     def run_block(start: int) -> None:
         stop = min(start + rows, B)
         if not hasattr(buffers, "idx"):
-            # np.empty only maps the counts: unless shared_counts counts,
-            # its pages are never written and never resident.
+            # np.empty only maps the counts: unless shared_counts counts
+            # rows, its pages are never written and never resident.
             buffers.idx = np.empty((rows, n), dtype=np.int64)
             buffers.counts = np.empty((rows, n))
         idx = rng.index_block(plan.seed, n, start, stop, out=buffers.idx)

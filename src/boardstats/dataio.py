@@ -205,7 +205,9 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
     arrays.  Its optional constants ``NAME`` (a non-empty str, default the
     file's stem), ``DIRECTION`` ("higher" or "lower") and ``CAPPED_AT_ONE``
     (a bool) alone set those of the spec; left out, the last two take
-    ``METRICS["custom"]``'s.
+    ``METRICS["custom"]``'s.  A name that ``parse_metric`` would read as a
+    built-in metric (``accuracy``, ``Macro-F1:a``, a stem such as ``mae``)
+    is a ``ConfigError``: the report records the name as the metric's text.
     """
     path = Path(path)
     module_spec = importlib.util.spec_from_file_location(f"boardstats_metric_{path.stem}", path)
@@ -230,6 +232,13 @@ def load_custom_metric(path: str | Path) -> ScoreSpec:
             if not ok(value):
                 raise ConfigError(f"{path}: {constant} must be {wanted}, not {value!r}")
             given[field] = value
+    kind = _metric_key(given["name"])
+    if kind in METRICS and kind != "custom":
+        source = "NAME" if hasattr(module, "NAME") else "the file stem, NAME's default,"
+        raise ConfigError(
+            f"{path}: {source} {given['name']!r} names the built-in metric {kind}; "
+            "set NAME to another name"
+        )
     return ScoreSpec(metric="custom", fn=fn, **given)
 
 
@@ -241,7 +250,7 @@ def parse_metric(text: str) -> ScoreSpec:
     argument; how many classes a metric takes is ``ScoreSpec``'s to check.
     """
     kind, colon, arg = text.partition(":")
-    kind = kind.strip().lower().replace("-", "_")
+    kind = _metric_key(kind)
     if kind == "custom":
         if not arg:
             raise ConfigError("custom metric needs a path, e.g. custom:metric.py")
@@ -253,6 +262,11 @@ def parse_metric(text: str) -> ScoreSpec:
         return ScoreSpec(metric=kind, labels=labels)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _metric_key(text: str) -> str:
+    """The ``METRICS`` key that metric text names before any colon."""
+    return text.partition(":")[0].strip().lower().replace("-", "_")
 
 
 def fmt_float(value: float, places: int) -> str:

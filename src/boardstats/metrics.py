@@ -17,12 +17,21 @@ count-weighted sum of the column.  Every scorer stores its columns as one
 ``tp`` and ``pred + gold`` per class (W = 2 per class), and MAE's two
 fixed-point limbs (W = 2).  Every resampled column sum is an integer below
 2**53, so it is exact in float64 whatever the summation order (after Neal
-2015, exact summation).  The sums come either from one gather per column
-pair through the index rows or, given the block's (k, n) count matrix from
-``resample_counts``, from ``counts @ columns`` (one BLAS product per
-``_PRODUCT_COLUMNS`` columns); both ways, and any BLAS blocking or thread
-count, give the same bits.  Counting costs a few
-gathers, so it pays only when several column pairs share one count matrix.
+2015, exact summation).
+
+The sums of one bootstrap come one of three ways.  Below
+``_COUNT_MIN_GATHERS`` column-pair gathers between its scorers, each
+gathers its column pairs through the index rows.  From there on, each block
+of resamples is counted once for every scorer to share, and each scorer
+takes ``counts @ columns``, one BLAS product per ``_PRODUCT_COLUMNS``
+columns.  A row's pattern is its values in every scorer's columns side by
+side, and a resample's sums depend only on how often it drew each of the G
+distinct patterns.  So while G is at most n / ``_ROWS_PER_PATTERN``
+(``share_patterns``), each resample counts its rows' pattern ids into a
+(k, G) matrix, weighed against each scorer's (G, W) pattern columns;
+otherwise ``resample_counts`` gives the (k, n) row counts.  All three ways,
+and any BLAS blocking or thread count, give the same integer sums, so the
+same bits.
 
 MAE's limbs are fixed point.  Each absolute error is truncated to a multiple
 of 2**(top - 2b), where 2**top is the smallest power of two above the column
@@ -59,6 +68,14 @@ _COUNT_CELLS = 1 << 14
 # or gathering gives the same integer sums, so the same values.
 _COUNT_MIN_GATHERS = 4
 
+# Rows per distinct tally pattern from which shared counts are kept in
+# pattern space.  There a resample's n indices are mapped to pattern ids and
+# counted into G bins, and the products shrink from n to G rows.  Whole
+# bootstraps (2-vCPU Xeon, numpy 2.4), pattern over row time, on accuracy,
+# 2-class macro-F1 and MAE tables from n = 1000 to 50k: 0.75-1.01 at
+# G = n/8, 0.79-1.01 at n/4, 0.88-1.17 at n/2 and 1.04-1.65 at G = n.
+_ROWS_PER_PATTERN = 8
+
 # Columns per count product.  A 1 MiB block of n <= 2**17 rows holds at most
 # 2**17 counts, so a product with 6 columns stays within the 10**6
 # multiply-adds that OpenBLAS (0.3.31, AVX-512 Xeon) runs on one thread.
@@ -68,23 +85,116 @@ _PRODUCT_COLUMNS = 6
 
 
 def shared_counts(scorers, idx, n: int, out=None):
-    """``resample_counts(idx, n, out)`` for every scorer of a block to share,
-    or None when the scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers
-    between them and each gathers through ``idx`` instead."""
-    if sum(scorer.gathers for scorer in scorers) < _COUNT_MIN_GATHERS:
+    """One count matrix of a block for every scorer to share, or None.
+
+    None when the scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers
+    between them: each then gathers through ``idx``.  Otherwise, once
+    ``share_patterns`` has given the scorers pattern ids, the (k, G) pattern
+    counts of ``idx`` in a fresh matrix, leaving ``out`` untouched; else the
+    (k, n) ``resample_counts(idx, n, out)``.
+    """
+    scorers = _counting(scorers)
+    if not scorers:
         return None
-    return resample_counts(idx, n, out)
+    ids = scorers[0].pattern_ids
+    if ids is None:
+        return resample_counts(idx, n, out)
+    idx = _index_rows(idx)
+    _check_range(idx, n)
+    counts = np.empty((len(idx), len(scorers[0]._counted_columns)))
+    _count_rows(idx, counts, ids)
+    return counts
+
+
+def _counting(scorers) -> list:
+    """The scorers that read counts, or none of them when they need fewer
+    than ``_COUNT_MIN_GATHERS`` gathers between them and gather instead."""
+    scorers = [scorer for scorer in scorers if scorer.gathers]
+    return scorers if sum(s.gathers for s in scorers) >= _COUNT_MIN_GATHERS else []
+
+
+def share_patterns(scorers, n: int) -> None:
+    """Move the scorers of one bootstrap to pattern space where it pays.
+
+    A row's pattern is its values in every scorer's tally columns side by
+    side, and a resample's column sums depend only on how often it drew each
+    of the G distinct patterns.  When ``shared_counts`` would count and G is
+    at most n / ``_ROWS_PER_PATTERN``, every scorer gets ``pattern_ids``, the
+    pattern of each of the n rows (shared by all), and a (G, W) copy of its
+    columns, one row per pattern; otherwise no scorer changes.
+    """
+    scorers = _counting(scorers)
+    if not scorers:
+        return
+    columns = [scorer._columns for scorer in scorers]
+    cap = n // _ROWS_PER_PATTERN
+    # the first 2 cap + 1 rows hold no more patterns than all n do, and a
+    # table with too many mostly shows it there, with a quarter of the
+    # temporaries
+    for rows in (min(2 * cap + 1, n), n):
+        found = _pattern_ids((c[:rows, j] for c in columns for j in range(c.shape[1])), rows, cap)
+        if found is None:
+            return
+    ids, patterns = found
+    for scorer, column in zip(scorers, columns):
+        # a pattern's rows hold equal values, so any of them may land
+        scorer._counted_columns = np.empty((patterns, column.shape[1]))
+        scorer._counted_columns[ids] = column
+        scorer.pattern_ids = ids
+
+
+def _pattern_ids(columns, n: int, cap: int):
+    """(ids, G): the pattern id in [0, G) of each of n rows over the given
+    columns, or None as soon as more than ``cap`` distinct patterns show.
+
+    Each column appends its value's rank among its distinct values as one
+    mixed-radix digit to a row code.  The code is renumbered densely
+    whenever its radix passes ``cap``, so it stays below cap before a digit
+    and below cap**2 after one, far from int64's limit.
+    """
+    code, radix = np.zeros(n, np.intp), 1
+    for column in columns:
+        digit, size = _ranked(column, int(column.max()) + 1)
+        if size > cap:
+            return None
+        code *= size
+        code += digit
+        radix *= size
+        if radix > cap:
+            code, radix = _ranked(code, radix)
+            if radix > cap:
+                return None
+    return _ranked(code, radix)
+
+
+def _ranked(code: np.ndarray, radix: int):
+    """(rank of each code among the distinct codes, their number), for n
+    integer codes in [0, radix), as integers or integer-valued floats.
+
+    Up to radix = 4n the codes present are marked in a table of radix flags
+    rather than sorted.  numpy's sort kernels are not otherwise run on a
+    classification table, and their first call maps 0.2-0.3 MB of code
+    each: sorting raised shared-task's peak RSS by 0.5 MB.
+    """
+    if radix > 4 * len(code):
+        # with counts asked for, np.unique sorts rather than hashing, which
+        # would import numpy.ma (about 1 MB) on its first call
+        distinct = np.unique(code, return_counts=True)[0]
+        return np.searchsorted(distinct, code), len(distinct)
+    code = code.astype(np.intp, copy=False)
+    seen = np.zeros(radix, bool)
+    seen[code] = True
+    rank = np.cumsum(seen) - 1
+    return rank[code], int(rank[-1]) + 1
 
 
 def resample_counts(idx, n: int, out=None) -> np.ndarray:
     """Multiplicity of each of the n data rows in every row of an index matrix.
 
     Returns a (k, n) float64 matrix of integers whose row r is
-    ``np.bincount(idx[r], minlength=n)``.  Each group of about
-    ``_COUNT_CELLS`` cells is counted by one bincount, with row j of the
-    group offset to the cells [j n, (j + 1) n).  Given ``out``, a
-    C-contiguous float64 array of n columns and at least k rows, the counts
-    fill ``out[:k]``, which is returned.  An index outside [0, n) is a
+    ``np.bincount(idx[r], minlength=n)``.  Given ``out``, a C-contiguous
+    float64 array of n columns and at least k rows, the counts fill
+    ``out[:k]``, which is returned.  An index outside [0, n) is a
     ``MetricError``.
     """
     idx = _index_rows(idx)
@@ -94,15 +204,29 @@ def resample_counts(idx, n: int, out=None) -> np.ndarray:
     else:
         check_rows(out, len(idx), n, np.float64)
         counts = out[:len(idx)]
-    rows = max(1, _COUNT_CELLS // max(n, 1))
+    _count_rows(idx, counts)
+    return counts
+
+
+def _count_rows(idx: np.ndarray, counts: np.ndarray, ids=None) -> None:
+    """Set ``counts[r]`` to the bincount of ``idx[r]``, or of ``ids[idx[r]]``,
+    over the w = ``counts.shape[1]`` bins.
+
+    Each group of rows holding about ``_COUNT_CELLS`` indices and counters
+    is counted by one bincount, with row j of the group offset to the bins
+    [j w, (j + 1) w).
+    """
+    width = counts.shape[1]
+    rows = max(1, _COUNT_CELLS // max(idx.shape[1], width, 1))
     for start in range(0, len(idx), rows):
         part = idx[start:start + rows]
+        if ids is not None:
+            part = np.take(ids, part)
         if len(part) > 1:
-            part = part + n * np.arange(len(part))[:, None]
+            part = part + width * np.arange(len(part))[:, None]
         counts[start:start + rows] = np.bincount(
-            part.ravel(), minlength=len(part) * n
-        ).reshape(-1, n)
-    return counts
+            part.ravel(), minlength=len(part) * width
+        ).reshape(-1, width)
 
 
 def _index_rows(idx) -> np.ndarray:
@@ -126,10 +250,13 @@ class ResampleScorer:
 
     Precomputes the metric's per-row tally columns once, as one (n, W)
     float64 matrix of integers; ``gathers`` = ceil(W / 2) is the scorer's
-    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  No resampled label
-    vector is materialized.  ``scores`` accepts a (k, n) index matrix and
-    returns k scores; row r equals the plain score of ``gold[idx[r]]`` vs
-    ``pred[idx[r]]``.
+    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  ``pattern_ids`` is
+    None until ``share_patterns`` moves the scorer to pattern space: then it
+    holds each row's pattern id, shared by every scorer of the bootstrap,
+    and the scorer a (G, W) copy of its columns, one row per pattern.  No
+    resampled label vector is materialized.  ``scores`` accepts a (k, n)
+    index matrix and returns k scores; row r equals the plain score of
+    ``gold[idx[r]]`` vs ``pred[idx[r]]``.
     """
 
     def __init__(self, gold: np.ndarray, pred: np.ndarray, spec: ScoreSpec):
@@ -146,6 +273,7 @@ class ResampleScorer:
         self._gold = gold
         self._pred = pred
         self.gathers = 0
+        self.pattern_ids = None
         self._setup()
 
     def _setup(self):
@@ -185,8 +313,11 @@ class ResampleScorer:
                 self._score_rows = lambda idx, counts: np.full(len(idx), mean)
 
     def _set_columns(self, columns: list[np.ndarray]) -> None:
-        """Store integer tally columns as the (n, W) float64 ``_columns``."""
+        """Store integer tally columns as the (n, W) float64 ``_columns``,
+        which counts weigh until ``share_patterns`` gives the scorer pattern
+        columns to weigh instead."""
         self._columns = np.column_stack(columns).astype(np.float64)
+        self._counted_columns = self._columns
         self.gathers = -(-self._columns.shape[1] // 2)
 
     @functools.cached_property
@@ -229,22 +360,25 @@ class ResampleScorer:
     def scores(self, idx, counts=None) -> np.ndarray:
         """Score each row of a (k, n) index matrix.
 
-        With ``counts = resample_counts(idx, n)``, built-in metrics read only
-        the counts, by one product with the columns; the range check made by
-        ``resample_counts`` stands for this call, and one count matrix can
-        serve every scorer of a block.  Without counts, each column pair is
-        gathered through ``idx``.  ``custom`` metrics always gather and
-        ignore ``counts``.  Both ways give the same integer sums, so the
-        same bits.
+        With counts from ``shared_counts``, built-in metrics read only the
+        counts, by one product with the columns; the range check made while
+        counting stands for this call, and one count matrix serves every
+        scorer of a block.  The counts are (k, G) pattern counts once
+        ``share_patterns`` has given the scorer ``pattern_ids``, else (k, n)
+        row counts, ``resample_counts(idx, n)``; any other shape is a
+        ``ValueError``.  Without counts, each column pair is gathered through
+        ``idx``.  ``custom`` metrics always gather and ignore ``counts``.
+        Every way gives the same integer sums, so the same bits.
         """
         idx = _index_rows(idx)
         if not self.gathers or counts is None:
             _check_range(idx, self.n)
             counts = None
-        elif np.shape(counts) != (len(idx), self.n):
+        elif np.shape(counts) != (len(idx), len(self._counted_columns)):
             raise ValueError(
-                f"counts of shape {np.shape(counts)} do not match "
-                f"{len(idx)} resamples of {self.n} rows"
+                f"counts of shape {np.shape(counts)} do not match {len(idx)} "
+                f"resamples of {len(self._counted_columns)} "
+                f"{'rows' if self.pattern_ids is None else 'patterns'}"
             )
         return self._score_rows(idx, counts)
 
@@ -259,8 +393,8 @@ class ResampleScorer:
     def _sums(self, idx: np.ndarray, counts) -> np.ndarray:
         """The (W, k) sums of every tally column over every resample.
 
-        Given the (k, n) counts, one product per ``_PRODUCT_COLUMNS``
-        columns, written into one (k, W) matrix; otherwise one gather and
+        Given counts, one product per ``_PRODUCT_COLUMNS`` of the columns
+        they weigh, written into one (k, W) matrix; otherwise one gather and
         reduction per entry of ``_gathered``, whose complex sums unfold into
         their two columns' rows.  Either way every partial sum is an exact
         integer.
@@ -269,7 +403,7 @@ class ResampleScorer:
             sums = np.empty((len(counts), self._columns.shape[1]))
             for j in range(0, sums.shape[1], _PRODUCT_COLUMNS):
                 part = slice(j, j + _PRODUCT_COLUMNS)
-                np.matmul(counts, self._columns[:, part], out=sums[:, part])
+                np.matmul(counts, self._counted_columns[:, part], out=sums[:, part])
             return sums.T
         sums = np.array([np.add.reduce(np.take(col, idx), axis=1) for col in self._gathered])
         if sums.dtype == np.float64:

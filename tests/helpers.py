@@ -1,5 +1,6 @@
-"""Test-only helpers: scoring one resample, garbage-filled output buffers and
-reading back markdown tables."""
+"""Test-only helpers: scoring one resample, garbage-filled output buffers,
+tables with a set number of tally patterns and reading back markdown
+tables."""
 
 import re
 from pathlib import Path
@@ -7,7 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from boardstats.metrics import ResampleScorer
-from boardstats.table import ScoreSpec
+from boardstats.table import PredictionTable, ScoreSpec
+
+# one spec per built-in metric, for tables built by ``patterned_table``
+PATTERN_SPECS = {
+    "accuracy": ScoreSpec(metric="accuracy"),
+    "f1": ScoreSpec(metric="f1", labels=("a",)),
+    "macro_f1": ScoreSpec(metric="macro_f1", labels=("a", "c")),
+    "mae": ScoreSpec(metric="mae"),
+}
 
 
 def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
@@ -18,6 +27,46 @@ def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
     """
     scorer = ResampleScorer(np.asarray(gold), np.asarray(pred), spec)
     return float(scorer.scores(np.asarray(indices, dtype=np.int64))[0])
+
+
+def tally_rows(table: PredictionTable, spec: ScoreSpec) -> np.ndarray:
+    """Every system's tally columns side by side: one row per data row."""
+    return np.column_stack([
+        ResampleScorer(table.gold, pred, spec)._columns for pred in table.systems.values()
+    ])
+
+
+def patterned_table(metric: str, patterns: int, n: int, seed: int = 0):
+    """(table, spec) of n rows holding exactly ``patterns`` distinct rows of
+    ``tally_rows``, each at least once, under ``PATTERN_SPECS[metric]``.
+
+    The rows are drawn from a pool of 4096 random rows (8 systems of three
+    labels, or 4 regression systems), one per pattern, and then shuffled.
+    """
+    g = np.random.default_rng(seed)
+    size = 4096
+    if metric == "mae":
+        gold = g.normal(size=size)
+        systems = {f"s{i}": gold + g.normal(size=size) for i in range(4)}
+        task = "regression"
+    else:
+        gold = g.choice(["a", "b", "c"], size=size)
+        systems = {
+            f"s{i}": np.where(g.random(size) < 0.5, g.choice(["a", "b", "c"], size=size), gold)
+            for i in range(8)
+        }
+        task = "classification"
+    spec = PATTERN_SPECS[metric]
+    pool = PredictionTable.build(gold, systems, task)
+    _, first = np.unique(tally_rows(pool, spec), axis=0, return_index=True)
+    kept = g.permutation(first)[:patterns]
+    pick = kept[np.concatenate([np.arange(patterns), g.integers(0, patterns, n - patterns)])]
+    g.shuffle(pick)
+    table = PredictionTable.build(
+        pool.gold[pick], {name: pred[pick] for name, pred in pool.systems.items()}, task
+    )
+    assert len(np.unique(tally_rows(table, spec), axis=0)) == patterns
+    return table, spec
 
 
 def garbage(shape, dtype) -> np.ndarray:

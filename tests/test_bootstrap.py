@@ -13,7 +13,7 @@ from boardstats.errors import ConfigError, MetricError
 from boardstats.metrics import ResampleScorer, resample_counts
 from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
-from helpers import garbage, score_on_indices
+from helpers import PATTERN_SPECS, garbage, patterned_table, score_on_indices
 
 
 def make_table(n=60, seed=3):
@@ -275,42 +275,94 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
 def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec, gathers):
     # two systems of one accuracy column or two f1 column pairs each: at the
     # default threshold of 4 gathers, two accuracy systems gather and two
-    # 2-class macro-F1 systems already share one count matrix per block
+    # 2-class macro-F1 systems already share one count matrix per block.
+    # Their 90 rows hold at most 9 tally patterns, one per (gold, noisy)
+    # label pair, within the cap of 90 // 8, so the counts are per pattern
+    # unless the cap is patched down to 0.
     table = make_table(n=90)
     plan = BootstrapPlan(replicates=50, seed=13)
     assert [ResampleScorer(table.gold, table.systems[name], spec).gathers
             for name in table.names] == [gathers, gathers]
-    assert metrics._COUNT_MIN_GATHERS == 4
-    built = []
+    assert metrics._COUNT_MIN_GATHERS == 4 and metrics._ROWS_PER_PATTERN == 8
+    if spec.metric == "accuracy":
+        patterns = 2  # noisy right or wrong; perfect always right
+    else:
+        patterns = len(set(zip(table.gold, table.systems["noisy"])))
+    assert 1 < patterns <= 90 // 8
+    counted = []  # (rows, bins, per pattern) of each counted group
+    count_rows = metrics._count_rows
 
-    def recording_counts(idx, n, out=None):
-        built.append(len(idx))
-        counts = resample_counts(idx, n, out)
+    def recording_count_rows(idx, counts, ids=None):
+        counted.append((len(idx), counts.shape[1], ids is not None))
         assert counts.dtype == np.float64
-        return counts
+        count_rows(idx, counts, ids)
 
-    monkeypatch.setattr(metrics, "resample_counts", recording_counts)
+    monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
     monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 2 * gathers + 1)
     gathered = distributions(table, spec, plan)
-    assert built == []
+    assert counted == []
     monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 4)
     monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * 90 * 7)
     blocks = [7] * 7 + [1]
+    per_pattern = [(rows, patterns, True) for rows in blocks]
     by_default = distributions(table, spec, plan)
-    assert built == (blocks if spec.metric == "macro_f1" else [])
-    built.clear()
+    assert counted == (per_pattern if spec.metric == "macro_f1" else [])
+    counted.clear()
     monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 2 * gathers)
-    counted = distributions(table, spec, plan)
-    assert built == blocks
+    in_patterns = distributions(table, spec, plan)
+    assert counted == per_pattern
+    counted.clear()
+    monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", 91)
+    in_rows = distributions(table, spec, plan)
+    assert counted == [(rows, 90, False) for rows in blocks]
     for name in table.names:
-        for got in (counted, by_default):
+        for got in (in_patterns, in_rows, by_default):
             assert np.array_equal(got[name].values, gathered[name].values)
             assert got[name].observed == gathered[name].observed
-    built.clear()
+    counted.clear()
     assert np.array_equal(
         system_distribution(table, "noisy", spec, plan).values, gathered["noisy"].values
     )
-    assert built == []
+    assert counted == []
+
+
+@pytest.mark.parametrize("metric", sorted(PATTERN_SPECS))
+def test_pattern_counts_equal_row_counts_and_gathers_bit_for_bit(monkeypatch, metric):
+    # G distinct tally patterns in n = 96 rows, around the cap of 96 // 8;
+    # every path, block size and worker count gives the gathered bits
+    n, B = 96, 30
+    default = metrics._ROWS_PER_PATTERN
+    cap = n // default
+    counted = set()  # (bins, per pattern) of every counted group
+    count_rows = metrics._count_rows
+
+    def recording_count_rows(idx, counts, ids=None):
+        counted.add((counts.shape[1], ids is not None))
+        count_rows(idx, counts, ids)
+
+    monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
+    for patterns in (1, 3, cap - 1, cap, cap + 1, n):
+        table, spec = patterned_table(metric, patterns, n)
+        monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 1000)
+        gathered = distributions(table, spec, BootstrapPlan(replicates=B, seed=5))
+        assert counted == set()
+        monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 4)
+        # rows per pattern: the default, every G in pattern space, none
+        for per_pattern in (default, 1, n + 1):
+            monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
+            in_patterns = patterns <= n // per_pattern
+            for rows in (1, 7):
+                monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
+                for workers in (1, 3):
+                    counted.clear()
+                    got = distributions(
+                        table, spec, BootstrapPlan(replicates=B, seed=5, workers=workers)
+                    )
+                    assert counted == {(patterns if in_patterns else n, in_patterns)}
+                    for name in table.names:
+                        assert got[name].values.tobytes() == gathered[name].values.tobytes()
+                        assert got[name].observed == gathered[name].observed
+        counted.clear()
 
 
 def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch):
@@ -350,12 +402,15 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
 
 # Prints one sha256 over every system's bootstrap values and observed score,
 # for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of at
-# least one column pair each put every metric on the shared-count path.
-# 3-class macro-F1 and MAE run again in 8 MiB blocks: products of 1024 x 400
-# counts with 6 columns and of 2000 x 400 counts with 2 limbs exceed
-# OpenBLAS's one-thread size (2**18 multiply-adds), so 2 threads split them.
-# Accuracy at n = 2**17 + 1 puts one replicate in each 1 MiB block, whose
-# (1, n) x (n, 1) product OpenBLAS runs on 2 threads as well.
+# least one column pair each put every metric on the shared-count path:
+# accuracy counts per pattern (8 patterns in 400 rows, within the cap of 50),
+# macro-F1 (54 patterns) and MAE (400) per row.  3-class macro-F1 and MAE run
+# again in 8 MiB blocks: products of 1024 x 400 row counts with 6 columns and
+# of 2000 x 400 with 2 limbs exceed OpenBLAS's one-thread size (2**18
+# multiply-adds), so 2 threads split them.  At n = 2**17 + 1 each 1 MiB block
+# holds one replicate.  There accuracy's 16 patterns make a (1, 16) x (16, 1)
+# product, and MAE stays per row: its (1, n) x (n, 2) product OpenBLAS runs
+# on 2 threads as well.
 _DISTRIBUTION_DIGEST = """
 import hashlib
 import numpy as np
@@ -379,6 +434,11 @@ wide = PredictionTable.build(wide_gold, {
                       wide_gold)
     for i in range(4)
 })
+wide_real = g.normal(size=wide_n)
+wide_regression = PredictionTable.build(
+    wide_real, {f"s{i}": wide_real + g.normal(scale=i + 1.0, size=wide_n) for i in range(4)},
+    "regression",
+)
 # (table, spec, log2 of the block bytes, replicates)
 cases = [
     (classes, ScoreSpec(metric="accuracy"), 20, 300),
@@ -387,11 +447,15 @@ cases = [
     (classes, ScoreSpec(metric="macro_f1", labels=("a", "b", "c")), 23, 1024),
     (regression, ScoreSpec(metric="mae"), 23, 2000),
     (wide, ScoreSpec(metric="accuracy"), 20, 20),
+    (wide_regression, ScoreSpec(metric="mae"), 20, 20),
 ]
-zeros = np.zeros((1, n), dtype=np.int64)
-for table, spec in ((classes, ScoreSpec(metric="accuracy")), (regression, ScoreSpec(metric="mae"))):
+# (k, G) pattern counts or (k, n) row counts of each case, as above
+for table, spec, _, _ in cases:
     scorers = [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
-    assert metrics.shared_counts(scorers, zeros, n).dtype == np.float64
+    metrics.share_patterns(scorers, table.n)
+    zeros = np.zeros((1, table.n), dtype=np.int64)
+    width = metrics.shared_counts(scorers, zeros, table.n).shape[1]
+    assert width == {"accuracy": 8 if table is classes else 16}.get(spec.metric, table.n)
 digest = hashlib.sha256()
 for table, spec, block_bits, replicates in cases:
     bootstrap._BLOCK_BYTES = 1 << block_bits

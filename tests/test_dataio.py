@@ -9,6 +9,7 @@ from boardstats.dataio import (
     RunConfig,
     _read_columns,
     fmt_float,
+    load_custom_metric,
     load_table,
     parse_metric,
     write_csv,
@@ -322,6 +323,34 @@ def test_custom_metric_plugin(tmp_path):
     not_python.write_text("def score(gold, pred):\n    return 1.0\n")
     with pytest.raises(ConfigError, match="metric.txt: not a .py file"):
         parse_metric(f"custom:{not_python}")
+
+
+def test_a_custom_metric_may_not_take_a_built_in_metric_name(tmp_path):
+    # the report records a custom metric's name as its metric text, so a
+    # built-in's name would rebuild the built-in on a re-check
+    score_fn = "def score(gold, pred):\n    return 0.5\n"
+    for name, kind in (("accuracy", "accuracy"), ("Macro-F1:a,b", "macro_f1"),
+                       (" f1:a", "f1"), ("macro_f1", "macro_f1"), ("MAE", "mae")):
+        named = tmp_path / "named.py"
+        named.write_text(f"NAME = {name!r}\n{score_fn}")
+        with pytest.raises(ConfigError) as err:
+            parse_metric(f"custom:{named}")
+        assert str(err.value) == (
+            f"{named}: NAME {name!r} names the built-in metric {kind}; set NAME to another name"
+        )
+    stem = tmp_path / "mae.py"
+    stem.write_text(score_fn)
+    with pytest.raises(ConfigError) as err:
+        load_custom_metric(stem)
+    assert str(err.value) == (
+        f"{stem}: the file stem, NAME's default, 'mae' names the built-in metric mae; "
+        "set NAME to another name"
+    )
+    stem.write_text(f"NAME = 'mean error'\n{score_fn}")
+    assert parse_metric(f"custom:{stem}").display_name == "mean error"
+    for name in ("custom", "accuracy-ish", "f1 score"):
+        named.write_text(f"NAME = {name!r}\n{score_fn}")
+        assert parse_metric(f"custom:{named}").name == name
 
 
 def test_runconfig_validation():

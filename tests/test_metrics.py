@@ -10,7 +10,7 @@ from boardstats.errors import MetricError
 from boardstats import metrics
 from boardstats.metrics import ResampleScorer, resample_counts, score
 from boardstats.table import ScoreSpec
-from helpers import garbage, score_on_indices
+from helpers import PATTERN_SPECS, garbage, patterned_table, score_on_indices, tally_rows
 
 
 def naive_subset_macro_f1(gold, pred, subset):
@@ -155,6 +155,66 @@ def test_resample_counts_equal_per_row_bincount(n, dtype):
         assert np.array_equal(counts.sum(axis=1), np.full(k, width))
     row = g.integers(0, n, size=n).astype(dtype)
     assert np.array_equal(resample_counts(row, n), [np.bincount(row, minlength=n)])
+
+
+@pytest.mark.parametrize("metric", sorted(PATTERN_SPECS))
+def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
+    # G patterns in n = 96 rows, around the cap of 96 // 8 and up to G = n
+    n = 96
+    cap = n // metrics._ROWS_PER_PATTERN
+    g = np.random.default_rng(4)
+    idx = np.vstack([np.arange(n), np.zeros(n, dtype=np.int64), g.integers(0, n, size=(7, n))])
+    rows = resample_counts(idx, n)
+    for patterns in (1, 3, cap - 1, cap, cap + 1, n):
+        table, spec = patterned_table(metric, patterns, n)
+        plain, patterned = (
+            [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+            for _ in range(2)
+        )
+        metrics.share_patterns(patterned, n)
+        assert all((scorer.pattern_ids is None) == (patterns > cap) for scorer in patterned)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_ROWS_PER_PATTERN", 1)  # every G in pattern space
+            metrics.share_patterns(patterned, n)
+        # the ids number the patterns in the rows' lexicographic order
+        _, want_ids = np.unique(tally_rows(table, spec), axis=0, return_inverse=True)
+        assert patterned[0].pattern_ids.tolist() == want_ids.ravel().tolist()
+        counts = metrics.shared_counts(patterned, idx, n)
+        assert counts.shape == (len(idx), patterns) and counts.dtype == np.float64
+        assert np.array_equal(counts.sum(axis=1), np.full(len(idx), n))
+        for row_scorer, pattern_scorer in zip(plain, patterned):
+            assert pattern_scorer.pattern_ids is patterned[0].pattern_ids
+            gathered = row_scorer._sums(idx, None)
+            assert np.array_equal(row_scorer._sums(idx, rows), gathered)
+            assert np.array_equal(pattern_scorer._sums(idx, counts), gathered)
+            want = row_scorer.scores(idx).tobytes()
+            assert row_scorer.scores(idx, rows).tobytes() == want
+            assert pattern_scorer.scores(idx, counts).tobytes() == want
+            # pattern counts only for a scorer holding those patterns
+            if patterns != n:
+                for scorer, wrong in ((row_scorer, counts), (pattern_scorer, rows)):
+                    with pytest.raises(ValueError, match="do not match"):
+                        scorer.scores(idx, wrong)
+
+
+def test_patterns_are_shared_only_where_counting_pays():
+    # below 4 gathers the scorers gather and get no patterns, and a custom
+    # scorer (no gathers) neither counts nor holds patterns
+    table, spec = patterned_table("accuracy", 2, 96)
+    scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+    idx = np.zeros((2, 96), dtype=np.int64)
+    metrics.share_patterns(scorers[:3], 96)
+    assert all(scorer.pattern_ids is None for scorer in scorers)
+    assert metrics.shared_counts(scorers[:3], idx, 96) is None
+    custom = ResampleScorer(
+        table.gold, table.systems["s0"], ScoreSpec(metric="custom", fn=lambda g, p: 0.0)
+    )
+    metrics.share_patterns([custom] + scorers, 96)
+    assert custom.pattern_ids is None
+    assert all(len(scorer._counted_columns) == 2 for scorer in scorers)
+    want = np.zeros((2, 2))
+    want[:, scorers[0].pattern_ids[0]] = 96
+    assert np.array_equal(metrics.shared_counts([custom] + scorers, idx, 96), want)
 
 
 def unpacked_f1_sums(gold, pred, labels, idx):
