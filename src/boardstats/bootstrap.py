@@ -31,13 +31,14 @@ from .table import BootstrapPlan, PredictionTable, ScoreSpec
 QUANTILE_RULE = "linear"
 
 # Bytes of int64 resample indices evaluated per batch (shared row counts add
-# as many again).  Each worker thread writes every batch it takes into
-# one index buffer and one count buffer of that size, allocated on its first
-# batch and then reused: glibc hands freed 1 MiB blocks back to the OS, so
-# fresh ones page-fault in again on every batch (457k minor faults in one
-# accuracy bootstrap at n = 50k, m = 4, B = 2000, against 777 reused).  Each
-# row is scored on its own from a stream fixed by (seed, replicate), so
-# values never depend on the batch size or the worker count.
+# as many again as float64, half as many as float32).  Each worker thread
+# writes every batch it takes into one index buffer and one count buffer of
+# that many rows, allocated on its first batch and then reused: glibc hands
+# freed 1 MiB blocks back to the OS, so fresh ones page-fault in again on
+# every batch (457k minor faults in one accuracy bootstrap at n = 50k, m = 4,
+# B = 2000, against 777 reused).  Each row is scored on its own from a stream
+# fixed by (seed, replicate), so values never depend on the batch size or the
+# worker count.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -93,7 +94,7 @@ def _evaluate(
     pattern once ``share_patterns`` finds few patterns."""
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    share_patterns(scorers.values(), n)
+    count_dtype = share_patterns(scorers.values(), n)
     values = np.empty((len(scorers), B))
     buffers = threading.local()
 
@@ -103,7 +104,7 @@ def _evaluate(
             # np.empty only maps the counts: unless shared_counts counts
             # rows, its pages are never written and never resident.
             buffers.idx = np.empty((rows, n), dtype=np.int64)
-            buffers.counts = np.empty((rows, n))
+            buffers.counts = np.empty((rows, n), count_dtype)
         idx = rng.index_block(plan.seed, n, start, stop, out=buffers.idx)
         counts = shared_counts(scorers.values(), idx, n, out=buffers.counts)
         for row, (name, scorer) in zip(values, scorers.items()):

@@ -17,7 +17,11 @@ count-weighted sum of the column.  Every scorer stores its columns as one
 ``tp`` and ``pred + gold`` per class (W = 2 per class), and MAE's two
 fixed-point limbs (W = 2).  Every resampled column sum is an integer below
 2**53, so it is exact in float64 whatever the summation order (after Neal
-2015, exact summation).
+2015, exact summation).  Shared counts, and the columns they weigh, are held
+as float32 instead where n times the largest column magnitude is below 2**24
+(``_count_dtype``): a resample draws n rows, so every product and partial
+sum is then an integer below 2**24, exact in float32 as well, at half the
+bytes.  Accuracy and F1 columns pass up to n = 2**23; MAE's limbs never do.
 
 The sums of one bootstrap come one of three ways.  Below
 ``_COUNT_MIN_GATHERS`` column-pair gathers between its scorers, each
@@ -76,11 +80,17 @@ _COUNT_MIN_GATHERS = 4
 # G = n/8, 0.79-1.01 at n/4, 0.88-1.17 at n/2 and 1.04-1.65 at G = n.
 _ROWS_PER_PATTERN = 8
 
+# Integers of magnitude up to 2**24 are exact in float32 (``_count_dtype``).
+_FLOAT32_EXACT = 1 << 24
+
 # Columns per count product.  A 1 MiB block of n <= 2**17 rows holds at most
 # 2**17 counts, so a product with 6 columns stays within the 10**6
 # multiply-adds that OpenBLAS (0.3.31, AVX-512 Xeon) runs on one thread.
 # With 8 it started a second thread, which spun between blocks: four 4-class
-# macro-F1 systems at n = 5000 used 1.9x their wall time in CPU.
+# macro-F1 systems at n = 5000 used 1.9x their wall time in CPU.  float32
+# products split alike (2 vCPUs, 300 products between single-threaded
+# sums): CPU over wall 1.00 with 6 columns and 1.96 with 8 for 26 x 5000
+# counts, 1.00 and 1.84 for 131 x 1000, and 1.00 with either for 2 x 50000.
 _PRODUCT_COLUMNS = 6
 
 
@@ -91,17 +101,22 @@ def shared_counts(scorers, idx, n: int, out=None):
     between them: each then gathers through ``idx``.  Otherwise, once
     ``share_patterns`` has given the scorers pattern ids, the (k, G) pattern
     counts of ``idx`` in a fresh matrix, leaving ``out`` untouched; else the
-    (k, n) ``resample_counts(idx, n, out)``.
+    (k, n) ``resample_counts(idx, n, out)``.  A fresh matrix, or one made
+    for a missing ``out``, has the dtype of the columns the counts weigh,
+    which ``share_patterns`` returns.
     """
     scorers = _counting(scorers)
     if not scorers:
         return None
+    idx = _index_rows(idx)
+    columns = scorers[0]._counted_columns
     ids = scorers[0].pattern_ids
     if ids is None:
+        if out is None:
+            out = np.empty((len(idx), n), columns.dtype)
         return resample_counts(idx, n, out)
-    idx = _index_rows(idx)
     _check_range(idx, n)
-    counts = np.empty((len(idx), len(scorers[0]._counted_columns)))
+    counts = np.empty((len(idx), len(columns)), columns.dtype)
     _count_rows(idx, counts, ids)
     return counts
 
@@ -113,20 +128,25 @@ def _counting(scorers) -> list:
     return scorers if sum(s.gathers for s in scorers) >= _COUNT_MIN_GATHERS else []
 
 
-def share_patterns(scorers, n: int) -> None:
-    """Move the scorers of one bootstrap to pattern space where it pays.
+def share_patterns(scorers, n: int) -> np.dtype:
+    """Prepare the scorers of one bootstrap to weigh shared counts, and
+    return the dtype of those counts.
 
-    A row's pattern is its values in every scorer's tally columns side by
-    side, and a resample's column sums depend only on how often it drew each
-    of the G distinct patterns.  When ``shared_counts`` would count and G is
-    at most n / ``_ROWS_PER_PATTERN``, every scorer gets ``pattern_ids``, the
+    Where ``shared_counts`` would count, every counting scorer gets the
+    columns it weighs in the one dtype that ``_count_dtype`` picks for all
+    of them.  A row's pattern is its values in every scorer's tally columns
+    side by side, and a resample's column sums depend only on how often it
+    drew each of the G distinct patterns.  When G is at most
+    n / ``_ROWS_PER_PATTERN``, every scorer gets ``pattern_ids``, the
     pattern of each of the n rows (shared by all), and a (G, W) copy of its
-    columns, one row per pattern; otherwise no scorer changes.
+    columns, one row per pattern; otherwise none, and its (n, W) columns.
+    Where no scorer counts, none changes, and the dtype is float64.
     """
     scorers = _counting(scorers)
     if not scorers:
-        return
+        return np.dtype(np.float64)
     columns = [scorer._columns for scorer in scorers]
+    dtype = _count_dtype(columns, n)
     cap = n // _ROWS_PER_PATTERN
     # the first 2 cap + 1 rows hold no more patterns than all n do, and a
     # table with too many mostly shows it there, with a quarter of the
@@ -134,13 +154,30 @@ def share_patterns(scorers, n: int) -> None:
     for rows in (min(2 * cap + 1, n), n):
         found = _pattern_ids((c[:rows, j] for c in columns for j in range(c.shape[1])), rows, cap)
         if found is None:
-            return
-    ids, patterns = found
+            break
     for scorer, column in zip(scorers, columns):
-        # a pattern's rows hold equal values, so any of them may land
-        scorer._counted_columns = np.empty((patterns, column.shape[1]))
-        scorer._counted_columns[ids] = column
-        scorer.pattern_ids = ids
+        if found is None:
+            scorer._counted_columns = column.astype(dtype, copy=False)
+            scorer.pattern_ids = None
+        else:
+            ids, patterns = found
+            # a pattern's rows hold equal values, so any of them may land
+            scorer._counted_columns = np.empty((patterns, column.shape[1]), dtype)
+            scorer._counted_columns[ids] = column
+            scorer.pattern_ids = ids
+    return dtype
+
+
+def _count_dtype(columns, n: int) -> np.dtype:
+    """float32 where n times the largest magnitude in ``columns`` is below
+    ``_FLOAT32_EXACT``, else float64.
+
+    Resample counts sum to n, so every count, every count times a column
+    value and every partial sum of those is then an integer below 2**24:
+    exact in float32 in any BLAS order, blocking, FMA use or thread count.
+    """
+    top = max(float(np.abs(column).max()) for column in columns)
+    return np.dtype(np.float32 if n * top < _FLOAT32_EXACT else np.float64)
 
 
 def _pattern_ids(columns, n: int, cap: int):
@@ -193,8 +230,9 @@ def resample_counts(idx, n: int, out=None) -> np.ndarray:
 
     Returns a (k, n) float64 matrix of integers whose row r is
     ``np.bincount(idx[r], minlength=n)``.  Given ``out``, a C-contiguous
-    float64 array of n columns and at least k rows, the counts fill
-    ``out[:k]``, which is returned.  An index outside [0, n) is a
+    float64 or float32 array of n columns and at least k rows, the counts
+    fill ``out[:k]``, which is returned; float32 counts are exact while each
+    row holds fewer than 2**24 indices.  An index outside [0, n) is a
     ``MetricError``.
     """
     idx = _index_rows(idx)
@@ -202,7 +240,7 @@ def resample_counts(idx, n: int, out=None) -> np.ndarray:
     if out is None:
         counts = np.empty((len(idx), n))
     else:
-        check_rows(out, len(idx), n, np.float64)
+        check_rows(out, len(idx), n, np.float64, np.float32)
         counts = out[:len(idx)]
     _count_rows(idx, counts)
     return counts
@@ -253,7 +291,9 @@ class ResampleScorer:
     share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  ``pattern_ids`` is
     None until ``share_patterns`` moves the scorer to pattern space: then it
     holds each row's pattern id, shared by every scorer of the bootstrap,
-    and the scorer a (G, W) copy of its columns, one row per pattern.  No
+    and the scorer a (G, W) copy of its columns, one row per pattern.  The
+    columns that counts weigh are float32 where ``share_patterns`` finds
+    every sum exact in float32, and float64 otherwise.  No
     resampled label vector is materialized.  ``scores`` accepts a (k, n)
     index matrix and returns k scores; row r equals the plain score of
     ``gold[idx[r]]`` vs ``pred[idx[r]]``.
@@ -314,8 +354,9 @@ class ResampleScorer:
 
     def _set_columns(self, columns: list[np.ndarray]) -> None:
         """Store integer tally columns as the (n, W) float64 ``_columns``,
-        which counts weigh until ``share_patterns`` gives the scorer pattern
-        columns to weigh instead."""
+        which counts weigh until ``share_patterns`` gives the scorer the
+        columns to weigh instead: these (n, W) ones or (G, W) pattern
+        columns, as float32 where every resampled sum is exact in it."""
         self._columns = np.column_stack(columns).astype(np.float64)
         self._counted_columns = self._columns
         self.gathers = -(-self._columns.shape[1] // 2)
@@ -366,9 +407,10 @@ class ResampleScorer:
         scorer of a block.  The counts are (k, G) pattern counts once
         ``share_patterns`` has given the scorer ``pattern_ids``, else (k, n)
         row counts, ``resample_counts(idx, n)``; any other shape is a
-        ``ValueError``.  Without counts, each column pair is gathered through
-        ``idx``.  ``custom`` metrics always gather and ignore ``counts``.
-        Every way gives the same integer sums, so the same bits.
+        ``ValueError``.  Without counts, each column pair is gathered
+        through ``idx``.  ``custom`` metrics always gather and ignore
+        ``counts``.  Every way, with float32 or float64 counts, gives the
+        same integer sums, so the same bits.
         """
         idx = _index_rows(idx)
         if not self.gathers or counts is None:
@@ -394,17 +436,19 @@ class ResampleScorer:
         """The (W, k) sums of every tally column over every resample.
 
         Given counts, one product per ``_PRODUCT_COLUMNS`` of the columns
-        they weigh, written into one (k, W) matrix; otherwise one gather and
-        reduction per entry of ``_gathered``, whose complex sums unfold into
-        their two columns' rows.  Either way every partial sum is an exact
-        integer.
+        they weigh, written into one (k, W) matrix, in float32 only where
+        counts and columns both are, and then made float64; otherwise one
+        gather and reduction per entry of ``_gathered``, whose complex sums
+        unfold into their two columns' rows.  Either way every partial sum is
+        an exact integer, and so is the float64 result.
         """
         if counts is not None:
-            sums = np.empty((len(counts), self._columns.shape[1]))
+            dtype = np.result_type(counts, self._counted_columns)
+            sums = np.empty((len(counts), self._columns.shape[1]), dtype)
             for j in range(0, sums.shape[1], _PRODUCT_COLUMNS):
                 part = slice(j, j + _PRODUCT_COLUMNS)
                 np.matmul(counts, self._counted_columns[:, part], out=sums[:, part])
-            return sums.T
+            return sums.T.astype(np.float64, copy=False)
         sums = np.array([np.add.reduce(np.take(col, idx), axis=1) for col in self._gathered])
         if sums.dtype == np.float64:
             return sums

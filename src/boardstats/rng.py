@@ -98,13 +98,14 @@ def index_block(seed: int, n: int, start: int, stop: int,
     return out[:k]
 
 
-def check_rows(out, k: int, n: int, dtype) -> None:
-    """Raise ``ValueError`` unless ``out`` is a C-contiguous ``dtype`` array
-    of n columns and at least k rows, one that ``out[:k]`` can fill."""
-    if not (isinstance(out, np.ndarray) and out.dtype == dtype and out.ndim == 2
+def check_rows(out, k: int, n: int, *dtypes) -> None:
+    """Raise ``ValueError`` unless ``out`` is a C-contiguous array of one of
+    ``dtypes``, n columns and at least k rows, one that ``out[:k]`` can fill."""
+    if not (isinstance(out, np.ndarray) and out.dtype in dtypes and out.ndim == 2
             and out.shape[1] == n and len(out) >= k and out.flags.c_contiguous):
+        names = " or ".join(str(np.dtype(dtype)) for dtype in dtypes)
         raise ValueError(
-            f"out must be a C-contiguous {np.dtype(dtype)} array of {n} "
+            f"out must be a C-contiguous {names} array of {n} "
             f"columns and at least {k} rows"
         )
 

@@ -135,6 +135,7 @@ def test_out_of_wrong_shape_or_dtype_is_rejected():
     writers = [
         (np.int64, np.float64, lambda out: rng.index_block(0, n, 0, k, out=out)),
         (np.float64, np.int64, lambda out: resample_counts(idx, n, out=out)),
+        (np.float32, np.int64, lambda out: resample_counts(idx, n, out=out)),
     ]
     for dtype, other, write in writers:
         for buf in (garbage((k - 1, n), dtype), garbage((k, n + 1), dtype),
@@ -294,7 +295,8 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
 
     def recording_count_rows(idx, counts, ids=None):
         counted.append((len(idx), counts.shape[1], ids is not None))
-        assert counts.dtype == np.float64
+        # 90 rows times the largest tally, 1 or 2, lie far below 2**24
+        assert counts.dtype == np.float32
         count_rows(idx, counts, ids)
 
     monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
@@ -365,6 +367,41 @@ def test_pattern_counts_equal_row_counts_and_gathers_bit_for_bit(monkeypatch, me
         counted.clear()
 
 
+@pytest.mark.parametrize("metric", ["accuracy", "f1", "macro_f1"])
+def test_float32_counts_equal_float64_counts_bit_for_bit(monkeypatch, metric):
+    # n = 96 rows times the largest tally (2 for f1's pred + gold) lie below
+    # 2**24, so the shared counts are float32 unless the bound is patched to
+    # 0; in row and pattern space, in 1- and 7-row blocks, on 1 and 3
+    # workers, both give the same bytes
+    n, B = 96, 30
+    table, spec = patterned_table(metric, 5, n)
+    dtypes = set()  # dtype of every counted group
+    count_rows = metrics._count_rows
+
+    def recording_count_rows(idx, counts, ids=None):
+        dtypes.add(counts.dtype)
+        count_rows(idx, counts, ids)
+
+    monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
+    for per_pattern in (1, n + 1):
+        monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
+        for rows in (1, 7):
+            monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
+            for workers in (1, 3):
+                plan = BootstrapPlan(replicates=B, seed=9, workers=workers)
+                got = {}
+                for bound, dtype in ((metrics._FLOAT32_EXACT, np.float32), (0, np.float64)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(metrics, "_FLOAT32_EXACT", bound)
+                        dtypes.clear()
+                        got[dtype] = distributions(table, spec, plan)
+                        assert dtypes == {np.dtype(dtype)}
+                for name in table.names:
+                    narrowed, wide = got[np.float32][name], got[np.float64][name]
+                    assert narrowed.values.tobytes() == wide.values.tobytes()
+                    assert narrowed.observed == wide.observed
+
+
 def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch):
     # two MAE systems gather below the default threshold; at a threshold of
     # one gather they share float64 counts and take one limb product each
@@ -404,13 +441,15 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
 # for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of at
 # least one column pair each put every metric on the shared-count path:
 # accuracy counts per pattern (8 patterns in 400 rows, within the cap of 50),
-# macro-F1 (54 patterns) and MAE (400) per row.  3-class macro-F1 and MAE run
-# again in 8 MiB blocks: products of 1024 x 400 row counts with 6 columns and
-# of 2000 x 400 with 2 limbs exceed OpenBLAS's one-thread size (2**18
-# multiply-adds), so 2 threads split them.  At n = 2**17 + 1 each 1 MiB block
-# holds one replicate.  There accuracy's 16 patterns make a (1, 16) x (16, 1)
-# product, and MAE stays per row: its (1, n) x (n, 2) product OpenBLAS runs
-# on 2 threads as well.
+# macro-F1 (54 patterns) and MAE (400) per row.  Accuracy and macro-F1 count
+# in float32 (n times a tally of at most 2 lies below 2**24), MAE in float64.
+# 3-class macro-F1 and MAE run again in 8 MiB blocks: the float32 product of
+# 1024 x 400 row counts with 6 columns and the float64 one of 2000 x 400 with
+# 2 limbs exceed OpenBLAS's one-thread size (10**6 multiply-adds), so 2
+# threads split them.  At n = 2**17 + 1 each 1 MiB block holds one
+# replicate.  There accuracy's 16 patterns make a (1, 16) x (16, 1) product,
+# and MAE stays per row: its (1, n) x (n, 2) product OpenBLAS runs on 2
+# threads as well.
 _DISTRIBUTION_DIGEST = """
 import hashlib
 import numpy as np
@@ -449,13 +488,15 @@ cases = [
     (wide, ScoreSpec(metric="accuracy"), 20, 20),
     (wide_regression, ScoreSpec(metric="mae"), 20, 20),
 ]
-# (k, G) pattern counts or (k, n) row counts of each case, as above
+# (k, G) pattern counts or (k, n) row counts of each case, as above, float32
+# but for MAE
 for table, spec, _, _ in cases:
     scorers = [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
-    metrics.share_patterns(scorers, table.n)
+    dtype = metrics.share_patterns(scorers, table.n)
     zeros = np.zeros((1, table.n), dtype=np.int64)
-    width = metrics.shared_counts(scorers, zeros, table.n).shape[1]
-    assert width == {"accuracy": 8 if table is classes else 16}.get(spec.metric, table.n)
+    counts = metrics.shared_counts(scorers, zeros, table.n)
+    assert counts.shape[1] == {"accuracy": 8 if table is classes else 16}.get(spec.metric, table.n)
+    assert counts.dtype == dtype == (np.float64 if spec.metric == "mae" else np.float32)
 digest = hashlib.sha256()
 for table, spec, block_bits, replicates in cases:
     bootstrap._BLOCK_BYTES = 1 << block_bits

@@ -152,6 +152,11 @@ def test_resample_counts_equal_per_row_bincount(n, dtype):
         into = resample_counts(idx, n, out=buf)
         assert into.base is buf and np.array_equal(into, want)
         assert np.isnan(buf[k:]).all()
+        # float32 counts are filled alike
+        buf32 = garbage((k + 1, n), np.float32)
+        into = resample_counts(idx, n, out=buf32)
+        assert into.base is buf32 and into.dtype == np.float32 and np.array_equal(into, want)
+        assert np.isnan(buf32[k:]).all()
         assert np.array_equal(counts.sum(axis=1), np.full(k, width))
     row = g.integers(0, n, size=n).astype(dtype)
     assert np.array_equal(resample_counts(row, n), [np.bincount(row, minlength=n)])
@@ -180,7 +185,10 @@ def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
         _, want_ids = np.unique(tally_rows(table, spec), axis=0, return_inverse=True)
         assert patterned[0].pattern_ids.tolist() == want_ids.ravel().tolist()
         counts = metrics.shared_counts(patterned, idx, n)
-        assert counts.shape == (len(idx), patterns) and counts.dtype == np.float64
+        # 96 rows times an accuracy or f1 tally lie below 2**24; MAE's limbs
+        # lie far above
+        assert counts.shape == (len(idx), patterns)
+        assert counts.dtype == (np.float64 if metric == "mae" else np.float32)
         assert np.array_equal(counts.sum(axis=1), np.full(len(idx), n))
         for row_scorer, pattern_scorer in zip(plain, patterned):
             assert pattern_scorer.pattern_ids is patterned[0].pattern_ids
@@ -195,6 +203,42 @@ def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
                 for scorer, wrong in ((row_scorer, counts), (pattern_scorer, rows)):
                     with pytest.raises(ValueError, match="do not match"):
                         scorer.scores(idx, wrong)
+
+
+def test_counts_are_float32_below_two_to_the_24():
+    # n times the largest column magnitude, over every column of every
+    # scorer: 2**24 - 1 = 3 * 5592405 gives float32, 2**24 = 4 * 2**22 not
+    below, at = 5592405, 1 << 22
+    for sign in (1, -1):
+        small = np.zeros((3, 2))
+        for n, top, want in ((3, below, np.float32), (4, at, np.float64)):
+            big = np.array([[0.0], [sign * top], [1.0]])
+            assert metrics._count_dtype([small, big], n) == want
+            assert metrics._count_dtype([small, big - sign], n) == np.float32
+    assert metrics._count_dtype([np.zeros((5, 1))], 2**40) == np.float32
+
+
+def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
+    # row and pattern space: a narrowed scorer gives the gathered bits from
+    # float64 counts, float32 counts or none
+    table, spec = patterned_table("macro_f1", 5, 96)
+    g = np.random.default_rng(3)
+    idx = np.vstack([np.arange(96), g.integers(0, 96, size=(6, 96))])
+    plain = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+    for per_pattern in (97, 1):
+        scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+        monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
+        assert metrics.share_patterns(scorers, 96) == np.float32
+        assert all(s._counted_columns.dtype == np.float32 for s in scorers)
+        counts = metrics.shared_counts(scorers, idx, 96)
+        assert counts.dtype == np.float32
+        wide = resample_counts(idx, 96) if per_pattern == 97 else counts.astype(np.float64)
+        assert np.array_equal(wide, counts)
+        for scorer, oracle in zip(scorers, plain):
+            want = oracle.scores(idx).tobytes()
+            for given in (counts, wide, None):
+                assert scorer.scores(idx, given).tobytes() == want
+            assert scorer._sums(idx, counts).dtype == np.float64
 
 
 def test_patterns_are_shared_only_where_counting_pays():
