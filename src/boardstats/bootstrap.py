@@ -30,10 +30,10 @@ from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
 
-# Bytes of int64 resample indices evaluated per batch (shared row counts add
-# as many again as float64, half as many as float32).  Each worker thread
-# writes every batch it takes into one index buffer and one count buffer of
-# that many rows, allocated on its first batch and then reused: glibc hands
+# Bytes of int64 resample indices evaluated per batch (shared counts add at
+# most as many again).  Each worker thread writes every batch it takes into
+# one index buffer and, where the scorers count, one count buffer of that
+# many rows, allocated on its first batch and then reused: glibc hands
 # freed 1 MiB blocks back to the OS, so fresh ones page-fault in again on
 # every batch (457k minor faults in one accuracy bootstrap at n = 50k, m = 4,
 # B = 2000, against 777 reused).  Each row is scored on its own from a stream
@@ -90,23 +90,21 @@ def _evaluate(
 ) -> np.ndarray:
     """The (m, B) matrix of every scorer's value on every replicate, one row
     per scorer in dict order, sharing index vectors and, where
-    ``shared_counts`` finds it pays, each block's resample counts, per tally
-    pattern once ``share_patterns`` finds few patterns."""
+    ``share_patterns`` finds it pays, each block's resample counts."""
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    count_dtype = share_patterns(scorers.values(), n)
+    counting = share_patterns(scorers.values(), n)
     values = np.empty((len(scorers), B))
     buffers = threading.local()
 
     def run_block(start: int) -> None:
         stop = min(start + rows, B)
         if not hasattr(buffers, "idx"):
-            # np.empty only maps the counts: unless shared_counts counts
-            # rows, its pages are never written and never resident.
             buffers.idx = np.empty((rows, n), dtype=np.int64)
-            buffers.counts = np.empty((rows, n), count_dtype)
+            if counting is not None:
+                buffers.counts = np.empty((rows, counting.width), counting.dtype)
         idx = rng.index_block(plan.seed, n, start, stop, out=buffers.idx)
-        counts = shared_counts(scorers.values(), idx, n, out=buffers.counts)
+        counts = None if counting is None else shared_counts(counting, idx, n, buffers.counts)
         for row, (name, scorer) in zip(values, scorers.items()):
             row[start:stop] = _scored(scorer.spec, name, scorer.scores, idx, counts)
 

@@ -23,19 +23,19 @@ as float32 instead where n times the largest column magnitude is below 2**24
 sum is then an integer below 2**24, exact in float32 as well, at half the
 bytes.  Accuracy and F1 columns pass up to n = 2**23; MAE's limbs never do.
 
-The sums of one bootstrap come one of three ways.  Below
-``_COUNT_MIN_GATHERS`` column-pair gathers between its scorers, each
-gathers its column pairs through the index rows.  From there on, each block
-of resamples is counted once for every scorer to share, and each scorer
-takes ``counts @ columns``, one BLAS product per ``_PRODUCT_COLUMNS``
-columns.  A row's pattern is its values in every scorer's columns side by
-side, and a resample's sums depend only on how often it drew each of the G
-distinct patterns.  So while G is at most n / ``_ROWS_PER_PATTERN``
-(``share_patterns``), each resample counts its rows' pattern ids into a
-(k, G) matrix, weighed against each scorer's (G, W) pattern columns;
-otherwise ``resample_counts`` gives the (k, n) row counts.  All three ways,
-and any BLAS blocking or thread count, give the same integer sums, so the
-same bits.
+The sums of one bootstrap come one of two ways, decided once by
+``share_patterns``.  Below ``_COUNT_MIN_GATHERS`` column-pair gathers
+between its scorers, each gathers its column pairs through the index rows.
+From there on, ``shared_counts`` counts each block of resamples once for
+every scorer to share, and each scorer takes ``counts @ columns``, one BLAS
+product per ``_PRODUCT_COLUMNS`` columns.  A row's pattern is its values in
+every scorer's columns side by side, and a resample's sums depend only on
+how often it drew each of the G distinct patterns.  So while G is at most
+n / ``_ROWS_PER_PATTERN``, a block is counted over pattern ids into G bins,
+weighed against each scorer's (G, W) pattern columns, and otherwise over
+its rows into n bins.  Gathered or counted, over patterns or rows, in any
+BLAS blocking or thread count, the integer sums are the same, so the bits
+are.
 
 MAE's limbs are fixed point.  Each absolute error is truncated to a multiple
 of 2**(top - 2b), where 2**top is the smallest power of two above the column
@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import MetricError
-from .rng import check_rows
 from .table import ScoreSpec
 
-# Cells per bincount in ``resample_counts``.  A group's counters and offset
+# Cells per bincount in ``_count_rows``.  A group's counters and offset
 # indices (128 KiB each) stay in cache: on a 2-vCPU Xeon with 2 MiB of L2 per
 # core, groups of 2**16 cells counted a 1 MiB block about 3x slower, and one
 # bincount over the whole block 3-4x slower.  Grouping rows keeps tiny n from
@@ -63,13 +63,15 @@ from .table import ScoreSpec
 _COUNT_CELLS = 1 << 14
 
 
-# Column-pair gathers, summed over the systems, from which a block's shared
-# count matrix is built.  Per 1 MiB block on a 2-vCPU Xeon (numpy 2.4), from
-# n = 1000 to 50k: counting 0.41-0.61 ms, a pair gather 0.29-0.41 ms and a
-# product 0.02-0.07 ms per system.  Yet whole bootstraps at n = 5000 (6
-# alternating pairs) ran 1.83x slower for one 2-class macro-F1 system and
-# 1.15x for three MAE systems with a threshold of 2 than with 4.  Counting
-# or gathering gives the same integer sums, so the same values.
+# Column-pair gathers, summed over the systems, from which each block is
+# counted.  Whole bootstraps counted over gathered, B = 2000 (2-vCPU Xeon,
+# numpy 2.4.6, one OpenBLAS thread, medians of 5 alternating in-process
+# runs, twice): 1 gather: accuracy, m = 1, n = 50k, 1.53-1.60; MAE, m = 1,
+# n = 5000, 1.24.  2 gathers: accuracy, m = 2, n = 50k, 1.00-1.03; 2-class
+# macro-F1, m = 1, n = 5000, 0.92-0.93.  3 gathers: accuracy, m = 3,
+# n = 50k, 0.79-0.81; f1, m = 3, n = 50k, 0.60-0.64; MAE, m = 3, n = 1000,
+# 0.76-0.79.  Counting or gathering gives the same integer sums, so the
+# same values.
 _COUNT_MIN_GATHERS = 4
 
 # Rows per distinct tally pattern from which shared counts are kept in
@@ -94,57 +96,33 @@ _FLOAT32_EXACT = 1 << 24
 _PRODUCT_COLUMNS = 6
 
 
-def shared_counts(scorers, idx, n: int, out=None):
-    """One count matrix of a block for every scorer to share, or None.
+class _Counting(NamedTuple):
+    """How every block of one bootstrap is counted: into ``width`` bins of
+    ``dtype`` per resample, one per pattern ``ids`` names, or one per row
+    where ``ids`` is None."""
 
-    None when the scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers
-    between them: each then gathers through ``idx``.  Otherwise, once
-    ``share_patterns`` has given the scorers pattern ids, the (k, G) pattern
-    counts of ``idx`` in a fresh matrix, leaving ``out`` untouched; else the
-    (k, n) ``resample_counts(idx, n, out)``.  A fresh matrix, or one made
-    for a missing ``out``, has the dtype of the columns the counts weigh,
-    which ``share_patterns`` returns.
+    ids: Optional[np.ndarray]
+    width: int
+    dtype: np.dtype
+
+
+def share_patterns(scorers, n: int) -> Optional[_Counting]:
+    """Decide how the blocks of one bootstrap are counted, or return None
+    where its scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers between
+    them and gather instead.
+
+    Every counting scorer gets the columns it weighs, in the one dtype that
+    ``_count_dtype`` picks for all of them.  A row's pattern is its values
+    in every scorer's tally columns side by side, and a resample's column
+    sums depend only on how often it drew each of the G distinct patterns.
+    When G is at most n / ``_ROWS_PER_PATTERN``, the counts are per pattern,
+    over the pattern id of each of the n rows, and every scorer weighs a
+    (G, W) copy of its columns, one row per pattern; otherwise they are per
+    row, and it weighs its (n, W) columns.
     """
-    scorers = _counting(scorers)
-    if not scorers:
-        return None
-    idx = _index_rows(idx)
-    columns = scorers[0]._counted_columns
-    ids = scorers[0].pattern_ids
-    if ids is None:
-        if out is None:
-            out = np.empty((len(idx), n), columns.dtype)
-        return resample_counts(idx, n, out)
-    _check_range(idx, n)
-    counts = np.empty((len(idx), len(columns)), columns.dtype)
-    _count_rows(idx, counts, ids)
-    return counts
-
-
-def _counting(scorers) -> list:
-    """The scorers that read counts, or none of them when they need fewer
-    than ``_COUNT_MIN_GATHERS`` gathers between them and gather instead."""
     scorers = [scorer for scorer in scorers if scorer.gathers]
-    return scorers if sum(s.gathers for s in scorers) >= _COUNT_MIN_GATHERS else []
-
-
-def share_patterns(scorers, n: int) -> np.dtype:
-    """Prepare the scorers of one bootstrap to weigh shared counts, and
-    return the dtype of those counts.
-
-    Where ``shared_counts`` would count, every counting scorer gets the
-    columns it weighs in the one dtype that ``_count_dtype`` picks for all
-    of them.  A row's pattern is its values in every scorer's tally columns
-    side by side, and a resample's column sums depend only on how often it
-    drew each of the G distinct patterns.  When G is at most
-    n / ``_ROWS_PER_PATTERN``, every scorer gets ``pattern_ids``, the
-    pattern of each of the n rows (shared by all), and a (G, W) copy of its
-    columns, one row per pattern; otherwise none, and its (n, W) columns.
-    Where no scorer counts, none changes, and the dtype is float64.
-    """
-    scorers = _counting(scorers)
-    if not scorers:
-        return np.dtype(np.float64)
+    if sum(scorer.gathers for scorer in scorers) < _COUNT_MIN_GATHERS:
+        return None
     columns = [scorer._columns for scorer in scorers]
     dtype = _count_dtype(columns, n)
     cap = n // _ROWS_PER_PATTERN
@@ -155,17 +133,29 @@ def share_patterns(scorers, n: int) -> np.dtype:
         found = _pattern_ids((c[:rows, j] for c in columns for j in range(c.shape[1])), rows, cap)
         if found is None:
             break
+    ids, width = found or (None, n)
     for scorer, column in zip(scorers, columns):
-        if found is None:
+        if ids is None:
             scorer._counted_columns = column.astype(dtype, copy=False)
-            scorer.pattern_ids = None
         else:
-            ids, patterns = found
             # a pattern's rows hold equal values, so any of them may land
-            scorer._counted_columns = np.empty((patterns, column.shape[1]), dtype)
+            scorer._counted_columns = np.empty((width, column.shape[1]), dtype)
             scorer._counted_columns[ids] = column
-            scorer.pattern_ids = ids
-    return dtype
+    return _Counting(ids, width, dtype)
+
+
+def shared_counts(counting: _Counting, idx, n: int, out: np.ndarray) -> np.ndarray:
+    """The counts of a block of resamples for every scorer to share.
+
+    ``out`` is a buffer of ``counting.width`` columns, of its dtype, and of
+    at least k rows; the counts of the k index rows fill ``out[:k]``, which
+    is returned.  An index outside [0, n) is a ``MetricError``.
+    """
+    idx = _index_rows(idx)
+    _check_range(idx, n)
+    counts = out[:len(idx)]
+    _count_rows(idx, counts, counting.ids)
+    return counts
 
 
 def _count_dtype(columns, n: int) -> np.dtype:
@@ -225,28 +215,7 @@ def _ranked(code: np.ndarray, radix: int):
     return rank[code], int(rank[-1]) + 1
 
 
-def resample_counts(idx, n: int, out=None) -> np.ndarray:
-    """Multiplicity of each of the n data rows in every row of an index matrix.
-
-    Returns a (k, n) float64 matrix of integers whose row r is
-    ``np.bincount(idx[r], minlength=n)``.  Given ``out``, a C-contiguous
-    float64 or float32 array of n columns and at least k rows, the counts
-    fill ``out[:k]``, which is returned; float32 counts are exact while each
-    row holds fewer than 2**24 indices.  An index outside [0, n) is a
-    ``MetricError``.
-    """
-    idx = _index_rows(idx)
-    _check_range(idx, n)
-    if out is None:
-        counts = np.empty((len(idx), n))
-    else:
-        check_rows(out, len(idx), n, np.float64, np.float32)
-        counts = out[:len(idx)]
-    _count_rows(idx, counts)
-    return counts
-
-
-def _count_rows(idx: np.ndarray, counts: np.ndarray, ids=None) -> None:
+def _count_rows(idx: np.ndarray, counts: np.ndarray, ids) -> None:
     """Set ``counts[r]`` to the bincount of ``idx[r]``, or of ``ids[idx[r]]``,
     over the w = ``counts.shape[1]`` bins.
 
@@ -288,13 +257,9 @@ class ResampleScorer:
 
     Precomputes the metric's per-row tally columns once, as one (n, W)
     float64 matrix of integers; ``gathers`` = ceil(W / 2) is the scorer's
-    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  ``pattern_ids`` is
-    None until ``share_patterns`` moves the scorer to pattern space: then it
-    holds each row's pattern id, shared by every scorer of the bootstrap,
-    and the scorer a (G, W) copy of its columns, one row per pattern.  The
-    columns that counts weigh are float32 where ``share_patterns`` finds
-    every sum exact in float32, and float64 otherwise.  No
-    resampled label vector is materialized.  ``scores`` accepts a (k, n)
+    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  The columns that
+    counts weigh are these, or those ``share_patterns`` gives the scorer.
+    No resampled label vector is materialized.  ``scores`` accepts a (k, n)
     index matrix and returns k scores; row r equals the plain score of
     ``gold[idx[r]]`` vs ``pred[idx[r]]``.
     """
@@ -313,7 +278,6 @@ class ResampleScorer:
         self._gold = gold
         self._pred = pred
         self.gathers = 0
-        self.pattern_ids = None
         self._setup()
 
     def _setup(self):
@@ -404,9 +368,8 @@ class ResampleScorer:
         With counts from ``shared_counts``, built-in metrics read only the
         counts, by one product with the columns; the range check made while
         counting stands for this call, and one count matrix serves every
-        scorer of a block.  The counts are (k, G) pattern counts once
-        ``share_patterns`` has given the scorer ``pattern_ids``, else (k, n)
-        row counts, ``resample_counts(idx, n)``; any other shape is a
+        scorer of a block.  They have one column per row of the columns
+        they weigh, pattern or data row; any other shape is a
         ``ValueError``.  Without counts, each column pair is gathered
         through ``idx``.  ``custom`` metrics always gather and ignore
         ``counts``.  Every way, with float32 or float64 counts, gives the
@@ -418,9 +381,8 @@ class ResampleScorer:
             counts = None
         elif np.shape(counts) != (len(idx), len(self._counted_columns)):
             raise ValueError(
-                f"counts of shape {np.shape(counts)} do not match {len(idx)} "
-                f"resamples of {len(self._counted_columns)} "
-                f"{'rows' if self.pattern_ids is None else 'patterns'}"
+                f"counts of shape {np.shape(counts)} do not match "
+                f"({len(idx)}, {len(self._counted_columns)})"
             )
         return self._score_rows(idx, counts)
 

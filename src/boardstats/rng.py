@@ -70,8 +70,11 @@ def index_block(seed: int, n: int, start: int, stop: int,
     k = max(stop - start, 0)
     if out is None:
         out = np.empty((k, n), dtype=np.int64)
-    else:
-        check_rows(out, k, n, np.int64)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64 and out.ndim == 2
+              and out.shape[1] == n and len(out) >= k and out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous int64 array of {n} columns and at least {k} rows"
+        )
     if not k:
         return out[:0]
     bpr = _blocks_per_replicate(n)
@@ -96,18 +99,6 @@ def index_block(seed: int, n: int, start: int, stop: int,
     # Every index is below n < 2**32, so the uint64 bits read as the same int64.
     product >>= np.uint64(32)
     return out[:k]
-
-
-def check_rows(out, k: int, n: int, *dtypes) -> None:
-    """Raise ``ValueError`` unless ``out`` is a C-contiguous array of one of
-    ``dtypes``, n columns and at least k rows, one that ``out[:k]`` can fill."""
-    if not (isinstance(out, np.ndarray) and out.dtype in dtypes and out.ndim == 2
-            and out.shape[1] == n and len(out) >= k and out.flags.c_contiguous):
-        names = " or ".join(str(np.dtype(dtype)) for dtype in dtypes)
-        raise ValueError(
-            f"out must be a C-contiguous {names} array of {n} "
-            f"columns and at least {k} rows"
-        )
 
 
 def _redraw(product: np.ndarray, row: int, slots: np.ndarray, seed: int,

@@ -1,12 +1,13 @@
-"""Test-only helpers: scoring one resample, garbage-filled output buffers,
-tables with a set number of tally patterns and reading back markdown
-tables."""
+"""Test-only helpers: scoring one resample, per-row resample counts and
+counting as a bootstrap counts, garbage-filled output buffers, tables with
+a set number of tally patterns and reading back markdown tables."""
 
 import re
 from pathlib import Path
 
 import numpy as np
 
+from boardstats import metrics
 from boardstats.metrics import ResampleScorer
 from boardstats.table import PredictionTable, ScoreSpec
 
@@ -27,6 +28,24 @@ def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
     """
     scorer = ResampleScorer(np.asarray(gold), np.asarray(pred), spec)
     return float(scorer.scores(np.asarray(indices, dtype=np.int64))[0])
+
+
+def resample_counts(idx, n: int) -> np.ndarray:
+    """Multiplicity of each of the n data rows in every row of an index
+    matrix: the (k, n) float64 matrix whose row r is
+    ``np.bincount(idx[r], minlength=n)``."""
+    idx = np.asarray(idx)
+    idx = idx[None] if idx.ndim == 1 else idx
+    return np.array([np.bincount(row, minlength=n) for row in idx], np.float64).reshape(-1, n)
+
+
+def counted(scorers, idx, n: int):
+    """(decision, counts): how ``share_patterns`` counts a bootstrap of the
+    scorers, and the counts ``shared_counts`` gives for ``idx`` in a buffer
+    made from that decision, as a bootstrap's blocks are counted."""
+    counting = metrics.share_patterns(scorers, n)
+    buf = garbage((len(np.atleast_2d(idx)), counting.width), counting.dtype)
+    return counting, metrics.shared_counts(counting, idx, n, buf)
 
 
 def tally_rows(table: PredictionTable, spec: ScoreSpec) -> np.ndarray:

@@ -10,7 +10,7 @@ import boardstats
 from boardstats import bootstrap, metrics, rng
 from boardstats.bootstrap import SamplingDistribution, distributions, percentile_ci
 from boardstats.errors import ConfigError, MetricError
-from boardstats.metrics import ResampleScorer, resample_counts
+from boardstats.metrics import ResampleScorer
 from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
 from helpers import PATTERN_SPECS, garbage, patterned_table, score_on_indices
@@ -131,19 +131,12 @@ def test_index_block_rejects_sample_size_beyond_32_bits(monkeypatch):
 
 def test_out_of_wrong_shape_or_dtype_is_rejected():
     n, k = 5, 3
-    idx = rng.index_block(0, n, 0, k)
-    writers = [
-        (np.int64, np.float64, lambda out: rng.index_block(0, n, 0, k, out=out)),
-        (np.float64, np.int64, lambda out: resample_counts(idx, n, out=out)),
-        (np.float32, np.int64, lambda out: resample_counts(idx, n, out=out)),
-    ]
-    for dtype, other, write in writers:
-        for buf in (garbage((k - 1, n), dtype), garbage((k, n + 1), dtype),
-                    garbage((k * n,), dtype), garbage((k, n), other),
-                    garbage((n, k), dtype).T, garbage((k, n), dtype).tolist()):
-            with pytest.raises(ValueError, match="out must be"):
-                write(buf)
-        assert write(garbage((k, n), dtype)).shape == (k, n)
+    for buf in (garbage((k - 1, n), np.int64), garbage((k, n + 1), np.int64),
+                garbage((k * n,), np.int64), garbage((k, n), np.float64),
+                garbage((n, k), np.int64).T, garbage((k, n), np.int64).tolist()):
+        with pytest.raises(ValueError, match="out must be"):
+            rng.index_block(0, n, 0, k, out=buf)
+    assert rng.index_block(0, n, 0, k, out=garbage((k, n), np.int64)).shape == (k, n)
 
 
 def test_indices_deterministic_and_in_range():
@@ -293,7 +286,7 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
     counted = []  # (rows, bins, per pattern) of each counted group
     count_rows = metrics._count_rows
 
-    def recording_count_rows(idx, counts, ids=None):
+    def recording_count_rows(idx, counts, ids):
         counted.append((len(idx), counts.shape[1], ids is not None))
         # 90 rows times the largest tally, 1 or 2, lie far below 2**24
         assert counts.dtype == np.float32
@@ -338,7 +331,7 @@ def test_pattern_counts_equal_row_counts_and_gathers_bit_for_bit(monkeypatch, me
     counted = set()  # (bins, per pattern) of every counted group
     count_rows = metrics._count_rows
 
-    def recording_count_rows(idx, counts, ids=None):
+    def recording_count_rows(idx, counts, ids):
         counted.add((counts.shape[1], ids is not None))
         count_rows(idx, counts, ids)
 
@@ -378,7 +371,7 @@ def test_float32_counts_equal_float64_counts_bit_for_bit(monkeypatch, metric):
     dtypes = set()  # dtype of every counted group
     count_rows = metrics._count_rows
 
-    def recording_count_rows(idx, counts, ids=None):
+    def recording_count_rows(idx, counts, ids):
         dtypes.add(counts.dtype)
         count_rows(idx, counts, ids)
 
@@ -412,14 +405,14 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
         gold, {"near": gold + g.normal(scale=0.3, size=n), "far": gold + 1e-3}, "regression"
     )
     spec, plan = ScoreSpec(metric="mae"), BootstrapPlan(replicates=B, seed=13)
-    built = []
+    built = []  # (dtype, per row) of every counted block
+    count_rows = metrics._count_rows
 
-    def recording_counts(idx, size, out=None):
-        counts = resample_counts(idx, size, out)
-        built.append(counts.dtype)
-        return counts
+    def recording_count_rows(idx, counts, ids):
+        built.append((counts.dtype, ids is None))
+        count_rows(idx, counts, ids)
 
-    monkeypatch.setattr(metrics, "resample_counts", recording_counts)
+    monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
     base = distributions(table, spec, plan)
     assert built == []
     for threshold in (metrics._COUNT_MIN_GATHERS, 1):
@@ -431,7 +424,8 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
                 got = distributions(
                     table, spec, BootstrapPlan(replicates=B, seed=13, workers=workers)
                 )
-                assert built == ([np.dtype(np.float64)] * -(-B // rows) if threshold == 1 else [])
+                want = [(np.dtype(np.float64), True)] * -(-B // rows)
+                assert built == (want if threshold == 1 else [])
                 for name in table.names:
                     assert got[name].values.tobytes() == base[name].values.tobytes()
                     assert got[name].observed == base[name].observed
@@ -492,11 +486,12 @@ cases = [
 # but for MAE
 for table, spec, _, _ in cases:
     scorers = [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
-    dtype = metrics.share_patterns(scorers, table.n)
+    counting = metrics.share_patterns(scorers, table.n)
     zeros = np.zeros((1, table.n), dtype=np.int64)
-    counts = metrics.shared_counts(scorers, zeros, table.n)
+    out = np.empty((1, counting.width), counting.dtype)
+    counts = metrics.shared_counts(counting, zeros, table.n, out)
     assert counts.shape[1] == {"accuracy": 8 if table is classes else 16}.get(spec.metric, table.n)
-    assert counts.dtype == dtype == (np.float64 if spec.metric == "mae" else np.float32)
+    assert counts.dtype == (np.float64 if spec.metric == "mae" else np.float32)
 digest = hashlib.sha256()
 for table, spec, block_bits, replicates in cases:
     bootstrap._BLOCK_BYTES = 1 << block_bits

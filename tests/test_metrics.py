@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from boardstats.errors import MetricError
 from boardstats import metrics
-from boardstats.metrics import ResampleScorer, resample_counts, score
+from boardstats.metrics import ResampleScorer, score
 from boardstats.table import ScoreSpec
-from helpers import PATTERN_SPECS, garbage, patterned_table, score_on_indices, tally_rows
+from helpers import (
+    PATTERN_SPECS, counted, garbage, patterned_table, resample_counts, score_on_indices,
+    tally_rows,
+)
 
 
 def naive_subset_macro_f1(gold, pred, subset):
@@ -115,14 +118,19 @@ def test_errors():
         score_on_indices(["a", "b"], ["a", "b"], ScoreSpec(metric="accuracy"), [-1, 0])
     acc = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec(metric="accuracy"))
     mae = ResampleScorer(np.array([1.0, 2.0]), np.array([1.0, 3.0]), ScoreSpec(metric="mae"))
+    # per row and per pattern, shared counts check the range before counting
+    countings = [metrics._Counting(None, 2, np.dtype(np.float64)),
+                 metrics._Counting(np.array([0, 0]), 1, np.dtype(np.float32))]
     for dtype in (np.int32, np.int64):
         for bad in ([0, 2], [-1, 0], [[0, 1], [1, 2]], [[0, 1], [-1, 1]]):
             bad = np.array(bad, dtype=dtype)
             for scorer in (acc, mae):
                 with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
                     scorer.scores(bad)
-            with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
-                resample_counts(bad, 2)
+            for counting in countings:
+                buf = np.empty((2, counting.width), counting.dtype)
+                with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
+                    metrics.shared_counts(counting, bad, 2, buf)
         ok = np.array([1, 1], dtype=dtype)
         assert acc.scores(ok).tolist() == [1.0]
         assert acc.scores(ok, resample_counts(ok, 2)).tolist() == [1.0]
@@ -135,31 +143,33 @@ def test_errors():
 @pytest.mark.parametrize("n", [1, 2, 125, 1000, 5000])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_resample_counts_equal_per_row_bincount(n, dtype):
+    # shared counts, per row in float64 and float32 and per pattern, equal
+    # the per-row bincount of the indices or of their pattern ids
     rows = metrics._COUNT_CELLS // n
     g = np.random.default_rng(n)
+    ids = np.arange(n) % 3
+    countings = [metrics._Counting(None, n, np.dtype(np.float64)),
+                 metrics._Counting(None, n, np.dtype(np.float32)),
+                 metrics._Counting(ids, min(n, 3), np.dtype(np.float32))]
     # square (k, n) blocks at the group boundaries, a narrower and a wider
     # block (rows need not hold n indices), and no rows at all
     shapes = [(k, n) for k in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0})]
     shapes += [(rows + 1, max(n // 2, 1)), (3, 2 * n), (0, n)]
     for k, width in shapes:
         idx = g.integers(0, n, size=(k, width)).astype(dtype)
-        counts = resample_counts(idx, n)
-        assert counts.dtype == np.float64 and counts.flags.c_contiguous
-        want = np.array([np.bincount(row, minlength=n) for row in idx]).reshape(k, n)
-        assert np.array_equal(counts, want)
-        # into a reused buffer taller than the block, as a short last block is
-        buf = garbage((k + 2, n), np.float64)
-        into = resample_counts(idx, n, out=buf)
-        assert into.base is buf and np.array_equal(into, want)
-        assert np.isnan(buf[k:]).all()
-        # float32 counts are filled alike
-        buf32 = garbage((k + 1, n), np.float32)
-        into = resample_counts(idx, n, out=buf32)
-        assert into.base is buf32 and into.dtype == np.float32 and np.array_equal(into, want)
-        assert np.isnan(buf32[k:]).all()
-        assert np.array_equal(counts.sum(axis=1), np.full(k, width))
+        want = resample_counts(idx, n)
+        for counting in countings:
+            # into a reused buffer taller than the block, as a short last block is
+            buf = garbage((k + 2, counting.width), counting.dtype)
+            into = metrics.shared_counts(counting, idx, n, buf)
+            assert into.base is buf and into.dtype == counting.dtype
+            wanted = want if counting.ids is None else resample_counts(ids[idx], counting.width)
+            assert np.array_equal(into, wanted)
+            assert np.isnan(buf[k:]).all()
+            assert np.array_equal(into.sum(axis=1), np.full(k, width))
     row = g.integers(0, n, size=n).astype(dtype)
-    assert np.array_equal(resample_counts(row, n), [np.bincount(row, minlength=n)])
+    into = metrics.shared_counts(countings[0], row, n, garbage((1, n), np.float64))
+    assert np.array_equal(into, [np.bincount(row, minlength=n)])
 
 
 @pytest.mark.parametrize("metric", sorted(PATTERN_SPECS))
@@ -172,36 +182,37 @@ def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
     rows = resample_counts(idx, n)
     for patterns in (1, 3, cap - 1, cap, cap + 1, n):
         table, spec = patterned_table(metric, patterns, n)
-        plain, patterned = (
+        plain, by_default, patterned = (
             [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
-            for _ in range(2)
+            for _ in range(3)
         )
-        metrics.share_patterns(patterned, n)
-        assert all((scorer.pattern_ids is None) == (patterns > cap) for scorer in patterned)
+        counting, default_counts = counted(by_default, idx, n)
+        assert (counting.ids is None) == (patterns > cap)
+        assert counting.width == (n if patterns > cap else patterns)
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_ROWS_PER_PATTERN", 1)  # every G in pattern space
-            metrics.share_patterns(patterned, n)
+            counting, counts = counted(patterned, idx, n)
         # the ids number the patterns in the rows' lexicographic order
         _, want_ids = np.unique(tally_rows(table, spec), axis=0, return_inverse=True)
-        assert patterned[0].pattern_ids.tolist() == want_ids.ravel().tolist()
-        counts = metrics.shared_counts(patterned, idx, n)
+        assert counting.ids.tolist() == want_ids.ravel().tolist()
         # 96 rows times an accuracy or f1 tally lie below 2**24; MAE's limbs
         # lie far above
-        assert counts.shape == (len(idx), patterns)
-        assert counts.dtype == (np.float64 if metric == "mae" else np.float32)
+        assert counts.shape == (len(idx), patterns) and counting.width == patterns
+        assert counts.dtype == counting.dtype == (np.float64 if metric == "mae" else np.float32)
         assert np.array_equal(counts.sum(axis=1), np.full(len(idx), n))
-        for row_scorer, pattern_scorer in zip(plain, patterned):
-            assert pattern_scorer.pattern_ids is patterned[0].pattern_ids
+        for row_scorer, default_scorer, pattern_scorer in zip(plain, by_default, patterned):
             gathered = row_scorer._sums(idx, None)
             assert np.array_equal(row_scorer._sums(idx, rows), gathered)
+            assert np.array_equal(default_scorer._sums(idx, default_counts), gathered)
             assert np.array_equal(pattern_scorer._sums(idx, counts), gathered)
             want = row_scorer.scores(idx).tobytes()
             assert row_scorer.scores(idx, rows).tobytes() == want
+            assert default_scorer.scores(idx, default_counts).tobytes() == want
             assert pattern_scorer.scores(idx, counts).tobytes() == want
             # pattern counts only for a scorer holding those patterns
             if patterns != n:
-                for scorer, wrong in ((row_scorer, counts), (pattern_scorer, rows)):
-                    with pytest.raises(ValueError, match="do not match"):
+                for scorer, wrong, width in ((row_scorer, counts, n), (pattern_scorer, rows, patterns)):
+                    with pytest.raises(ValueError, match=rf"do not match \(9, {width}\)"):
                         scorer.scores(idx, wrong)
 
 
@@ -228,9 +239,9 @@ def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
     for per_pattern in (97, 1):
         scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
         monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
-        assert metrics.share_patterns(scorers, 96) == np.float32
+        counting, counts = counted(scorers, idx, 96)
+        assert counting.dtype == np.float32
         assert all(s._counted_columns.dtype == np.float32 for s in scorers)
-        counts = metrics.shared_counts(scorers, idx, 96)
         assert counts.dtype == np.float32
         wide = resample_counts(idx, 96) if per_pattern == 97 else counts.astype(np.float64)
         assert np.array_equal(wide, counts)
@@ -242,23 +253,23 @@ def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
 
 
 def test_patterns_are_shared_only_where_counting_pays():
-    # below 4 gathers the scorers gather and get no patterns, and a custom
-    # scorer (no gathers) neither counts nor holds patterns
+    # below 4 gathers the scorers gather and keep their columns, and a
+    # custom scorer (no gathers) neither counts nor weighs columns
     table, spec = patterned_table("accuracy", 2, 96)
     scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
     idx = np.zeros((2, 96), dtype=np.int64)
-    metrics.share_patterns(scorers[:3], 96)
-    assert all(scorer.pattern_ids is None for scorer in scorers)
-    assert metrics.shared_counts(scorers[:3], idx, 96) is None
+    assert metrics.share_patterns(scorers[:3], 96) is None
+    assert all(scorer._counted_columns is scorer._columns for scorer in scorers)
     custom = ResampleScorer(
         table.gold, table.systems["s0"], ScoreSpec(metric="custom", fn=lambda g, p: 0.0)
     )
-    metrics.share_patterns([custom] + scorers, 96)
-    assert custom.pattern_ids is None
+    counting, counts = counted([custom] + scorers, idx, 96)
+    assert not hasattr(custom, "_counted_columns")
+    assert counting.width == 2
     assert all(len(scorer._counted_columns) == 2 for scorer in scorers)
     want = np.zeros((2, 2))
-    want[:, scorers[0].pattern_ids[0]] = 96
-    assert np.array_equal(metrics.shared_counts([custom] + scorers, idx, 96), want)
+    want[:, counting.ids[0]] = 96
+    assert np.array_equal(counts, want)
 
 
 def unpacked_f1_sums(gold, pred, labels, idx):
