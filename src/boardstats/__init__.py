@@ -5,7 +5,7 @@ differences against the winner, multiple-comparison corrections, and
 competition-difficulty metrics, with deterministic resampling throughout.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bootstrap import (
     CI,

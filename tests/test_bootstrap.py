@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -41,10 +42,11 @@ def test_single_replicate_is_slice_of_stream():
         assert np.array_equal(replicate_indices(plan, 37, r), block[r])
 
 
-def _python_draws(seed, counter_lo, lane, count):
-    """32-bit draws of one lane as Python ints: each word's low half, then its high half."""
+def _python_draws(seed, offset, lane, count):
+    """32-bit draws of one lane from word ``offset`` as Python ints: each
+    word's low half, then its high half."""
     draws = []
-    for word in rng._raw_words(seed, counter_lo, lane, (count + 1) // 2).tolist():
+    for word in rng._raw_words(seed, offset, lane, (count + 1) // 2).tolist():
         draws += [word & 0xFFFFFFFF, word >> 32]
     return draws[:count]
 
@@ -53,15 +55,15 @@ def _python_index_row(seed, n, replicate):
     """Replicate's indices by multiply-shift with rejection, in plain Python ints.
 
     Lane 0 gives one draw per slot; each later lane refills the slots the
-    previous one rejected, in slot order, from the replicate's first counter.
+    previous one rejected, in slot order, from the replicate's first word.
     """
-    counter_lo = replicate * ((n + 7) // 8)
+    offset = replicate * ((n + 1) // 2)
     threshold = 2**32 % n
     row = [None] * n
     pending, lane = list(range(n)), 0
     while pending:
         rejected = []
-        for slot, x in zip(pending, _python_draws(seed, counter_lo, lane, len(pending))):
+        for slot, x in zip(pending, _python_draws(seed, offset, lane, len(pending))):
             if (x * n) % 2**32 < threshold:
                 rejected.append(slot)
             else:
@@ -87,30 +89,34 @@ def test_index_block_is_multiply_shift_of_raw_stream(n):
 
 def test_rejected_draws_are_redrawn_from_later_lanes(monkeypatch):
     # n = 3: the threshold 2**32 % 3 is 1, so exactly the draw x = 0 is
-    # rejected.  Each replicate is one counter block of eight draws.
+    # rejected.  Each replicate owns two words, four draws.  A kept x = 0
+    # would give index 0, so the draws that refill the rejected slots are
+    # planted too, as indices 1 and 2, and no stream can make them 0.
     seed, n, start, stop = 11, 3, 7, 10
     before = rng.index_block(seed, n, start, stop)
-    zeros = {(0, 8 * 8 + 0), (0, 8 * 8 + 2), (0, 9 * 8 + 1), (1, 8 * 8 + 0)}  # (lane, draw)
+    planted = {(0, 8 * 4 + 0): 0, (0, 8 * 4 + 2): 0, (0, 9 * 4 + 1): 0, (1, 8 * 4 + 0): 0,
+               (2, 8 * 4 + 0): 2**31, (1, 8 * 4 + 1): 2**32 - 1, (1, 9 * 4 + 0): 2**31}
     raw_words = rng._raw_words
 
-    def zeroed(seed_, counter_lo, lane, count):
-        words = raw_words(seed_, counter_lo, lane, count)
-        for zero_lane, draw in zeros:
-            i = draw - 8 * counter_lo
-            if zero_lane == lane and 0 <= i < 2 * count:
-                words[i // 2] &= np.uint64(0xFFFFFFFF00000000 if i % 2 == 0 else 0xFFFFFFFF)
+    def planting(seed_, offset, lane, count):
+        words = raw_words(seed_, offset, lane, count)
+        for (plant_lane, draw), x in planted.items():
+            i = draw - 2 * offset
+            if plant_lane == lane and 0 <= i < 2 * count:
+                shift = 32 * (i % 2)
+                words[i // 2] &= np.uint64(0xFFFFFFFF << (32 - shift))
+                words[i // 2] |= np.uint64(x << shift)
         return words
 
-    monkeypatch.setattr(rng, "_raw_words", zeroed)
+    monkeypatch.setattr(rng, "_raw_words", planting)
     after = rng.index_block(seed, n, start, stop)
     into = rng.index_block(seed, n, start, stop, out=garbage((4, n), np.int64))
     assert np.array_equal(into, after)
 
     def redraw(replicate, lane, i):
-        return (_python_draws(seed, replicate, lane, i + 1)[i] * n) >> 32
+        return (_python_draws(seed, 2 * replicate, lane, i + 1)[i] * n) >> 32
 
-    monkeypatch.setattr(rng, "_raw_words", raw_words)
-    # replicate 8: slot 0 takes lane-1 draw 0, which is zeroed too, so lane-2
+    # replicate 8: slot 0 takes lane-1 draw 0, which is rejected too, so lane-2
     # draw 0; slot 2 takes lane-1 draw 1.  replicate 9: slot 1 takes lane-1 draw 0.
     expected = {(1, 0): redraw(8, 2, 0), (1, 2): redraw(8, 1, 1), (2, 1): redraw(9, 1, 0)}
     assert all(expected.values())  # a kept x = 0 would give index 0 and fail below
@@ -118,6 +124,46 @@ def test_rejected_draws_are_redrawn_from_later_lanes(monkeypatch):
         assert after[row, slot] == index
         after[row, slot] = before[row, slot]
     assert np.array_equal(after, before)
+
+
+@pytest.mark.parametrize("lane", [0, 1, 2])
+def test_raw_words_are_the_lanes_pcg64dxsm_stream_from_the_offset(lane):
+    seed, count = 5, 7
+    stream = np.random.PCG64DXSM(np.random.SeedSequence(seed).spawn(3)[lane])
+    ahead = 10**6 + 3
+    words = stream.random_raw(ahead + count)
+    for offset in (0, 1, (50_000 + 1) // 2, ahead):
+        assert np.array_equal(rng._raw_words(seed, offset, lane, count),
+                              words[offset:offset + count])
+
+
+def test_seeds_and_lanes_draw_different_words():
+    streams = {(seed, lane): tuple(rng._raw_words(seed, 0, lane, 4).tolist())
+               for seed in (0, 1, 5, 2**64 - 1) for lane in (0, 1, 2)}
+    assert len(set(streams.values())) == len(streams)
+
+
+def _lane0_rejections(seed, n, start, stop):
+    draws = rng._draws(seed, start * ((n + 1) // 2), 0, (stop - start) * 2 * ((n + 1) // 2))
+    low = (draws.reshape(stop - start, -1)[:, :n].astype(np.uint64) * np.uint64(n)) % 2**32
+    return int((low < 2**32 % n).sum())
+
+
+@pytest.mark.parametrize("n, start, stop, rejections, digest", [
+    (1001, 0, 64, 0, "262324fa3b81113ba3be748eb2d222fdc6a60a3b6ae6eced7a36152f415fe53b"),
+    (50_000, 0, 8, 0, "ab94e5d759e789cadd0de5b70a70a42de8641cf5d8dfd6d1fcc15ecdf0e44233"),
+    (50_000, 8, 16, 2, "62c5c7757db5d418ecb634449643511bb24551b14c053e8950f9717a7d827d95"),
+], ids=["n1001", "n50000", "n50000-redrawn"])
+def test_index_blocks_are_pinned(n, start, stop, rejections, digest):
+    # A change to numpy's PCG64DXSM, SeedSequence or advance moves these
+    # bytes, and with them every bootstrap-derived artifact byte.  The last
+    # block refills draws rejected at their real rate from lane 1.
+    block = rng.index_block(5, n, start, stop)
+    assert _lane0_rejections(5, n, start, stop) == rejections
+    if rejections:
+        expected = [_python_index_row(5, n, r) for r in range(start, stop)]
+        assert np.array_equal(block, np.array(expected, dtype=np.int64))
+    assert hashlib.sha256(block.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_index_block_rejects_sample_size_beyond_32_bits(monkeypatch):
