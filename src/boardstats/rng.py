@@ -2,15 +2,15 @@
 
 Indices are carved out of the raw 64-bit word streams of numpy's PCG64DXSM
 bit generator (O'Neill 2014).  Lane L is the stream of
-``PCG64DXSM(SeedSequence(seed, spawn_key=(L,)))``; the lanes are spawned
-children of the seed, so they share no words.  Replicate r owns the words
-[r * wpr, (r + 1) * wpr) of lane 0, where wpr = ceil(n / 2).  Every word gives
-two 32-bit draws, its low half ``w & 0xFFFFFFFF`` first and then its high half
-``w >> 32``; when n is odd the last high half of a replicate is padding and
-unused.  A call builds a fresh generator and moves it to its first word with
-``advance``, a jump of O(log offset) steps, so there is no generator state
-shared between replicates or between threads: any replicate can be produced
-at any time, in any order, on any worker, bit-identically.
+``PCG64DXSM(SeedSequence(seed, spawn_key=(L,)))``: the lanes are spawned
+children of one SeedSequence, each seeded independently.  Replicate r owns
+the words [r * wpr, (r + 1) * wpr) of lane 0, where wpr = ceil(n / 2).  Every
+word gives two 32-bit draws, its low half ``w & 0xFFFFFFFF`` first and then
+its high half ``w >> 32``; when n is odd the last high half of a replicate is
+padding and unused.  A call builds a fresh generator and moves it to its
+first word with ``advance``, a jump of O(log offset) steps, so there is no
+generator state shared between replicates or between threads: any replicate
+can be produced at any time, in any order, on any worker, bit-identically.
 
 Draw x maps to index ``(x * n) >> 32`` (Lemire's multiply-shift).  To keep
 indices exactly uniform on [0, n), a draw is rejected when the low 32 bits of
@@ -36,10 +36,6 @@ RNG_FAMILY = "pcg64dxsm/advance-u32-lemire"
 
 # position of the low 32 bits inside a native uint64 viewed as two uint32
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
-
-
-def _words_per_replicate(n: int) -> int:
-    return (n + 1) // 2
 
 
 def _raw_words(seed: int, offset: int, lane: int, count: int) -> np.ndarray:
@@ -82,12 +78,12 @@ def index_block(seed: int, n: int, start: int, stop: int,
         )
     if not k:
         return out[:0]
-    wpr = _words_per_replicate(n)
+    wpr = (n + 1) // 2  # words per replicate
     stride = 2 * wpr
-    # The copy drops the padding draw that ends each replicate of odd n, so the
-    # block is one
-    # contiguous (k, n) array: gathers through a strided index array are
-    # markedly slower.  x < 2**32 and n < 2**32, so x * n fits in 64 bits.
+    # The copy drops the padding draw that ends each replicate of odd n, so
+    # the block is one contiguous (k, n) array: gathers through a strided
+    # index array are markedly slower.  x < 2**32 and n < 2**32, so x * n
+    # fits in 64 bits.
     product = out[:k].view(np.uint64)
     product[...] = _draws(seed, start * wpr, 0, k * stride).reshape(k, stride)[:, :n]
     product *= np.uint64(n)
