@@ -25,20 +25,22 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, MetricError
-from .metrics import ResampleScorer, share_patterns, shared_counts
+from .metrics import ResampleScorer, share_patterns, shared_counts, shared_sums
 from .table import BootstrapPlan, PredictionTable, ScoreSpec
 
 QUANTILE_RULE = "linear"
 
-# Bytes of int64 resample indices evaluated per batch (shared counts add at
-# most as many again).  Each worker thread writes every batch it takes into
-# one index buffer and, where the scorers count, one count buffer of that
-# many rows, allocated on its first batch and then reused: glibc hands
-# freed 1 MiB blocks back to the OS, so fresh ones page-fault in again on
-# every batch (457k minor faults in one accuracy bootstrap at n = 50k, m = 4,
-# B = 2000, against 777 reused).  Each row is scored on its own from a stream
-# fixed by (seed, replicate), so values never depend on the batch size or the
-# worker count.
+# Bytes of int64 resample indices evaluated per batch.  Where the scorers
+# count, shared counts add at most as many again, and their sums one row of
+# ΣW values per replicate, ΣW / n times as many (ΣW: every counting
+# scorer's columns).  Each worker thread writes every batch it takes into
+# one index buffer and, where the scorers count, one count buffer and one
+# sums buffer of that many rows, allocated on its first batch and then
+# reused: glibc hands freed 1 MiB blocks back to the OS, so fresh ones
+# page-fault in again on every batch (457k minor faults in one accuracy
+# bootstrap at n = 50k, m = 4, B = 2000, against 777 reused).  Each row is
+# scored on its own from a stream fixed by (seed, replicate), so values
+# never depend on the batch size or the worker count.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -90,10 +92,12 @@ def _evaluate(
 ) -> np.ndarray:
     """The (m, B) matrix of every scorer's value on every replicate, one row
     per scorer in dict order, sharing index vectors and, where
-    ``share_patterns`` finds it pays, each block's resample counts."""
+    ``share_patterns`` finds it pays, each block's resample counts and the
+    one product that weighs them for every scorer."""
     B = plan.replicates
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    counting = share_patterns(scorers.values(), n)
+    counting = share_patterns(scorers.values(), n, min(rows, B))
+    spans = (None,) * len(scorers) if counting is None else counting.spans
     values = np.empty((len(scorers), B))
     buffers = threading.local()
 
@@ -103,10 +107,14 @@ def _evaluate(
             buffers.idx = np.empty((rows, n), dtype=np.int64)
             if counting is not None:
                 buffers.counts = np.empty((rows, counting.width), counting.dtype)
+                buffers.sums = np.empty((rows, counting.columns.shape[1]), counting.dtype)
         idx = rng.index_block(plan.seed, n, start, stop, out=buffers.idx)
-        counts = None if counting is None else shared_counts(counting, idx, n, buffers.counts)
-        for row, (name, scorer) in zip(values, scorers.items()):
-            row[start:stop] = _scored(scorer.spec, name, scorer.scores, idx, counts)
+        if counting is not None:
+            counts = shared_counts(counting, idx, n, buffers.counts)
+            sums = shared_sums(counting, counts, buffers.sums)
+        for row, (name, scorer), span in zip(values, scorers.items(), spans):
+            part = None if span is None else sums[:, span]
+            row[start:stop] = _scored(scorer.spec, name, scorer.scores, idx, part)
 
     map_workers(run_block, range(0, B, rows), plan.workers)
     return values

@@ -26,14 +26,17 @@ bytes.  Accuracy and F1 columns pass up to n = 2**23; MAE's limbs never do.
 The sums of one bootstrap come one of two ways, decided once by
 ``share_patterns``.  Below ``_COUNT_MIN_GATHERS`` column-pair gathers
 between its scorers, each gathers its column pairs through the index rows.
-From there on, ``shared_counts`` counts each block of resamples once for
-every scorer to share, and each scorer takes ``counts @ columns``, one BLAS
-product per ``_PRODUCT_COLUMNS`` columns.  A row's pattern is its values in
-every scorer's columns side by side, and a resample's sums depend only on
-how often it drew each of the G distinct patterns.  So while G is at most
-n / ``_ROWS_PER_PATTERN``, a block is counted over pattern ids into G bins,
-weighed against each scorer's (G, W) pattern columns, and otherwise over
-its rows into n bins.  Gathered or counted, over patterns or rows, in any
+From there on, every counting scorer's columns are stacked side by side in
+one (bins, ΣW) matrix; ``shared_counts`` counts each block of resamples
+once, and ``shared_sums`` weighs the counts once for every scorer,
+``counts @ columns``, in chunks of rows or of columns that keep each BLAS
+product within ``_PRODUCT_MULADDS`` multiply-adds.  Each scorer then only
+finishes its own span of the sums.  A row's pattern is its values in every
+column of the stack, and a resample's sums depend only on how often it drew
+each of the G distinct patterns.  So while G is at most
+n / ``_ROWS_PER_PATTERN``, a block is counted over pattern ids into G bins
+and weighed against one stack row per pattern, and otherwise over its rows
+into n bins.  Gathered or counted, over patterns or rows, in any chunking,
 BLAS blocking or thread count, the integer sums are the same, so the bits
 are.
 
@@ -85,63 +88,90 @@ _ROWS_PER_PATTERN = 8
 # Integers of magnitude up to 2**24 are exact in float32 (``_count_dtype``).
 _FLOAT32_EXACT = 1 << 24
 
-# Columns per count product.  A 1 MiB block of n <= 2**17 rows holds at most
-# 2**17 counts, so a product with 6 columns stays within the 10**6
-# multiply-adds that OpenBLAS (0.3.31, AVX-512 Xeon) runs on one thread.
-# With 8 it started a second thread, which spun between blocks: four 4-class
-# macro-F1 systems at n = 5000 used 1.9x their wall time in CPU.  float32
-# products split alike (2 vCPUs, 300 products between single-threaded
-# sums): CPU over wall 1.00 with 6 columns and 1.96 with 8 for 26 x 5000
-# counts, 1.00 and 1.84 for 131 x 1000, and 1.00 with either for 2 x 50000.
-_PRODUCT_COLUMNS = 6
+# Multiply-adds per count product, (rows x width) x columns, that
+# ``shared_sums`` keeps each product within where it can.  OpenBLAS 0.3.31
+# (numpy 2.4.6, 2-vCPU AVX-512 Xeon) runs a product of up to 10**6 on one
+# thread and starts a second above that, which spins between blocks: four
+# 4-class macro-F1 systems at n = 5000 used 1.9x their wall time in CPU.
+# CPU over wall of 300 products between single-threaded sums, each shape in
+# a fresh process after OpenBLAS's start-up spin: 1.00 for 12 x 1000 by 80
+# and 10 x 1000 by 100 (960k, 10**6; float32 and float64 alike), against
+# 1.9-2.0 for float32 13 x 1000 by 80 and 26 x 5000 by 8 (1.04M).
+_PRODUCT_MULADDS = 10**6
 
 
 class _Counting(NamedTuple):
-    """How every block of one bootstrap is counted: into ``width`` bins of
-    ``dtype`` per resample, one per pattern ``ids`` names, or one per row
-    where ``ids`` is None."""
+    """How every block of one bootstrap is counted and weighed: into one
+    bin per pattern ``ids`` names, or one per row where ``ids`` is None;
+    against ``columns``, one (bins, ΣW) matrix of every counting scorer's
+    columns side by side, of which ``spans`` holds each scorer's slice (None
+    for a scorer that gathers); in products of ``chunk`` = (rows, columns)
+    of a block's counts and of ``columns``."""
 
     ids: Optional[np.ndarray]
-    width: int
-    dtype: np.dtype
+    columns: np.ndarray
+    spans: tuple
+    chunk: tuple[int, int]
+
+    @property
+    def width(self) -> int:
+        return self.columns.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.columns.dtype
 
 
-def share_patterns(scorers, n: int) -> Optional[_Counting]:
-    """Decide how the blocks of one bootstrap are counted, or return None
-    where its scorers need fewer than ``_COUNT_MIN_GATHERS`` gathers between
-    them and gather instead.
+def share_patterns(scorers, n: int, rows: int) -> Optional[_Counting]:
+    """Decide how the blocks of ``rows`` resamples of one bootstrap are
+    counted and weighed, or return None where its scorers need fewer than
+    ``_COUNT_MIN_GATHERS`` gathers between them and gather instead.
 
-    Every counting scorer gets the columns it weighs, in the one dtype that
-    ``_count_dtype`` picks for all of them.  A row's pattern is its values
-    in every scorer's tally columns side by side, and a resample's column
-    sums depend only on how often it drew each of the G distinct patterns.
-    When G is at most n / ``_ROWS_PER_PATTERN``, the counts are per pattern,
-    over the pattern id of each of the n rows, and every scorer weighs a
-    (G, W) copy of its columns, one row per pattern; otherwise they are per
-    row, and it weighs its (n, W) columns.
+    A row's pattern is its values in every counting scorer's columns, and
+    a resample's column sums depend only on how often it drew each of the G
+    distinct patterns.  When G is at most n / ``_ROWS_PER_PATTERN``, the
+    counts are per pattern, over the pattern id of each of the n rows, and
+    the columns are stacked one row per pattern; otherwise they are per
+    row, and stacked over the n rows.  The stack is in the one dtype that
+    ``_count_dtype`` picks for all of them, and in the memory order that
+    makes the columns of each product of ``_chunks`` one contiguous block:
+    C order for chunks of rows, Fortran order for chunks of columns.  Where
+    it holds the n rows in float64, each scorer's columns become its span.
     """
-    scorers = [scorer for scorer in scorers if scorer.gathers]
+    scorers = list(scorers)
     if sum(scorer.gathers for scorer in scorers) < _COUNT_MIN_GATHERS:
         return None
-    columns = [scorer._columns for scorer in scorers]
+    columns = [scorer._columns for scorer in scorers if scorer.gathers]
     dtype = _count_dtype(columns, n)
     cap = n // _ROWS_PER_PATTERN
     # the first 2 cap + 1 rows hold no more patterns than all n do, and a
     # table with too many mostly shows it there, with a quarter of the
     # temporaries
-    for rows in (min(2 * cap + 1, n), n):
-        found = _pattern_ids((c[:rows, j] for c in columns for j in range(c.shape[1])), rows, cap)
+    for head in (min(2 * cap + 1, n), n):
+        found = _pattern_ids((c[:head, j] for c in columns for j in range(c.shape[1])), head, cap)
         if found is None:
             break
     ids, width = found or (None, n)
-    for scorer, column in zip(scorers, columns):
-        if ids is None:
-            scorer._counted_columns = column.astype(dtype, copy=False)
-        else:
+    total = sum(c.shape[1] for c in columns)
+    chunk = _chunks(rows, width, total)
+    # per block, medians of 300 interleaved calls: 131 x 1000 float64 counts
+    # by 80 limbs took 0.43 ms in 12-row chunks of a C-order stack, 0.63 ms
+    # of a Fortran-order one; 26 x 5000 float32 counts by 40 columns took
+    # 0.28-0.30 ms in 7-column chunks of a C-order stack, 0.19-0.22 ms of a
+    # Fortran-order one (one product per system: 0.87-0.94 and 0.22-0.25)
+    stacked = np.empty((width, total), dtype, order="C" if chunk[1] == total else "F")
+    spans, stop = [], 0
+    for scorer in scorers:
+        span = None
+        if scorer.gathers:
+            span = slice(stop, stop + scorer._columns.shape[1])
+            stop = span.stop
             # a pattern's rows hold equal values, so any of them may land
-            scorer._counted_columns = np.empty((width, column.shape[1]), dtype)
-            scorer._counted_columns[ids] = column
-    return _Counting(ids, width, dtype)
+            stacked[slice(None) if ids is None else ids, span] = scorer._columns
+            if ids is None and dtype == np.float64:
+                scorer._columns = stacked[:, span]  # the same values: keep one copy
+        spans.append(span)
+    return _Counting(ids, stacked, tuple(spans), chunk)
 
 
 def shared_counts(counting: _Counting, idx, n: int, out: np.ndarray) -> np.ndarray:
@@ -156,6 +186,56 @@ def shared_counts(counting: _Counting, idx, n: int, out: np.ndarray) -> np.ndarr
     counts = out[:len(idx)]
     _count_rows(idx, counts, counting.ids)
     return counts
+
+
+def shared_sums(counting: _Counting, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``counts @ counting.columns``: every counting scorer's column sums
+    over a block of k counted resamples, each scorer's in its span.
+
+    ``out`` is a C-contiguous buffer of ΣW columns and at least k rows; the
+    sums fill ``out[:k]``, which is returned.  The block is weighed in
+    products of ``counting.chunk`` rows and columns, at most that many.
+    """
+    sums = out[:len(counts)]
+    rows, columns = counting.chunk
+    for i in range(0, len(counts), rows):
+        for j in range(0, sums.shape[1], columns):
+            np.matmul(
+                counts[i:i + rows], counting.columns[:, j:j + columns],
+                out=sums[i:i + rows, j:j + columns],
+            )
+    return sums
+
+
+def _chunks(k: int, width: int, total: int) -> tuple[int, int]:
+    """(rows, columns) of each product of a (k, width) count block by
+    (width, total) columns: the whole block where it fits in
+    ``_PRODUCT_MULADDS``, else chunks of rows or of columns, whichever packs
+    fewer operand elements.
+
+    BLAS packs both operands of every product.  Row chunks of r rows each
+    pack every column once per chunk and each count once; column chunks of
+    c columns each pack every count once per chunk and each column once.
+    Chunks of one row would make matrix-vector products, which run slowest
+    of all, and columns always pack fewer than they do.  A chunk of one
+    column may pass the budget where nothing smaller can.
+
+    A block of one row (n > 2**16) makes matrix-vector products, which
+    OpenBLAS threads from fewer multiply-adds: (1, n) by (n, c) ran on one
+    thread up to 440k and on two from 480k, float32 and float64 alike, and
+    a float64 dot product (c = 1) on two from n = 333k or fewer.  So those
+    take at most 2/5 of the budget, in chunks of at least 2 columns: 4 MAE
+    systems at n = 200k are weighed 2 columns at a time.
+    """
+    if k == 1:
+        return 1, min(total, max(2, _PRODUCT_MULADDS * 2 // 5 // width))
+    if k * width * total <= _PRODUCT_MULADDS:
+        return k, total
+    rows = _PRODUCT_MULADDS // (width * total)
+    columns = max(1, _PRODUCT_MULADDS // (k * width))
+    by_rows = -(-k // max(rows, 1)) * width * total + k * width
+    by_columns = -(-total // columns) * k * width + width * total
+    return (rows, total) if rows and by_rows < by_columns else (k, columns)
 
 
 def _count_dtype(columns, n: int) -> np.dtype:
@@ -257,11 +337,11 @@ class ResampleScorer:
 
     Precomputes the metric's per-row tally columns once, as one (n, W)
     float64 matrix of integers; ``gathers`` = ceil(W / 2) is the scorer's
-    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  The columns that
-    counts weigh are these, or those ``share_patterns`` gives the scorer.
-    No resampled label vector is materialized.  ``scores`` accepts a (k, n)
-    index matrix and returns k scores; row r equals the plain score of
-    ``gold[idx[r]]`` vs ``pred[idx[r]]``.
+    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  No resampled label
+    vector is materialized.  ``scores`` accepts a (k, n) index matrix, and
+    optionally the (k, W) column sums ``shared_sums`` gives the scorer, and
+    returns k scores; row r equals the plain score of ``gold[idx[r]]`` vs
+    ``pred[idx[r]]``.
     """
 
     def __init__(self, gold: np.ndarray, pred: np.ndarray, spec: ScoreSpec):
@@ -314,25 +394,23 @@ class ResampleScorer:
                 # mean, inf or nan, which ``distributions`` reports as not
                 # finite on the original data before it resamples.
                 mean = np.add.reduce(abs_err) / self.n
-                self._score_rows = lambda idx, counts: np.full(len(idx), mean)
+                self._score_rows = lambda idx, sums: np.full(len(idx), mean)
 
     def _set_columns(self, columns: list[np.ndarray]) -> None:
-        """Store integer tally columns as the (n, W) float64 ``_columns``,
-        which counts weigh until ``share_patterns`` gives the scorer the
-        columns to weigh instead: these (n, W) ones or (G, W) pattern
-        columns, as float32 where every resampled sum is exact in it."""
+        """Store integer tally columns as the (n, W) float64 ``_columns``."""
         self._columns = np.column_stack(columns).astype(np.float64)
-        self._counted_columns = self._columns
         self.gathers = -(-self._columns.shape[1] // 2)
 
     @functools.cached_property
     def _gathered(self) -> list[np.ndarray]:
         """What each gather reads: a lone column alone, or columns 2j and
-        2j + 1 as one contiguous complex128 column.  Built on the first
+        2j + 1 as one contiguous complex128 column, paired in a C-order copy
+        where the columns are a span of a count stack.  Built on the first
         gather, so scorers on the count path hold no second copy."""
         if self._columns.shape[1] == 1:
             return [self._columns[:, 0]]
-        return list(np.ascontiguousarray(self._columns.view(np.complex128).T))
+        pairs = np.ascontiguousarray(self._columns).view(np.complex128)
+        return list(np.ascontiguousarray(pairs.T))
 
     def _limb_columns(self, column: np.ndarray) -> list[np.ndarray]:
         """The (hi, lo) fixed-point limbs of a finite float column.
@@ -362,55 +440,45 @@ class ResampleScorer:
     def _mean(self, sums) -> np.ndarray:
         return sums[0] / self.n
 
-    def scores(self, idx, counts=None) -> np.ndarray:
+    def scores(self, idx, sums=None) -> np.ndarray:
         """Score each row of a (k, n) index matrix.
 
-        With counts from ``shared_counts``, built-in metrics read only the
-        counts, by one product with the columns; the range check made while
-        counting stands for this call, and one count matrix serves every
-        scorer of a block.  They have one column per row of the columns
-        they weigh, pattern or data row; any other shape is a
-        ``ValueError``.  Without counts, each column pair is gathered
-        through ``idx``.  ``custom`` metrics always gather and ignore
-        ``counts``.  Every way, with float32 or float64 counts, gives the
-        same integer sums, so the same bits.
+        With ``sums``, the (k, W) span of ``shared_sums`` that holds this
+        scorer's column sums over the k resamples, built-in metrics only
+        finish them; the range check made while counting stands for this
+        call, and one product serves every scorer of a block.  Sums of any
+        other shape are a ``ValueError``.  Without them, each column pair is
+        gathered through ``idx``.  ``custom`` metrics always gather and
+        ignore ``sums``.  Every way, from float32 or float64 counts, gives
+        the same integer sums, so the same bits.
         """
         idx = _index_rows(idx)
-        if not self.gathers or counts is None:
+        if not self.gathers or sums is None:
             _check_range(idx, self.n)
-            counts = None
-        elif np.shape(counts) != (len(idx), len(self._counted_columns)):
+            sums = None
+        elif np.shape(sums) != (len(idx), self._columns.shape[1]):
             raise ValueError(
-                f"counts of shape {np.shape(counts)} do not match "
-                f"({len(idx)}, {len(self._counted_columns)})"
+                f"sums of shape {np.shape(sums)} do not match "
+                f"({len(idx)}, {self._columns.shape[1]})"
             )
-        return self._score_rows(idx, counts)
+        return self._score_rows(idx, sums)
 
-    def _score_rows(self, idx: np.ndarray, counts) -> np.ndarray:
+    def _score_rows(self, idx: np.ndarray, sums) -> np.ndarray:
         if self.spec.metric != "custom":
-            return self._finish(self._sums(idx, counts))
+            if sums is None:
+                return self._finish(self._sums(idx))
+            return self._finish(sums.T.astype(np.float64, copy=False))
         # custom: hand the resampled vectors to the user function row by row
         return np.array(
             [float(self.spec.fn(self._gold[row], self._pred[row])) for row in idx]
         )
 
-    def _sums(self, idx: np.ndarray, counts) -> np.ndarray:
-        """The (W, k) sums of every tally column over every resample.
-
-        Given counts, one product per ``_PRODUCT_COLUMNS`` of the columns
-        they weigh, written into one (k, W) matrix, in float32 only where
-        counts and columns both are, and then made float64; otherwise one
+    def _sums(self, idx: np.ndarray) -> np.ndarray:
+        """The (W, k) sums of every tally column over every resample, by one
         gather and reduction per entry of ``_gathered``, whose complex sums
-        unfold into their two columns' rows.  Either way every partial sum is
-        an exact integer, and so is the float64 result.
+        unfold into their two columns' rows.  Every partial sum is an exact
+        integer, and so is the float64 result.
         """
-        if counts is not None:
-            dtype = np.result_type(counts, self._counted_columns)
-            sums = np.empty((len(counts), self._columns.shape[1]), dtype)
-            for j in range(0, sums.shape[1], _PRODUCT_COLUMNS):
-                part = slice(j, j + _PRODUCT_COLUMNS)
-                np.matmul(counts, self._counted_columns[:, part], out=sums[:, part])
-            return sums.T.astype(np.float64, copy=False)
         sums = np.array([np.add.reduce(np.take(col, idx), axis=1) for col in self._gathered])
         if sums.dtype == np.float64:
             return sums

@@ -1,6 +1,7 @@
-"""Test-only helpers: scoring one resample, per-row resample counts and
-counting as a bootstrap counts, garbage-filled output buffers, tables with
-a set number of tally patterns and reading back markdown tables."""
+"""Test-only helpers: scoring one resample, per-row resample counts,
+counting and weighing as a bootstrap does, garbage-filled output buffers,
+random tables and tables with a set number of tally patterns, and reading
+back markdown tables."""
 
 import re
 from pathlib import Path
@@ -41,11 +42,28 @@ def resample_counts(idx, n: int) -> np.ndarray:
 
 def counted(scorers, idx, n: int):
     """(decision, counts): how ``share_patterns`` counts a bootstrap of the
-    scorers, and the counts ``shared_counts`` gives for ``idx`` in a buffer
-    made from that decision, as a bootstrap's blocks are counted."""
-    counting = metrics.share_patterns(scorers, n)
+    scorers in blocks of ``idx``'s rows, and the counts ``shared_counts``
+    gives for ``idx`` in a buffer made from that decision, as a bootstrap's
+    blocks are counted."""
+    counting = metrics.share_patterns(scorers, n, len(np.atleast_2d(idx)))
     buf = garbage((len(np.atleast_2d(idx)), counting.width), counting.dtype)
     return counting, metrics.shared_counts(counting, idx, n, buf)
+
+
+def weighed(counting, counts, dtype=None) -> np.ndarray:
+    """The sums ``shared_sums`` gives for ``counts`` in a buffer of ``dtype``
+    (the counting's own by default), as a bootstrap's blocks are weighed."""
+    buf = garbage((len(counts), counting.columns.shape[1]), dtype or counting.dtype)
+    return metrics.shared_sums(counting, counts, buf)
+
+
+def row_sums(scorer: ResampleScorer, idx) -> np.ndarray:
+    """The (k, W) sums ``shared_sums`` gives ``scorer`` alone, weighing the
+    float64 per-row counts of ``idx`` in one product."""
+    counts = resample_counts(idx, scorer.n)
+    columns = scorer._columns
+    counting = metrics._Counting(None, columns, (slice(None),), (max(len(counts), 1), columns.shape[1]))
+    return weighed(counting, counts)
 
 
 def tally_rows(table: PredictionTable, spec: ScoreSpec) -> np.ndarray:
@@ -53,6 +71,21 @@ def tally_rows(table: PredictionTable, spec: ScoreSpec) -> np.ndarray:
     return np.column_stack([
         ResampleScorer(table.gold, pred, spec)._columns for pred in table.systems.values()
     ])
+
+
+def random_table(metric: str, n: int, m: int):
+    """(table, spec) of m random systems over n rows."""
+    g = np.random.default_rng(8)
+    if metric == "mae":
+        gold = g.normal(size=n)
+        table = PredictionTable.build(
+            gold, {f"s{i}": gold + g.normal(size=n) for i in range(m)}, "regression"
+        )
+        return table, ScoreSpec(metric="mae")
+    gold = g.choice(["a", "b", "c"], size=n)
+    table = PredictionTable.build(gold, {f"s{i}": g.choice(["a", "b", "c"], size=n) for i in range(m)})
+    labels = ("a", "c") if metric == "macro_f1" else ()
+    return table, ScoreSpec(metric=metric, labels=labels)
 
 
 def patterned_table(metric: str, patterns: int, n: int, seed: int = 0):

@@ -4,18 +4,21 @@
 deleted target would only print a warning in ``benchmarks/run.py`` and read
 0 in its per-layer metrics, so the names are checked here, and so are the
 counts that ``metrics.indices`` and ``bootstrap.blocks`` are read from.
-Counting has one name for the tracer to take as a layer of its own:
-``metrics.shared_counts``, which every counted block passes through once.
+Counting and weighing have one name each for the tracer to take as a layer
+of its own: ``metrics.shared_counts`` and ``metrics.shared_sums``, which
+every counted block passes through once each.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boardstats import bootstrap, metrics
-from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
+from boardstats.table import BootstrapPlan
+from helpers import random_table
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -42,21 +45,6 @@ def test_tracer_finds_and_restores_every_target(spans):
         tracer.restore()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
-
-
-def random_table(metric: str, n: int, m: int):
-    """(table, spec) of m random systems over n rows."""
-    g = np.random.default_rng(8)
-    if metric == "mae":
-        gold = g.normal(size=n)
-        table = PredictionTable.build(
-            gold, {f"s{i}": gold + g.normal(size=n) for i in range(m)}, "regression"
-        )
-        return table, ScoreSpec(metric="mae")
-    gold = g.choice(["a", "b", "c"], size=n)
-    table = PredictionTable.build(gold, {f"s{i}": g.choice(["a", "b", "c"], size=n) for i in range(m)})
-    labels = ("a", "c") if metric == "macro_f1" else ()
-    return table, ScoreSpec(metric=metric, labels=labels)
 
 
 @pytest.mark.parametrize("rows", [None, 7], ids=["default-blocks", "7-row-blocks"])
@@ -99,7 +87,7 @@ def test_every_counted_block_passes_through_one_shared_counts_call(spans, monkey
         ("metrics._count_rows", "boardstats.metrics", "_count_rows", None),
     ))
     counts = metrics.share_patterns(
-        [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()], n
+        [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()], n, rows
     ) is not None
     assert counts == (m == 4 or metric == "macro_f1")
 
@@ -116,3 +104,43 @@ def test_every_counted_block_passes_through_one_shared_counts_call(spans, monkey
     count_rows = [s for s in tracer.spans if s.name == "metrics._count_rows"]
     assert len(count_rows) == (blocks if counts else 0)
     assert all(tracer.spans[s.parent].name == "metrics.shared_counts" for s in count_rows)
+
+
+# (metric, m) as above
+@pytest.mark.parametrize(
+    "metric,m",
+    [("accuracy", 3), ("mae", 3), ("accuracy", 4), ("mae", 4), ("macro_f1", 3)],
+)
+def test_every_counted_block_passes_through_one_shared_sums_call(spans, monkeypatch, metric, m):
+    # every product that weighs counts runs inside the block's one
+    # shared_sums call; a gathering bootstrap weighs nothing
+    n, B, rows = 400, 50, 7
+    table, spec = random_table(metric, n, m)
+    monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(spans, "TARGETS", spans.TARGETS + (
+        ("metrics.shared_sums", "boardstats.metrics", "shared_sums", None),
+    ))
+    products = []  # perf_counter time of every product
+    matmul = np.matmul
+
+    def timed_matmul(*args, **kwargs):
+        products.append(time.perf_counter())
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", timed_matmul)
+    counts = m == 4 or metric == "macro_f1"
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        bootstrap.distributions(table, spec, BootstrapPlan(replicates=B, seed=2))
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    blocks = -(-B // rows)
+    weighs = [s for s in tracer.spans if s.name == "metrics.shared_sums"]
+    assert len(weighs) == (blocks if counts else 0)
+    assert len(products) >= len(weighs)
+    assert all(any(s.start <= t <= s.end for s in weighs) for t in products)
+    # scoring finishes the sums: no system weighs counts of its own
+    assert spans._calls(tracer.spans, "metrics.scores") == blocks * m

@@ -14,7 +14,7 @@ from boardstats.errors import ConfigError, MetricError
 from boardstats.metrics import ResampleScorer
 from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
-from helpers import PATTERN_SPECS, garbage, patterned_table, score_on_indices
+from helpers import PATTERN_SPECS, garbage, patterned_table, random_table, score_on_indices
 
 
 def make_table(n=60, seed=3):
@@ -477,19 +477,67 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
                     assert got[name].observed == base[name].observed
 
 
+# The benchmark workloads' shapes at two full blocks each: (metric, n, m,
+# rows per block, products per block).  Many-systems: 40 MAE systems weigh
+# 131 x 1000 float64 row counts by 80 limbs in chunks of 10**6 // 80 000 =
+# 12 rows, 11 products where one per system made 40.  Shared-task: 10
+# 2-class macro-F1 systems weigh 26 x 5000 float32 row counts by 40 columns
+# in chunks of 10**6 // 130 000 = 7 columns, 6 products.  Large-test: 4
+# accuracy systems hold 16 tally patterns, so 2 x 16 counts by 4 columns are
+# one product.
+@pytest.mark.parametrize(
+    "metric,n,m,rows,products",
+    [("mae", 1000, 40, 131, 11), ("macro_f1", 5000, 10, 26, 6), ("accuracy", 50_000, 4, 2, 1)],
+    ids=["many-systems", "shared-task", "large-test"],
+)
+def test_count_products_stay_on_one_blas_thread_at_benchmark_shapes(
+    monkeypatch, metric, n, m, rows, products
+):
+    # OpenBLAS runs a product of up to about 10**6 multiply-adds on one
+    # thread; every product a bootstrap makes stays within the budget, and
+    # gives the gathered bytes
+    table, spec = random_table(metric, n, m)
+    plan = BootstrapPlan(replicates=2 * rows, seed=4)
+    assert max(1, bootstrap._BLOCK_BYTES // (8 * n)) == rows
+    shapes = []  # (rows, width, columns) of every product
+    matmul = np.matmul
+
+    def recording_matmul(a, b, **kwargs):
+        shapes.append((*a.shape, b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    counted = distributions(table, spec, plan)
+    assert len(shapes) == 2 * products
+    assert all(k * width * columns <= metrics._PRODUCT_MULADDS for k, width, columns in shapes)
+    assert {width for _, width, _ in shapes} == {16 if metric == "accuracy" else n}
+    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 10**6)
+    shapes.clear()
+    gathered = distributions(table, spec, plan)
+    assert shapes == []
+    for name in table.names:
+        assert counted[name].values.tobytes() == gathered[name].values.tobytes()
+
+
 # Prints one sha256 over every system's bootstrap values and observed score,
 # for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of at
 # least one column pair each put every metric on the shared-count path:
 # accuracy counts per pattern (8 patterns in 400 rows, within the cap of 50),
 # macro-F1 (54 patterns) and MAE (400) per row.  Accuracy and macro-F1 count
 # in float32 (n times a tally of at most 2 lies below 2**24), MAE in float64.
-# 3-class macro-F1 and MAE run again in 8 MiB blocks: the float32 product of
-# 1024 x 400 row counts with 6 columns and the float64 one of 2000 x 400 with
-# 2 limbs exceed OpenBLAS's one-thread size (10**6 multiply-adds), so 2
-# threads split them.  At n = 2**17 + 1 each 1 MiB block holds one
-# replicate.  There accuracy's 16 patterns make a (1, 16) x (16, 1) product,
-# and MAE stays per row: its (1, n) x (n, 2) product OpenBLAS runs on 2
-# threads as well.
+# Each block's counts are weighed against one stack of every system's
+# columns, in products of at most OpenBLAS's one-thread size (10**6
+# multiply-adds) where a product can be that small.  3-class macro-F1 and
+# MAE run again in 8 MiB blocks, whose float32 1024 x 400 row counts by 24
+# columns and float64 2000 x 400 by 8 limbs are weighed in chunks of 104 and
+# 312 rows, and once more with the budget lifted, so that each block is one
+# product, which 2 threads split.  40 MAE systems at n = 1000, as in the
+# many-systems benchmark, are weighed in chunks of 12 of a block's 131 rows
+# by all 80 limbs, and 10 2-class macro-F1 systems at n = 5000, as in the
+# shared-task benchmark, in chunks of 7 of 40 float32 columns, stacked in
+# Fortran order.  At n = 2**17 + 1 each 1 MiB block holds one replicate.
+# There accuracy's 16 patterns make a (1, 16) x (16, 4) product, and MAE
+# stays per row, in (1, n) x (n, 3) matrix-vector products.
 _DISTRIBUTION_DIGEST = """
 import hashlib
 import numpy as np
@@ -518,29 +566,54 @@ wide_regression = PredictionTable.build(
     wide_real, {f"s{i}": wide_real + g.normal(scale=i + 1.0, size=wide_n) for i in range(4)},
     "regression",
 )
-# (table, spec, log2 of the block bytes, replicates)
+many_real = g.normal(size=1000)
+many = PredictionTable.build(
+    many_real, {f"s{i:02d}": many_real + g.normal(scale=0.8 + i / 400, size=1000) for i in range(40)},
+    "regression",
+)
+shared_gold = g.choice(["a", "b", "c"], size=5000)
+shared = PredictionTable.build(shared_gold, {
+    f"s{i}": np.where(g.random(5000) < 0.3 + i / 50, g.choice(["a", "b", "c"], size=5000),
+                      shared_gold)
+    for i in range(10)
+})
+# (table, spec, log2 of the block bytes, replicates, multiply-adds per
+# product: OpenBLAS's one-thread size, or none to weigh each block whole)
+budget = metrics._PRODUCT_MULADDS
 cases = [
-    (classes, ScoreSpec(metric="accuracy"), 20, 300),
-    (classes, ScoreSpec(metric="macro_f1", labels=("a", "c")), 20, 300),
-    (regression, ScoreSpec(metric="mae"), 20, 300),
-    (classes, ScoreSpec(metric="macro_f1", labels=("a", "b", "c")), 23, 1024),
-    (regression, ScoreSpec(metric="mae"), 23, 2000),
-    (wide, ScoreSpec(metric="accuracy"), 20, 20),
-    (wide_regression, ScoreSpec(metric="mae"), 20, 20),
+    (classes, ScoreSpec(metric="accuracy"), 20, 300, budget),
+    (classes, ScoreSpec(metric="macro_f1", labels=("a", "c")), 20, 300, budget),
+    (regression, ScoreSpec(metric="mae"), 20, 300, budget),
+    (classes, ScoreSpec(metric="macro_f1", labels=("a", "b", "c")), 23, 1024, budget),
+    (regression, ScoreSpec(metric="mae"), 23, 2000, budget),
+    (classes, ScoreSpec(metric="macro_f1", labels=("a", "b", "c")), 23, 1024, 10**12),
+    (regression, ScoreSpec(metric="mae"), 23, 2000, 10**12),
+    (many, ScoreSpec(metric="mae"), 20, 300, budget),
+    (shared, ScoreSpec(metric="macro_f1", labels=("a", "c")), 20, 60, budget),
+    (wide, ScoreSpec(metric="accuracy"), 20, 20, budget),
+    (wide_regression, ScoreSpec(metric="mae"), 20, 20, budget),
 ]
 # (k, G) pattern counts or (k, n) row counts of each case, as above, float32
-# but for MAE
-for table, spec, _, _ in cases:
+# but for MAE, and the (rows, columns) of each product
+chunks = [
+    (300, 4), (156, 16), (300, 8), (104, 24), (312, 8), (1024, 24), (2000, 8), (12, 80), (26, 7),
+    (1, 4), (1, 3),
+]
+for (table, spec, block_bits, replicates, most), chunk in zip(cases, chunks, strict=True):
+    metrics._PRODUCT_MULADDS = most
     scorers = [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
-    counting = metrics.share_patterns(scorers, table.n)
+    rows = min(max(1, (1 << block_bits) // (8 * table.n)), replicates)
+    counting = metrics.share_patterns(scorers, table.n, rows)
     zeros = np.zeros((1, table.n), dtype=np.int64)
     out = np.empty((1, counting.width), counting.dtype)
     counts = metrics.shared_counts(counting, zeros, table.n, out)
     assert counts.shape[1] == {"accuracy": 8 if table is classes else 16}.get(spec.metric, table.n)
     assert counts.dtype == (np.float64 if spec.metric == "mae" else np.float32)
+    assert counting.chunk == chunk, counting.chunk
 digest = hashlib.sha256()
-for table, spec, block_bits, replicates in cases:
+for table, spec, block_bits, replicates, most in cases:
     bootstrap._BLOCK_BYTES = 1 << block_bits
+    metrics._PRODUCT_MULADDS = most
     plan = BootstrapPlan(replicates=replicates, seed=4)
     for name, dist in distributions(table, spec, plan).items():
         digest.update(name.encode() + dist.values.tobytes() + np.float64(dist.observed).tobytes())

@@ -11,9 +11,15 @@ from boardstats import metrics
 from boardstats.metrics import ResampleScorer, score
 from boardstats.table import ScoreSpec
 from helpers import (
-    PATTERN_SPECS, counted, garbage, patterned_table, resample_counts, score_on_indices,
-    tally_rows,
+    PATTERN_SPECS, counted, garbage, patterned_table, resample_counts, row_sums,
+    score_on_indices, tally_rows, weighed,
 )
+
+
+def counting_into(ids, width: int, dtype) -> metrics._Counting:
+    """A decision to count into ``width`` bins of ``dtype``, with no columns
+    to weigh: all that ``shared_counts`` reads of it."""
+    return metrics._Counting(ids, np.empty((width, 0), dtype), (), (1, 1))
 
 
 def naive_subset_macro_f1(gold, pred, subset):
@@ -119,8 +125,7 @@ def test_errors():
     acc = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec(metric="accuracy"))
     mae = ResampleScorer(np.array([1.0, 2.0]), np.array([1.0, 3.0]), ScoreSpec(metric="mae"))
     # per row and per pattern, shared counts check the range before counting
-    countings = [metrics._Counting(None, 2, np.dtype(np.float64)),
-                 metrics._Counting(np.array([0, 0]), 1, np.dtype(np.float32))]
+    countings = [counting_into(None, 2, np.float64), counting_into(np.array([0, 0]), 1, np.float32)]
     for dtype in (np.int32, np.int64):
         for bad in ([0, 2], [-1, 0], [[0, 1], [1, 2]], [[0, 1], [-1, 1]]):
             bad = np.array(bad, dtype=dtype)
@@ -133,10 +138,10 @@ def test_errors():
                     metrics.shared_counts(counting, bad, 2, buf)
         ok = np.array([1, 1], dtype=dtype)
         assert acc.scores(ok).tolist() == [1.0]
-        assert acc.scores(ok, resample_counts(ok, 2)).tolist() == [1.0]
+        assert acc.scores(ok, row_sums(acc, ok)).tolist() == [1.0]
         assert mae.scores(ok).tolist() == [1.0]
     with pytest.raises(ValueError, match="do not match"):
-        acc.scores(np.array([[0, 1]]), resample_counts(np.array([[0, 1], [1, 1]]), 2))
+        acc.scores(np.array([[0, 1]]), row_sums(acc, np.array([[0, 1], [1, 1]])))
 
 
 # rows per bincount group, and the group boundaries around it
@@ -148,9 +153,8 @@ def test_resample_counts_equal_per_row_bincount(n, dtype):
     rows = metrics._COUNT_CELLS // n
     g = np.random.default_rng(n)
     ids = np.arange(n) % 3
-    countings = [metrics._Counting(None, n, np.dtype(np.float64)),
-                 metrics._Counting(None, n, np.dtype(np.float32)),
-                 metrics._Counting(ids, min(n, 3), np.dtype(np.float32))]
+    countings = [counting_into(None, n, np.float64), counting_into(None, n, np.float32),
+                 counting_into(ids, min(n, 3), np.float32)]
     # square (k, n) blocks at the group boundaries, a narrower and a wider
     # block (rows need not hold n indices), and no rows at all
     shapes = [(k, n) for k in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1} - {0})]
@@ -179,7 +183,6 @@ def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
     cap = n // metrics._ROWS_PER_PATTERN
     g = np.random.default_rng(4)
     idx = np.vstack([np.arange(n), np.zeros(n, dtype=np.int64), g.integers(0, n, size=(7, n))])
-    rows = resample_counts(idx, n)
     for patterns in (1, 3, cap - 1, cap, cap + 1, n):
         table, spec = patterned_table(metric, patterns, n)
         plain, by_default, patterned = (
@@ -189,31 +192,35 @@ def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
         counting, default_counts = counted(by_default, idx, n)
         assert (counting.ids is None) == (patterns > cap)
         assert counting.width == (n if patterns > cap else patterns)
+        default_sums = weighed(counting, default_counts)
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_ROWS_PER_PATTERN", 1)  # every G in pattern space
-            counting, counts = counted(patterned, idx, n)
+            in_patterns, counts = counted(patterned, idx, n)
         # the ids number the patterns in the rows' lexicographic order
         _, want_ids = np.unique(tally_rows(table, spec), axis=0, return_inverse=True)
-        assert counting.ids.tolist() == want_ids.ravel().tolist()
+        assert in_patterns.ids.tolist() == want_ids.ravel().tolist()
         # 96 rows times an accuracy or f1 tally lie below 2**24; MAE's limbs
         # lie far above
-        assert counts.shape == (len(idx), patterns) and counting.width == patterns
-        assert counts.dtype == counting.dtype == (np.float64 if metric == "mae" else np.float32)
+        assert counts.shape == (len(idx), patterns) and in_patterns.width == patterns
+        assert counts.dtype == in_patterns.dtype == (np.float64 if metric == "mae" else np.float32)
         assert np.array_equal(counts.sum(axis=1), np.full(len(idx), n))
-        for row_scorer, default_scorer, pattern_scorer in zip(plain, by_default, patterned):
-            gathered = row_scorer._sums(idx, None)
-            assert np.array_equal(row_scorer._sums(idx, rows), gathered)
-            assert np.array_equal(default_scorer._sums(idx, default_counts), gathered)
-            assert np.array_equal(pattern_scorer._sums(idx, counts), gathered)
+        sums = weighed(in_patterns, counts)
+        for row_scorer, default_scorer, pattern_scorer, default_span, pattern_span in zip(
+            plain, by_default, patterned, counting.spans, in_patterns.spans, strict=True
+        ):
+            gathered = row_scorer._sums(idx)
+            rows = row_sums(row_scorer, idx)
+            assert np.array_equal(rows.T, gathered)
+            assert np.array_equal(default_sums[:, default_span].T, gathered)
+            assert np.array_equal(sums[:, pattern_span].T, gathered)
             want = row_scorer.scores(idx).tobytes()
             assert row_scorer.scores(idx, rows).tobytes() == want
-            assert default_scorer.scores(idx, default_counts).tobytes() == want
-            assert pattern_scorer.scores(idx, counts).tobytes() == want
-            # pattern counts only for a scorer holding those patterns
-            if patterns != n:
-                for scorer, wrong, width in ((row_scorer, counts, n), (pattern_scorer, rows, patterns)):
-                    with pytest.raises(ValueError, match=rf"do not match \(9, {width}\)"):
-                        scorer.scores(idx, wrong)
+            assert default_scorer.scores(idx, default_sums[:, default_span]).tobytes() == want
+            assert pattern_scorer.scores(idx, sums[:, pattern_span]).tobytes() == want
+            # a scorer finishes only the sums of its own span
+            width = pattern_span.stop - pattern_span.start
+            with pytest.raises(ValueError, match=rf"do not match \(9, {width}\)"):
+                pattern_scorer.scores(idx, sums)
 
 
 def test_counts_are_float32_below_two_to_the_24():
@@ -230,8 +237,9 @@ def test_counts_are_float32_below_two_to_the_24():
 
 
 def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
-    # row and pattern space: a narrowed scorer gives the gathered bits from
-    # float64 counts, float32 counts or none
+    # row and pattern space: the float32 stack gives the gathered bits
+    # weighing float32 counts into float32 sums, float64 counts into float64
+    # sums, and so does gathering
     table, spec = patterned_table("macro_f1", 5, 96)
     g = np.random.default_rng(3)
     idx = np.vstack([np.arange(96), g.integers(0, 96, size=(6, 96))])
@@ -241,32 +249,108 @@ def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
         monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
         counting, counts = counted(scorers, idx, 96)
         assert counting.dtype == np.float32
-        assert all(s._counted_columns.dtype == np.float32 for s in scorers)
+        assert counting.columns.dtype == np.float32
         assert counts.dtype == np.float32
         wide = resample_counts(idx, 96) if per_pattern == 97 else counts.astype(np.float64)
         assert np.array_equal(wide, counts)
-        for scorer, oracle in zip(scorers, plain):
+        narrow_sums, wide_sums = weighed(counting, counts), weighed(counting, wide, np.float64)
+        assert narrow_sums.dtype == np.float32 and wide_sums.dtype == np.float64
+        for scorer, oracle, span in zip(scorers, plain, counting.spans, strict=True):
             want = oracle.scores(idx).tobytes()
-            for given in (counts, wide, None):
+            for given in (narrow_sums[:, span], wide_sums[:, span], None):
                 assert scorer.scores(idx, given).tobytes() == want
-            assert scorer._sums(idx, counts).dtype == np.float64
+            assert scorer.scores(idx, narrow_sums[:, span]).dtype == np.float64
+
+
+# (metric, float32 bound): float32 macro-F1 stacks, and float64 ones with
+# the bound patched to 0; MAE's limbs always stack in float64
+@pytest.mark.parametrize(
+    "metric,bound",
+    [("macro_f1", metrics._FLOAT32_EXACT), ("macro_f1", 0), ("mae", metrics._FLOAT32_EXACT)],
+    ids=["macro_f1-float32", "macro_f1-float64", "mae-float64"],
+)
+@pytest.mark.parametrize("per_pattern", [97, 1], ids=["rows", "patterns"])
+def test_every_product_form_gives_the_gathered_bytes(monkeypatch, metric, bound, per_pattern):
+    # the budget, patched, makes the stack of 8 macro-F1 (32 columns) or 4
+    # MAE systems (8 columns) weigh 40-row blocks whole or in chunks of 4
+    # rows, 5-row blocks in chunks of 2 columns and one-row blocks in chunks
+    # of 4 columns; chunks of columns stack in Fortran order, the others in
+    # C order, and every scorer's scores are its gathered bytes
+    n = 96
+    table, spec = patterned_table(metric, 12, n)
+    g = np.random.default_rng(6)
+    idx = np.vstack([np.arange(n), g.integers(0, n, size=(39, n))])
+    monkeypatch.setattr(metrics, "_FLOAT32_EXACT", bound)
+    monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
+    width = n if per_pattern > n else 12
+    total = 32 if metric == "macro_f1" else 8
+    oracles = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+    # (rows per block, budget, (rows, columns) per product)
+    forms = [
+        (40, 10**12, (40, total)),
+        (40, 4 * width * total, (4, total)),
+        (5, 2 * 5 * width, (5, 2)),
+        (1, 10 * width, (1, 4)),  # one-row blocks take 2/5 of the budget
+    ]
+    for rows, budget, chunk in forms:
+        monkeypatch.setattr(metrics, "_PRODUCT_MULADDS", budget)
+        scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+        block = idx[:rows]
+        counting, counts = counted(scorers, block, n)
+        assert (counting.width, counting.chunk) == (width, chunk)
+        assert counting.dtype == (np.float32 if bound and metric != "mae" else np.float64)
+        assert counting.columns.flags.c_contiguous == (chunk[1] == total)
+        assert counting.columns.flags.f_contiguous == (chunk[1] < total)
+        sums = weighed(counting, counts)
+        for scorer, oracle, span in zip(scorers, oracles, counting.spans, strict=True):
+            assert scorer.scores(block, sums[:, span]).tobytes() == oracle.scores(block).tobytes()
+            # a scorer weighed from the n rows in float64 reads its columns
+            # from its span of the stack, and still gathers the same bytes
+            assert scorer.scores(block).tobytes() == oracle.scores(block).tobytes()
+            assert np.array_equal(scorer._columns, oracle._columns)
+            held = np.shares_memory(scorer._columns, counting.columns)
+            assert held == (counting.ids is None and counting.dtype == np.float64)
+
+
+# (k, width, columns) -> (rows, columns) per product at the default budget
+# of 10**6 multiply-adds: many-systems' 131 x 1000 MAE counts by 80 limbs in
+# chunks of 12 rows; shared-task's 26 x 5000 by 40 and a 4-times-wider stack
+# in chunks of 7 columns; large-test's 2 x 16 pattern counts whole; one-row
+# blocks, with 2/5 of the budget, whole in pattern space, 6 columns at a
+# time at n = 2**16 + 1 and 2 at n = 200k, and at n = 2**20 still 2, past
+# the budget, as a single column would make a dot product
+@pytest.mark.parametrize("shape,chunk", [
+    ((131, 1000, 80), (12, 80)),
+    ((26, 5000, 40), (26, 7)),
+    ((26, 5000, 160), (26, 7)),
+    ((2, 16, 4), (2, 4)),
+    ((1, 16, 4), (1, 4)),
+    ((1, 65_537, 80), (1, 6)),
+    ((1, 200_000, 8), (1, 2)),
+    ((1, 1 << 20, 8), (1, 2)),
+])
+def test_chunks_pack_the_fewer_operand_elements(shape, chunk):
+    assert metrics._PRODUCT_MULADDS == 10**6
+    assert metrics._chunks(*shape) == chunk
 
 
 def test_patterns_are_shared_only_where_counting_pays():
     # below 4 gathers the scorers gather and keep their columns, and a
-    # custom scorer (no gathers) neither counts nor weighs columns
+    # custom scorer (no gathers) neither counts nor has a span to weigh
     table, spec = patterned_table("accuracy", 2, 96)
     scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
+    own = [scorer._columns for scorer in scorers]
     idx = np.zeros((2, 96), dtype=np.int64)
-    assert metrics.share_patterns(scorers[:3], 96) is None
-    assert all(scorer._counted_columns is scorer._columns for scorer in scorers)
+    assert metrics.share_patterns(scorers[:3], 96, 2) is None
+    assert all(scorer._columns is column for scorer, column in zip(scorers, own))
     custom = ResampleScorer(
         table.gold, table.systems["s0"], ScoreSpec(metric="custom", fn=lambda g, p: 0.0)
     )
     counting, counts = counted([custom] + scorers, idx, 96)
-    assert not hasattr(custom, "_counted_columns")
+    assert not hasattr(custom, "_columns")
     assert counting.width == 2
-    assert all(len(scorer._counted_columns) == 2 for scorer in scorers)
+    assert counting.columns.shape == (2, len(scorers))
+    assert counting.spans == (None,) + tuple(slice(i, i + 1) for i in range(len(scorers)))
     want = np.zeros((2, 2))
     want[:, counting.ids[0]] = 96
     assert np.array_equal(counts, want)
@@ -291,13 +375,13 @@ def gathered_f1_scores(sums):
 def assert_scores_equal(scorer, idx, want):
     """Both entry points, gathering and counting, give ``want``."""
     assert np.array_equal(scorer.scores(idx), want)
-    assert np.array_equal(scorer.scores(idx, resample_counts(idx, scorer.n)), want)
+    assert np.array_equal(scorer.scores(idx, row_sums(scorer, idx)), want)
 
 
 def both_sums(scorer, idx):
-    """``_sums`` gathered through ``idx`` and weighted by its counts: (W, k)
+    """The sums gathered through ``idx`` and weighed from its counts: (W, k)
     float64 rows."""
-    sums = scorer._sums(idx, None), scorer._sums(idx, resample_counts(idx, scorer.n))
+    sums = scorer._sums(idx), row_sums(scorer, idx).T
     for got in sums:
         assert got.dtype == np.float64
         assert got.shape == (scorer._columns.shape[1], len(idx))
@@ -548,8 +632,8 @@ def test_mae_limb_sums_equal_exact_fraction_sums(name):
     idx = resample_rows(len(column))
     want_hi = [sum(limbs[i][0] for i in row) for row in idx.tolist()]
     want_lo = [sum(limbs[i][1] for i in row) for row in idx.tolist()]
-    for counts in (None, resample_counts(idx, len(column))):
-        hi, lo = scorer._sums(idx, counts)
+    for sums in (scorer._sums(idx), row_sums(scorer, idx).T):
+        hi, lo = sums
         assert [int(v) for v in hi] == want_hi and [int(v) for v in lo] == want_lo
         assert all(float(v) == v for v in want_hi + want_lo)  # below 2**53: exact floats
 
@@ -574,7 +658,7 @@ def test_mae_rows_match_fsum(name):
     tol = max(2.0 ** (top - 2 * b), math.ulp(0.0))
     idx = resample_rows(n, seed=1)
     want = [fsum_mean(column[row]) for row in idx]
-    for got in (scorer.scores(idx), scorer.scores(idx, resample_counts(idx, n))):
+    for got in (scorer.scores(idx), scorer.scores(idx, row_sums(scorer, idx))):
         assert np.isfinite(got).all()
         for g, w in zip(got.tolist(), want):
             assert math.isclose(g, w, rel_tol=1e-15, abs_tol=tol)
