@@ -26,15 +26,22 @@ METRICS = {"accuracy": "labels.csv", "f1:a": "labels.csv", "macro-f1:a,b": "labe
            "mae": "values.csv", "custom:agree.py": "labels.csv"}
 FAMILIES = ("per-reference", "vs-winner", "global")
 CORRECTIONS = {"default": None, "none": "none"}
+# the first 2 and 3 systems of each fixture, under the metrics of one or two
+# tally columns per system: the fewest systems a competition holds
+FEW_SYSTEMS = (2, 3)
+FEW_METRICS = ("accuracy", "f1:a", "mae")
 CASES = [
     "/".join(case) for case in itertools.product(METRICS, FAMILIES, CORRECTIONS)
+] + [
+    f"{metric}/per-reference/default/{m}" for metric in FEW_METRICS for m in FEW_SYSTEMS
 ]
 
 
 def write_inputs(directory: Path) -> None:
     """Two fixed CSVs, five systems each, and a custom accuracy metric; the
     fourth system copies the third so ranking ties and identical-prediction
-    comparisons are covered."""
+    comparisons are covered.  Each CSV also comes cut to its first 2 and 3
+    systems, as ``labels-2.csv`` and so on."""
     (directory / "agree.py").write_text(
         "def score(gold, pred):\n    return float((gold == pred).mean())\n", encoding="utf-8"
     )
@@ -62,18 +69,24 @@ def write_inputs(directory: Path) -> None:
 
 
 def _write_csv(path: Path, cols: dict, fmt) -> None:
-    lines = [",".join(cols)]
-    lines += [",".join(fmt(col[i]) for col in cols.values()) for i in range(N)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for m in (None, *FEW_SYSTEMS):
+        kept = list(cols)[:None if m is None else m + 1]
+        lines = [",".join(kept)]
+        lines += [",".join(fmt(cols[c][i]) for c in kept) for i in range(N)]
+        out = path if m is None else path.with_name(f"{path.stem}-{m}{path.suffix}")
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_case(case: str, directory: Path) -> dict[str, str]:
     """Artifact name -> sha256 for one case, run with ``directory`` as cwd so
     the input path recorded in the manifest is the same on every machine."""
-    metric, family, corrections = case.split("/")
+    metric, family, corrections, *systems = case.split("/")
     out = Path(case.replace(":", "_").replace(",", "_").replace("/", "-"))
+    source = Path(METRICS[metric])
+    if systems:
+        source = source.with_name(f"{source.stem}-{systems[0]}{source.suffix}")
     argv = [
-        "--input", METRICS[metric], "--metric", metric, "--family", family,
+        "--input", str(source), "--metric", metric, "--family", family,
         "--samples", SAMPLES, "--seed", "5", "--out-dir", str(out),
     ]
     if CORRECTIONS[corrections] is not None:
