@@ -31,16 +31,17 @@ from .table import BootstrapPlan, PredictionTable, ScoreSpec
 QUANTILE_RULE = "linear"
 
 # Bytes of int64 resample indices evaluated per batch.  Where the scorers
-# count, shared counts add at most as many again, and their sums one row of
-# ΣW values per replicate, ΣW / n times as many (ΣW: every counting
-# scorer's columns).  Each worker thread writes every batch it takes into
-# one index buffer and, where the scorers count, one count buffer and one
-# sums buffer of that many rows, allocated on its first batch and then
-# reused: glibc hands freed 1 MiB blocks back to the OS, so fresh ones
-# page-fault in again on every batch (457k minor faults in one accuracy
-# bootstrap at n = 50k, m = 4, B = 2000, against 777 reused).  Each row is
-# scored on its own from a stream fixed by (seed, replicate), so values
-# never depend on the batch size or the worker count.
+# count (every built-in metric), shared counts add at most as many again,
+# and their sums one row of ΣW values per replicate, ΣW / n times as many
+# (ΣW: every scorer's columns).  Each worker thread writes every batch it
+# takes into one index buffer and, where the scorers count, one count
+# buffer and one sums buffer of that many rows, or of B where the bootstrap
+# has fewer replicates, allocated on its first batch and then reused: glibc
+# hands freed 1 MiB blocks back to the OS, so fresh ones page-fault in again
+# on every batch (457k minor faults in one accuracy bootstrap at n = 50k,
+# m = 4, B = 2000, against 777 reused).  Each row is scored on its own from
+# a stream fixed by (seed, replicate), so values never depend on the batch
+# size or the worker count.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -91,12 +92,12 @@ def _evaluate(
     plan: BootstrapPlan,
 ) -> np.ndarray:
     """The (m, B) matrix of every scorer's value on every replicate, one row
-    per scorer in dict order, sharing index vectors and, where
-    ``share_patterns`` finds it pays, each block's resample counts and the
-    one product that weighs them for every scorer."""
+    per scorer in dict order, sharing index vectors and, where the scorers
+    have tally columns, each block's resample counts and the products that
+    weigh them for every scorer."""
     B = plan.replicates
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    counting = share_patterns(scorers.values(), n, min(rows, B))
+    rows = min(max(1, _BLOCK_BYTES // (8 * n)), B)
+    counting = share_patterns(scorers.values(), n, rows)
     spans = (None,) * len(scorers) if counting is None else counting.spans
     values = np.empty((len(scorers), B))
     buffers = threading.local()

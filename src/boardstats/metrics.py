@@ -23,22 +23,19 @@ as float32 instead where n times the largest column magnitude is below 2**24
 sum is then an integer below 2**24, exact in float32 as well, at half the
 bytes.  Accuracy and F1 columns pass up to n = 2**23; MAE's limbs never do.
 
-The sums of one bootstrap come one of two ways, decided once by
-``share_patterns``.  Below ``_COUNT_MIN_GATHERS`` column-pair gathers
-between its scorers, each gathers its column pairs through the index rows.
-From there on, every counting scorer's columns are stacked side by side in
-one (bins, ΣW) matrix; ``shared_counts`` counts each block of resamples
-once, and ``shared_sums`` weighs the counts once for every scorer,
-``counts @ columns``, in chunks of rows or of columns that keep each BLAS
-product within ``_PRODUCT_MULADDS`` multiply-adds.  Each scorer then only
-finishes its own span of the sums.  A row's pattern is its values in every
-column of the stack, and a resample's sums depend only on how often it drew
-each of the G distinct patterns.  So while G is at most
-n / ``_ROWS_PER_PATTERN``, a block is counted over pattern ids into G bins
-and weighed against one stack row per pattern, and otherwise over its rows
-into n bins.  Gathered or counted, over patterns or rows, in any chunking,
-BLAS blocking or thread count, the integer sums are the same, so the bits
-are.
+The sums of one bootstrap are counted, as ``share_patterns`` plans once:
+every scorer's columns are stacked side by side in one (bins, ΣW) matrix;
+``shared_counts`` counts each block of resamples once, and ``shared_sums``
+weighs the counts once for every scorer, ``counts @ columns``, in chunks of
+rows or of columns that keep each BLAS product within ``_PRODUCT_MULADDS``
+multiply-adds.  Each scorer then only finishes its own span of the sums.  A
+row's pattern is its values in every column of the stack, and a resample's
+sums depend only on how often it drew each of the G distinct patterns.  So
+while G is at most n / ``_ROWS_PER_PATTERN``, a block is counted over
+pattern ids into G bins and weighed against one stack row per pattern, and
+otherwise over its rows into n bins.  Over patterns or rows, in any
+chunking, BLAS blocking or thread count, the integer sums are the same, so
+the bits are.
 
 MAE's limbs are fixed point.  Each absolute error is truncated to a multiple
 of 2**(top - 2b), where 2**top is the smallest power of two above the column
@@ -49,7 +46,6 @@ bits each, so a limb's resampled sum stays below n 2**b <= 2**53.  Only
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -65,17 +61,6 @@ from .table import ScoreSpec
 # looping once per replicate (131072 rows per block at n = 1).
 _COUNT_CELLS = 1 << 14
 
-
-# Column-pair gathers, summed over the systems, from which each block is
-# counted.  Whole bootstraps counted over gathered, B = 2000 (2-vCPU Xeon,
-# numpy 2.4.6, one OpenBLAS thread, medians of 5 alternating in-process
-# runs, twice): 1 gather: accuracy, m = 1, n = 50k, 1.53-1.60; MAE, m = 1,
-# n = 5000, 1.24.  2 gathers: accuracy, m = 2, n = 50k, 1.00-1.03; 2-class
-# macro-F1, m = 1, n = 5000, 0.92-0.93.  3 gathers: accuracy, m = 3,
-# n = 50k, 0.79-0.81; f1, m = 3, n = 50k, 0.60-0.64; MAE, m = 3, n = 1000,
-# 0.76-0.79.  Counting or gathering gives the same integer sums, so the
-# same values.
-_COUNT_MIN_GATHERS = 4
 
 # Rows per distinct tally pattern from which shared counts are kept in
 # pattern space.  There a resample's n indices are mapped to pattern ids and
@@ -103,10 +88,10 @@ _PRODUCT_MULADDS = 10**6
 class _Counting(NamedTuple):
     """How every block of one bootstrap is counted and weighed: into one
     bin per pattern ``ids`` names, or one per row where ``ids`` is None;
-    against ``columns``, one (bins, ΣW) matrix of every counting scorer's
-    columns side by side, of which ``spans`` holds each scorer's slice (None
-    for a scorer that gathers); in products of ``chunk`` = (rows, columns)
-    of a block's counts and of ``columns``."""
+    against ``columns``, one (bins, ΣW) matrix of every scorer's columns
+    side by side, of which ``spans`` holds each scorer's slice (None for a
+    scorer without tally columns); in products of ``chunk`` = (rows,
+    columns) of a block's counts and of ``columns``."""
 
     ids: Optional[np.ndarray]
     columns: np.ndarray
@@ -123,12 +108,12 @@ class _Counting(NamedTuple):
 
 
 def share_patterns(scorers, n: int, rows: int) -> Optional[_Counting]:
-    """Decide how the blocks of ``rows`` resamples of one bootstrap are
-    counted and weighed, or return None where its scorers need fewer than
-    ``_COUNT_MIN_GATHERS`` gathers between them and gather instead.
+    """Decide how the blocks of at most ``rows`` resamples of one bootstrap
+    are counted and weighed, or return None where no scorer has tally
+    columns (``custom``) and there is nothing to count.
 
-    A row's pattern is its values in every counting scorer's columns, and
-    a resample's column sums depend only on how often it drew each of the G
+    A row's pattern is its values in every scorer's columns, and a
+    resample's column sums depend only on how often it drew each of the G
     distinct patterns.  When G is at most n / ``_ROWS_PER_PATTERN``, the
     counts are per pattern, over the pattern id of each of the n rows, and
     the columns are stacked one row per pattern; otherwise they are per
@@ -139,18 +124,13 @@ def share_patterns(scorers, n: int, rows: int) -> Optional[_Counting]:
     it holds the n rows in float64, each scorer's columns become its span.
     """
     scorers = list(scorers)
-    if sum(scorer.gathers for scorer in scorers) < _COUNT_MIN_GATHERS:
+    columns = [scorer._columns for scorer in scorers if scorer._columns is not None]
+    if not columns:
         return None
-    columns = [scorer._columns for scorer in scorers if scorer.gathers]
     dtype = _count_dtype(columns, n)
-    cap = n // _ROWS_PER_PATTERN
-    # the first 2 cap + 1 rows hold no more patterns than all n do, and a
-    # table with too many mostly shows it there, with a quarter of the
-    # temporaries
-    for head in (min(2 * cap + 1, n), n):
-        found = _pattern_ids((c[:head, j] for c in columns for j in range(c.shape[1])), head, cap)
-        if found is None:
-            break
+    found = _pattern_ids(
+        (c[:, j] for c in columns for j in range(c.shape[1])), n, n // _ROWS_PER_PATTERN
+    )
     ids, width = found or (None, n)
     total = sum(c.shape[1] for c in columns)
     chunk = _chunks(rows, width, total)
@@ -163,7 +143,7 @@ def share_patterns(scorers, n: int, rows: int) -> Optional[_Counting]:
     spans, stop = [], 0
     for scorer in scorers:
         span = None
-        if scorer.gathers:
+        if scorer._columns is not None:
             span = slice(stop, stop + scorer._columns.shape[1])
             stop = span.stop
             # a pattern's rows hold equal values, so any of them may land
@@ -336,12 +316,11 @@ class ResampleScorer:
     """Evaluates one (gold, pred, spec) triple over batches of index rows.
 
     Precomputes the metric's per-row tally columns once, as one (n, W)
-    float64 matrix of integers; ``gathers`` = ceil(W / 2) is the scorer's
-    share of ``_COUNT_MIN_GATHERS`` (0 for ``custom``).  No resampled label
-    vector is materialized.  ``scores`` accepts a (k, n) index matrix, and
-    optionally the (k, W) column sums ``shared_sums`` gives the scorer, and
-    returns k scores; row r equals the plain score of ``gold[idx[r]]`` vs
-    ``pred[idx[r]]``.
+    float64 matrix of integers (None for ``custom``).  No resampled label
+    vector is materialized for a built-in metric.  ``scores`` accepts a
+    (k, n) index matrix and the (k, W) column sums ``shared_sums`` gives the
+    scorer, and returns k scores; row r equals the plain score of
+    ``gold[idx[r]]`` vs ``pred[idx[r]]``.
     """
 
     def __init__(self, gold: np.ndarray, pred: np.ndarray, spec: ScoreSpec):
@@ -357,7 +336,7 @@ class ResampleScorer:
         self.spec = spec
         self._gold = gold
         self._pred = pred
-        self.gathers = 0
+        self._columns = None
         self._setup()
 
     def _setup(self):
@@ -399,18 +378,6 @@ class ResampleScorer:
     def _set_columns(self, columns: list[np.ndarray]) -> None:
         """Store integer tally columns as the (n, W) float64 ``_columns``."""
         self._columns = np.column_stack(columns).astype(np.float64)
-        self.gathers = -(-self._columns.shape[1] // 2)
-
-    @functools.cached_property
-    def _gathered(self) -> list[np.ndarray]:
-        """What each gather reads: a lone column alone, or columns 2j and
-        2j + 1 as one contiguous complex128 column, paired in a C-order copy
-        where the columns are a span of a count stack.  Built on the first
-        gather, so scorers on the count path hold no second copy."""
-        if self._columns.shape[1] == 1:
-            return [self._columns[:, 0]]
-        pairs = np.ascontiguousarray(self._columns).view(np.complex128)
-        return list(np.ascontiguousarray(pairs.T))
 
     def _limb_columns(self, column: np.ndarray) -> list[np.ndarray]:
         """The (hi, lo) fixed-point limbs of a finite float column.
@@ -443,19 +410,17 @@ class ResampleScorer:
     def scores(self, idx, sums=None) -> np.ndarray:
         """Score each row of a (k, n) index matrix.
 
-        With ``sums``, the (k, W) span of ``shared_sums`` that holds this
-        scorer's column sums over the k resamples, built-in metrics only
-        finish them; the range check made while counting stands for this
-        call, and one product serves every scorer of a block.  Sums of any
-        other shape are a ``ValueError``.  Without them, each column pair is
-        gathered through ``idx``.  ``custom`` metrics always gather and
-        ignore ``sums``.  Every way, from float32 or float64 counts, gives
-        the same integer sums, so the same bits.
+        Built-in metrics finish ``sums``, the (k, W) span of ``shared_sums``
+        that holds this scorer's column sums over the k resamples; the range
+        check made while counting stands for this call, and one product
+        serves every scorer of a block.  Sums of any other shape, or none,
+        are a ``ValueError``.  From float32 or float64 counts, the integer
+        sums are the same, so the bits are.  ``custom`` metrics score the
+        resampled vectors and ignore ``sums``.
         """
         idx = _index_rows(idx)
-        if not self.gathers or sums is None:
+        if self._columns is None:
             _check_range(idx, self.n)
-            sums = None
         elif np.shape(sums) != (len(idx), self._columns.shape[1]):
             raise ValueError(
                 f"sums of shape {np.shape(sums)} do not match "
@@ -465,34 +430,21 @@ class ResampleScorer:
 
     def _score_rows(self, idx: np.ndarray, sums) -> np.ndarray:
         if self.spec.metric != "custom":
-            if sums is None:
-                return self._finish(self._sums(idx))
             return self._finish(sums.T.astype(np.float64, copy=False))
         # custom: hand the resampled vectors to the user function row by row
         return np.array(
             [float(self.spec.fn(self._gold[row], self._pred[row])) for row in idx]
         )
 
-    def _sums(self, idx: np.ndarray) -> np.ndarray:
-        """The (W, k) sums of every tally column over every resample, by one
-        gather and reduction per entry of ``_gathered``, whose complex sums
-        unfold into their two columns' rows.  Every partial sum is an exact
-        integer, and so is the float64 result.
-        """
-        sums = np.array([np.add.reduce(np.take(col, idx), axis=1) for col in self._gathered])
-        if sums.dtype == np.float64:
-            return sums
-        return np.stack([sums.real, sums.imag], axis=1).reshape(-1, len(idx))
-
     def observed(self) -> float:
         """Score of the original, unresampled data: the identity row.
 
         Built-in metrics finish the plain column sums, as exact as any
-        resample's; this spares them a gather copy of ``_gathered`` and
-        OpenBLAS a threaded 1 x n product.  Bypasses ``scores``, which takes
-        resamples and checks their range; the identity row is neither.
+        resample's; this spares OpenBLAS a threaded 1 x n product.  Bypasses
+        ``scores``, which takes resamples and checks their range; the
+        identity row is neither.
         """
-        if self.gathers:
+        if self._columns is not None:
             return float(self._finish(self._columns.sum(axis=0)[:, None])[0])
         return float(self._score_rows(np.arange(self.n)[None], None)[0])
 

@@ -1,5 +1,6 @@
-"""Test-only helpers: scoring one resample, per-row resample counts,
-counting and weighing as a bootstrap does, garbage-filled output buffers,
+"""Test-only helpers: scoring resamples as a bootstrap counts them, per-row
+resample counts, counting and weighing as a bootstrap does, the gathered
+sums that counted ones are checked against, garbage-filled output buffers,
 random tables and tables with a set number of tally patterns, and reading
 back markdown tables."""
 
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from boardstats import metrics
+from boardstats import metrics, rng
+from boardstats.bootstrap import SamplingDistribution
 from boardstats.metrics import ResampleScorer
 from boardstats.table import PredictionTable, ScoreSpec
 
@@ -28,7 +30,45 @@ def score_on_indices(gold, pred, spec: ScoreSpec, indices) -> float:
     materializing the resampled outcome vectors.
     """
     scorer = ResampleScorer(np.asarray(gold), np.asarray(pred), spec)
-    return float(scorer.scores(np.asarray(indices, dtype=np.int64))[0])
+    return float(counted_scores(scorer, np.asarray(indices, dtype=np.int64))[0])
+
+
+def counted_scores(scorer: ResampleScorer, idx) -> np.ndarray:
+    """``scorer``'s score of every row of ``idx``, counted and weighed as a
+    bootstrap of ``scorer`` alone counts a block; an index outside [0, n) is
+    a ``MetricError``."""
+    if scorer._columns is None:
+        return scorer.scores(idx)
+    counting, counts = counted([scorer], idx, scorer.n)
+    return scorer.scores(idx, weighed(counting, counts))
+
+
+def gathered_sums(scorer: ResampleScorer, idx) -> np.ndarray:
+    """The reference for every counted sum: the (k, W) sums of ``scorer``'s
+    tally columns over the rows of ``idx``, each column gathered through the
+    indices and reduced on its own.  Every partial sum is an exact integer,
+    so any order of the additions gives the same float64 sums."""
+    idx = np.atleast_2d(idx)
+    sums = [np.add.reduce(np.take(column, idx), axis=1) for column in scorer._columns.T]
+    return np.column_stack(sums).reshape(len(idx), -1)
+
+
+def gathered_scores(scorer: ResampleScorer, idx) -> np.ndarray:
+    """``scorer``'s score of every row of ``idx``, finished from its
+    ``gathered_sums``."""
+    return scorer.scores(idx, gathered_sums(scorer, idx))
+
+
+def gathered_distributions(table: PredictionTable, spec: ScoreSpec, plan) -> dict:
+    """``bootstrap.distributions`` of every system, each replicate scored
+    from its ``gathered_sums``: the bootstrap that counted ones are checked
+    against, bit for bit."""
+    idx = rng.index_block(plan.seed, table.n, 0, plan.replicates)
+    scorers = {name: ResampleScorer(table.gold, pred, spec) for name, pred in table.systems.items()}
+    return {
+        name: SamplingDistribution(gathered_scores(scorer, idx), scorer.observed())
+        for name, scorer in scorers.items()
+    }
 
 
 def resample_counts(idx, n: int) -> np.ndarray:

@@ -6,7 +6,8 @@ deleted target would only print a warning in ``benchmarks/run.py`` and read
 counts that ``metrics.indices`` and ``bootstrap.blocks`` are read from.
 Counting and weighing have one name each for the tracer to take as a layer
 of its own: ``metrics.shared_counts`` and ``metrics.shared_sums``, which
-every counted block passes through once each.
+every block of a built-in metric passes through once each, and a custom
+metric's never.
 """
 
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from boardstats import bootstrap, metrics
-from boardstats.table import BootstrapPlan
+from boardstats.table import BootstrapPlan, ScoreSpec
 from helpers import random_table
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -71,13 +72,15 @@ def test_traced_counts_cover_every_system_and_block(spans, monkeypatch, metric, 
     assert spans._calls(tracer.spans, "rng.index_block") == blocks
 
 
-# (metric, m): 3 accuracy and 3 MAE systems make 3 gathers and gather; 4
-# accuracy systems (16 tally patterns in 400 rows) count per pattern, and 4
-# MAE and 3 2-class macro-F1 systems (81 patterns) per row
-@pytest.mark.parametrize(
-    "metric,m",
-    [("accuracy", 3), ("mae", 3), ("accuracy", 4), ("mae", 4), ("macro_f1", 3)],
-)
+# (metric, m): 1, 3 and 4 accuracy systems (2, 8 and 16 tally patterns in
+# 400 rows) count per pattern, and 3 and 4 MAE and 3 2-class macro-F1
+# systems (81 patterns) per row
+TRACED_BOOTSTRAPS = [
+    ("accuracy", 1), ("accuracy", 3), ("mae", 3), ("accuracy", 4), ("mae", 4), ("macro_f1", 3),
+]
+
+
+@pytest.mark.parametrize("metric,m", TRACED_BOOTSTRAPS)
 def test_every_counted_block_passes_through_one_shared_counts_call(spans, monkeypatch, metric, m):
     n, B, rows = 400, 50, 7
     table, spec = random_table(metric, n, m)
@@ -86,10 +89,10 @@ def test_every_counted_block_passes_through_one_shared_counts_call(spans, monkey
         ("metrics.shared_counts", "boardstats.metrics", "shared_counts", None),
         ("metrics._count_rows", "boardstats.metrics", "_count_rows", None),
     ))
-    counts = metrics.share_patterns(
+    counting = metrics.share_patterns(
         [metrics.ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()], n, rows
-    ) is not None
-    assert counts == (m == 4 or metric == "macro_f1")
+    )
+    assert (counting.ids is None) == (metric != "accuracy")
 
     tracer = spans.Tracer()
     tracer.install()
@@ -99,21 +102,17 @@ def test_every_counted_block_passes_through_one_shared_counts_call(spans, monkey
         tracer.restore()
     assert tracer.missing == []
     blocks = -(-B // rows)
-    assert spans._calls(tracer.spans, "metrics.shared_counts") == (blocks if counts else 0)
+    assert spans._calls(tracer.spans, "metrics.shared_counts") == blocks
     # each block is counted by one _count_rows call, inside shared_counts
     count_rows = [s for s in tracer.spans if s.name == "metrics._count_rows"]
-    assert len(count_rows) == (blocks if counts else 0)
+    assert len(count_rows) == blocks
     assert all(tracer.spans[s.parent].name == "metrics.shared_counts" for s in count_rows)
 
 
-# (metric, m) as above
-@pytest.mark.parametrize(
-    "metric,m",
-    [("accuracy", 3), ("mae", 3), ("accuracy", 4), ("mae", 4), ("macro_f1", 3)],
-)
+@pytest.mark.parametrize("metric,m", TRACED_BOOTSTRAPS)
 def test_every_counted_block_passes_through_one_shared_sums_call(spans, monkeypatch, metric, m):
     # every product that weighs counts runs inside the block's one
-    # shared_sums call; a gathering bootstrap weighs nothing
+    # shared_sums call
     n, B, rows = 400, 50, 7
     table, spec = random_table(metric, n, m)
     monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
@@ -128,7 +127,6 @@ def test_every_counted_block_passes_through_one_shared_sums_call(spans, monkeypa
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", timed_matmul)
-    counts = m == 4 or metric == "macro_f1"
 
     tracer = spans.Tracer()
     tracer.install()
@@ -139,8 +137,34 @@ def test_every_counted_block_passes_through_one_shared_sums_call(spans, monkeypa
     assert tracer.missing == []
     blocks = -(-B // rows)
     weighs = [s for s in tracer.spans if s.name == "metrics.shared_sums"]
-    assert len(weighs) == (blocks if counts else 0)
+    assert len(weighs) == blocks
     assert len(products) >= len(weighs)
     assert all(any(s.start <= t <= s.end for s in weighs) for t in products)
     # scoring finishes the sums: no system weighs counts of its own
     assert spans._calls(tracer.spans, "metrics.scores") == blocks * m
+
+
+def test_a_custom_bootstrap_neither_counts_nor_weighs(spans, monkeypatch):
+    # a custom metric scores the resampled vectors: no block is counted or
+    # weighed, and each system is still scored once per block
+    n, m, B, rows = 400, 3, 50, 7
+    table, _ = random_table("accuracy", n, m)
+    spec = ScoreSpec(metric="custom", name="agree", fn=lambda g, p: float(np.mean(g == p)))
+    monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(spans, "TARGETS", spans.TARGETS + (
+        ("metrics.shared_counts", "boardstats.metrics", "shared_counts", None),
+        ("metrics.shared_sums", "boardstats.metrics", "shared_sums", None),
+    ))
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        bootstrap.distributions(table, spec, BootstrapPlan(replicates=B, seed=2))
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    blocks = -(-B // rows)
+    assert spans._calls(tracer.spans, "metrics.shared_counts") == 0
+    assert spans._calls(tracer.spans, "metrics.shared_sums") == 0
+    assert spans._calls(tracer.spans, "metrics.scores") == blocks * m
+    assert sum(spans._count(tracer.spans, "metrics.scores", "indices")) == B * m * n

@@ -11,10 +11,11 @@ import boardstats
 from boardstats import bootstrap, metrics, rng
 from boardstats.bootstrap import SamplingDistribution, distributions, percentile_ci
 from boardstats.errors import ConfigError, MetricError
-from boardstats.metrics import ResampleScorer
 from boardstats.report import build_report
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
-from helpers import PATTERN_SPECS, garbage, patterned_table, random_table, score_on_indices
+from helpers import (
+    PATTERN_SPECS, garbage, gathered_distributions, patterned_table, random_table, score_on_indices,
+)
 
 
 def make_table(n=60, seed=3):
@@ -307,23 +308,56 @@ def test_block_budget_and_workers_never_change_values(monkeypatch, spec):
             assert all((e - s) * 8 * n <= budget or e - s == 1 for s, e in spans)
 
 
+def test_buffers_hold_no_more_rows_than_replicates(monkeypatch):
+    # the 1 MiB budget fits 327 rows of n = 400 indices, but a bootstrap of
+    # 20 replicates writes its one block into index, count and sums buffers
+    # of 20 rows, and its values are the gathered ones
+    n, B = 400, 20
+    table, spec = random_table("macro_f1", n, 3)
+    assert bootstrap._BLOCK_BYTES // (8 * n) == 327
+    plan = BootstrapPlan(replicates=B, seed=3)
+    gathered = gathered_distributions(table, spec, plan)
+    shapes = {"idx": [], "counts": [], "sums": []}
+    index_block = rng.index_block
+    shared_counts, shared_sums = bootstrap.shared_counts, bootstrap.shared_sums
+
+    def recording_block(seed, size, start, stop, out=None):
+        shapes["idx"].append(out.shape)
+        return index_block(seed, size, start, stop, out=out)
+
+    def recording_counts(counting, idx, size, out):
+        shapes["counts"].append(out.shape)
+        return shared_counts(counting, idx, size, out)
+
+    def recording_sums(counting, counts, out):
+        shapes["sums"].append(out.shape)
+        return shared_sums(counting, counts, out)
+
+    monkeypatch.setattr(rng, "index_block", recording_block)
+    monkeypatch.setattr(bootstrap, "shared_counts", recording_counts)
+    monkeypatch.setattr(bootstrap, "shared_sums", recording_sums)
+    got = distributions(table, spec, plan)
+    # 3 systems of 4 columns each; 81 tally patterns in 400 rows exceed the
+    # cap of 50, so the counts are per row
+    assert shapes == {"idx": [(B, n)], "counts": [(B, n)], "sums": [(B, 12)]}
+    for name in table.names:
+        assert got[name].values.tobytes() == gathered[name].values.tobytes()
+
+
 @pytest.mark.parametrize(
-    "spec,gathers",
-    [(ScoreSpec(metric="accuracy"), 1), (ScoreSpec(metric="macro_f1", labels=("a", "c")), 2)],
+    "spec",
+    [ScoreSpec(metric="accuracy"), ScoreSpec(metric="macro_f1", labels=("a", "c"))],
     ids=["accuracy", "macro_f1"],
 )
-def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec, gathers):
-    # two systems of one accuracy column or two f1 column pairs each: at the
-    # default threshold of 4 gathers, two accuracy systems gather and two
-    # 2-class macro-F1 systems already share one count matrix per block.
-    # Their 90 rows hold at most 9 tally patterns, one per (gold, noisy)
-    # label pair, within the cap of 90 // 8, so the counts are per pattern
-    # unless the cap is patched down to 0.
+def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch, spec):
+    # two systems of one accuracy column or two f1 column pairs each share
+    # one count matrix per block, and so does one system alone.  Their 90
+    # rows hold at most 9 tally patterns, one per (gold, noisy) label pair,
+    # within the cap of 90 // 8, so the counts are per pattern unless the
+    # cap is patched down to 0.  Every way gives the gathered values.
     table = make_table(n=90)
     plan = BootstrapPlan(replicates=50, seed=13)
-    assert [ResampleScorer(table.gold, table.systems[name], spec).gathers
-            for name in table.names] == [gathers, gathers]
-    assert metrics._COUNT_MIN_GATHERS == 4 and metrics._ROWS_PER_PATTERN == 8
+    assert metrics._ROWS_PER_PATTERN == 8
     if spec.metric == "accuracy":
         patterns = 2  # noisy right or wrong; perfect always right
     else:
@@ -339,32 +373,25 @@ def test_counts_are_shared_from_enough_words_and_never_change_values(monkeypatch
         count_rows(idx, counts, ids)
 
     monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
-    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 2 * gathers + 1)
-    gathered = distributions(table, spec, plan)
+    gathered = gathered_distributions(table, spec, plan)
     assert counted == []
-    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 4)
     monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * 90 * 7)
     blocks = [7] * 7 + [1]
-    per_pattern = [(rows, patterns, True) for rows in blocks]
-    by_default = distributions(table, spec, plan)
-    assert counted == (per_pattern if spec.metric == "macro_f1" else [])
-    counted.clear()
-    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 2 * gathers)
     in_patterns = distributions(table, spec, plan)
-    assert counted == per_pattern
+    assert counted == [(rows, patterns, True) for rows in blocks]
     counted.clear()
     monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", 91)
     in_rows = distributions(table, spec, plan)
     assert counted == [(rows, 90, False) for rows in blocks]
     for name in table.names:
-        for got in (in_patterns, in_rows, by_default):
+        for got in (in_patterns, in_rows):
             assert np.array_equal(got[name].values, gathered[name].values)
             assert got[name].observed == gathered[name].observed
     counted.clear()
     assert np.array_equal(
         system_distribution(table, "noisy", spec, plan).values, gathered["noisy"].values
     )
-    assert counted == []
+    assert counted == [(rows, 90, False) for rows in blocks]
 
 
 @pytest.mark.parametrize("metric", sorted(PATTERN_SPECS))
@@ -384,10 +411,8 @@ def test_pattern_counts_equal_row_counts_and_gathers_bit_for_bit(monkeypatch, me
     monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
     for patterns in (1, 3, cap - 1, cap, cap + 1, n):
         table, spec = patterned_table(metric, patterns, n)
-        monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 1000)
-        gathered = distributions(table, spec, BootstrapPlan(replicates=B, seed=5))
+        gathered = gathered_distributions(table, spec, BootstrapPlan(replicates=B, seed=5))
         assert counted == set()
-        monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 4)
         # rows per pattern: the default, every G in pattern space, none
         for per_pattern in (default, 1, n + 1):
             monkeypatch.setattr(metrics, "_ROWS_PER_PATTERN", per_pattern)
@@ -442,8 +467,9 @@ def test_float32_counts_equal_float64_counts_bit_for_bit(monkeypatch, metric):
 
 
 def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch):
-    # two MAE systems gather below the default threshold; at a threshold of
-    # one gather they share float64 counts and take one limb product each
+    # two MAE systems share float64 row counts, weighed against their 4
+    # limbs at once, and give the gathered values in any block size and on
+    # any number of workers
     n, B = 90, 60
     g = np.random.default_rng(17)
     gold = g.normal(size=n) * 1e6
@@ -459,22 +485,17 @@ def test_mae_values_are_equal_on_every_path_budget_and_worker_count(monkeypatch)
         count_rows(idx, counts, ids)
 
     monkeypatch.setattr(metrics, "_count_rows", recording_count_rows)
-    base = distributions(table, spec, plan)
+    base = gathered_distributions(table, spec, plan)
     assert built == []
-    for threshold in (metrics._COUNT_MIN_GATHERS, 1):
-        monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", threshold)
-        for rows in (1, 3, 7):
-            monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
-            for workers in (1, 3):
-                built.clear()
-                got = distributions(
-                    table, spec, BootstrapPlan(replicates=B, seed=13, workers=workers)
-                )
-                want = [(np.dtype(np.float64), True)] * -(-B // rows)
-                assert built == (want if threshold == 1 else [])
-                for name in table.names:
-                    assert got[name].values.tobytes() == base[name].values.tobytes()
-                    assert got[name].observed == base[name].observed
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(bootstrap, "_BLOCK_BYTES", 8 * n * rows)
+        for workers in (1, 3):
+            built.clear()
+            got = distributions(table, spec, BootstrapPlan(replicates=B, seed=13, workers=workers))
+            assert built == [(np.dtype(np.float64), True)] * -(-B // rows)
+            for name in table.names:
+                assert got[name].values.tobytes() == base[name].values.tobytes()
+                assert got[name].observed == base[name].observed
 
 
 # The benchmark workloads' shapes at two full blocks each: (metric, n, m,
@@ -511,17 +532,16 @@ def test_count_products_stay_on_one_blas_thread_at_benchmark_shapes(
     assert len(shapes) == 2 * products
     assert all(k * width * columns <= metrics._PRODUCT_MULADDS for k, width, columns in shapes)
     assert {width for _, width, _ in shapes} == {16 if metric == "accuracy" else n}
-    monkeypatch.setattr(metrics, "_COUNT_MIN_GATHERS", 10**6)
     shapes.clear()
-    gathered = distributions(table, spec, plan)
+    gathered = gathered_distributions(table, spec, plan)
     assert shapes == []
     for name in table.names:
         assert counted[name].values.tobytes() == gathered[name].values.tobytes()
 
 
 # Prints one sha256 over every system's bootstrap values and observed score,
-# for accuracy, macro-F1 and MAE on small seeded tables.  Four systems of at
-# least one column pair each put every metric on the shared-count path:
+# for accuracy, macro-F1 and MAE on small seeded tables, once every value
+# equals the tests' gathered reference bit for bit.  Of four systems each,
 # accuracy counts per pattern (8 patterns in 400 rows, within the cap of 50),
 # macro-F1 (54 patterns) and MAE (400) per row.  Accuracy and macro-F1 count
 # in float32 (n times a tally of at most 2 lies below 2**24), MAE in float64.
@@ -544,6 +564,7 @@ import numpy as np
 from boardstats import bootstrap, metrics
 from boardstats.bootstrap import distributions
 from boardstats.table import BootstrapPlan, PredictionTable, ScoreSpec
+from helpers import gathered_distributions
 
 g = np.random.default_rng(21)
 n = 400
@@ -615,7 +636,9 @@ for table, spec, block_bits, replicates, most in cases:
     bootstrap._BLOCK_BYTES = 1 << block_bits
     metrics._PRODUCT_MULADDS = most
     plan = BootstrapPlan(replicates=replicates, seed=4)
+    gathered = gathered_distributions(table, spec, plan)
     for name, dist in distributions(table, spec, plan).items():
+        assert dist.values.tobytes() == gathered[name].values.tobytes(), name
         digest.update(name.encode() + dist.values.tobytes() + np.float64(dist.observed).tobytes())
 print(digest.hexdigest())
 """
@@ -623,10 +646,11 @@ print(digest.hexdigest())
 
 def test_blas_thread_count_never_changes_values():
     src = str(Path(boardstats.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
         run = subprocess.run(
             [sys.executable, "-c", _DISTRIBUTION_DIGEST],
             env=env, capture_output=True, text=True, timeout=120,

@@ -47,8 +47,9 @@ def test_the_check_sees_an_unused_import():
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """The private names (one leading underscore) that a module of
     ``sources`` defines at its top level, as a function, class or constant,
-    or as a method of a top-level class, and that no module reads."""
-    defined, read = [], set()
+    or as a method of a top-level class, and that no module reads outside
+    that definition: a function that only calls itself is unused too."""
+    defined, read = [], []  # (name, module, definition node, where); (name, module, node)
     for module, source in sources.items():
         tree = ast.parse(source)
         nodes = [(node, "") for node in tree.body]
@@ -62,16 +63,22 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined += [(name, f"{module}: {owner}{name} (line {node.lineno})")
+            defined += [(name, module, node, f"{module}: {owner}{name} (line {node.lineno})")
                         for name in names if name.startswith("_") and not name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
+                read.append((node.id, module, node))
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                read.append((node.attr, module, node))
             elif isinstance(node, ast.alias):
-                read.add(node.name)
-    return [where for name, where in defined if name not in read]
+                read.append((node.name, module, node))
+    unused = []
+    for name, module, definition, where in defined:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(seen == name and (owner != module or id(node) not in inside)
+                   for seen, owner, node in read):
+            unused.append(where)
+    return unused
 
 
 def test_no_module_keeps_an_unused_private_name():
@@ -83,11 +90,13 @@ def test_the_check_sees_an_unused_private_name():
     sources = {
         "a.py": "_LIMIT = 3\n_KEPT = 1\n_SPARE = 2\ndef _gone():\n    pass\n"
                 "class _Box:\n    def _unused(self):\n        return self._used()\n"
-                "    def _used(self):\n        return _LIMIT\n",
+                "    def _used(self):\n        return _LIMIT\n"
+                "def _loop(n):\n    return _loop(n - 1)\n",
         "b.py": "from .a import _KEPT\nprint(_Box)\n",
     }
     assert unused_private_names(sources) == [
-        "a.py: _SPARE (line 3)", "a.py: _gone (line 4)", "a.py: _Box._unused (line 7)",
+        "a.py: _SPARE (line 3)", "a.py: _gone (line 4)", "a.py: _loop (line 11)",
+        "a.py: _Box._unused (line 7)",
     ]
 
 

@@ -11,8 +11,8 @@ from boardstats import metrics
 from boardstats.metrics import ResampleScorer, score
 from boardstats.table import ScoreSpec
 from helpers import (
-    PATTERN_SPECS, counted, garbage, patterned_table, resample_counts, row_sums,
-    score_on_indices, tally_rows, weighed,
+    PATTERN_SPECS, counted, counted_scores, garbage, gathered_scores, gathered_sums,
+    patterned_table, resample_counts, row_sums, score_on_indices, tally_rows, weighed,
 )
 
 
@@ -124,24 +124,33 @@ def test_errors():
         score_on_indices(["a", "b"], ["a", "b"], ScoreSpec(metric="accuracy"), [-1, 0])
     acc = ResampleScorer(np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec(metric="accuracy"))
     mae = ResampleScorer(np.array([1.0, 2.0]), np.array([1.0, 3.0]), ScoreSpec(metric="mae"))
-    # per row and per pattern, shared counts check the range before counting
+    custom = ResampleScorer(
+        np.array(["a", "b"]), np.array(["a", "b"]), ScoreSpec(metric="custom", fn=lambda g, p: 0.0)
+    )
+    # per row and per pattern, shared counts check the range before counting,
+    # and a custom scorer, which counts nothing, before scoring
     countings = [counting_into(None, 2, np.float64), counting_into(np.array([0, 0]), 1, np.float32)]
     for dtype in (np.int32, np.int64):
         for bad in ([0, 2], [-1, 0], [[0, 1], [1, 2]], [[0, 1], [-1, 1]]):
             bad = np.array(bad, dtype=dtype)
-            for scorer in (acc, mae):
+            for scorer in (acc, mae, custom):
                 with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
-                    scorer.scores(bad)
+                    counted_scores(scorer, bad)
             for counting in countings:
                 buf = np.empty((2, counting.width), counting.dtype)
                 with pytest.raises(MetricError, match=r"outside \[0, 2\)"):
                     metrics.shared_counts(counting, bad, 2, buf)
         ok = np.array([1, 1], dtype=dtype)
-        assert acc.scores(ok).tolist() == [1.0]
         assert acc.scores(ok, row_sums(acc, ok)).tolist() == [1.0]
-        assert mae.scores(ok).tolist() == [1.0]
+        assert counted_scores(acc, ok).tolist() == [1.0]
+        assert counted_scores(mae, ok).tolist() == [1.0]
+        assert custom.scores(ok).tolist() == [0.0]
+    # a built-in scorer finishes sums of its own shape only, and has no
+    # other way to score
     with pytest.raises(ValueError, match="do not match"):
         acc.scores(np.array([[0, 1]]), row_sums(acc, np.array([[0, 1], [1, 1]])))
+    with pytest.raises(ValueError, match=r"sums of shape \(\) do not match \(1, 1\)"):
+        acc.scores(np.array([[0, 1]]))
 
 
 # rows per bincount group, and the group boundaries around it
@@ -208,12 +217,12 @@ def test_pattern_sums_equal_row_sums_and_gathered_sums(monkeypatch, metric):
         for row_scorer, default_scorer, pattern_scorer, default_span, pattern_span in zip(
             plain, by_default, patterned, counting.spans, in_patterns.spans, strict=True
         ):
-            gathered = row_scorer._sums(idx)
+            gathered = gathered_sums(row_scorer, idx)
             rows = row_sums(row_scorer, idx)
-            assert np.array_equal(rows.T, gathered)
-            assert np.array_equal(default_sums[:, default_span].T, gathered)
-            assert np.array_equal(sums[:, pattern_span].T, gathered)
-            want = row_scorer.scores(idx).tobytes()
+            assert np.array_equal(rows, gathered)
+            assert np.array_equal(default_sums[:, default_span], gathered)
+            assert np.array_equal(sums[:, pattern_span], gathered)
+            want = row_scorer.scores(idx, gathered).tobytes()
             assert row_scorer.scores(idx, rows).tobytes() == want
             assert default_scorer.scores(idx, default_sums[:, default_span]).tobytes() == want
             assert pattern_scorer.scores(idx, sums[:, pattern_span]).tobytes() == want
@@ -238,8 +247,8 @@ def test_counts_are_float32_below_two_to_the_24():
 
 def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
     # row and pattern space: the float32 stack gives the gathered bits
-    # weighing float32 counts into float32 sums, float64 counts into float64
-    # sums, and so does gathering
+    # weighing float32 counts into float32 sums and float64 counts into
+    # float64 sums
     table, spec = patterned_table("macro_f1", 5, 96)
     g = np.random.default_rng(3)
     idx = np.vstack([np.arange(96), g.integers(0, 96, size=(6, 96))])
@@ -256,8 +265,8 @@ def test_narrowed_scorers_take_float64_and_float32_counts_alike(monkeypatch):
         narrow_sums, wide_sums = weighed(counting, counts), weighed(counting, wide, np.float64)
         assert narrow_sums.dtype == np.float32 and wide_sums.dtype == np.float64
         for scorer, oracle, span in zip(scorers, plain, counting.spans, strict=True):
-            want = oracle.scores(idx).tobytes()
-            for given in (narrow_sums[:, span], wide_sums[:, span], None):
+            want = gathered_scores(oracle, idx).tobytes()
+            for given in (narrow_sums[:, span], wide_sums[:, span], gathered_sums(scorer, idx)):
                 assert scorer.scores(idx, given).tobytes() == want
             assert scorer.scores(idx, narrow_sums[:, span]).dtype == np.float64
 
@@ -303,10 +312,11 @@ def test_every_product_form_gives_the_gathered_bytes(monkeypatch, metric, bound,
         assert counting.columns.flags.f_contiguous == (chunk[1] < total)
         sums = weighed(counting, counts)
         for scorer, oracle, span in zip(scorers, oracles, counting.spans, strict=True):
-            assert scorer.scores(block, sums[:, span]).tobytes() == oracle.scores(block).tobytes()
+            want = gathered_scores(oracle, block).tobytes()
+            assert scorer.scores(block, sums[:, span]).tobytes() == want
             # a scorer weighed from the n rows in float64 reads its columns
-            # from its span of the stack, and still gathers the same bytes
-            assert scorer.scores(block).tobytes() == oracle.scores(block).tobytes()
+            # from its span of the stack, and they still gather the same bytes
+            assert gathered_scores(scorer, block).tobytes() == want
             assert np.array_equal(scorer._columns, oracle._columns)
             held = np.shares_memory(scorer._columns, counting.columns)
             assert held == (counting.ids is None and counting.dtype == np.float64)
@@ -334,20 +344,26 @@ def test_chunks_pack_the_fewer_operand_elements(shape, chunk):
     assert metrics._chunks(*shape) == chunk
 
 
-def test_patterns_are_shared_only_where_counting_pays():
-    # below 4 gathers the scorers gather and keep their columns, and a
-    # custom scorer (no gathers) neither counts nor has a span to weigh
+def test_every_built_in_scorer_counts_and_a_custom_one_does_not():
+    # any number of built-in scorers, one included, share one stack with a
+    # span each, and keep their own columns beside a float32 stack; a custom
+    # scorer has no columns, so alone it leaves nothing to count, and beside
+    # built-in scorers it has no span to weigh
     table, spec = patterned_table("accuracy", 2, 96)
     scorers = [ResampleScorer(table.gold, pred, spec) for pred in table.systems.values()]
     own = [scorer._columns for scorer in scorers]
     idx = np.zeros((2, 96), dtype=np.int64)
-    assert metrics.share_patterns(scorers[:3], 96, 2) is None
+    for m in (1, 2, 3):
+        counting = metrics.share_patterns(scorers[:m], 96, 2)
+        assert counting.dtype == np.float32 and counting.ids is not None
+        assert counting.spans == tuple(slice(i, i + 1) for i in range(m))
     assert all(scorer._columns is column for scorer, column in zip(scorers, own))
     custom = ResampleScorer(
         table.gold, table.systems["s0"], ScoreSpec(metric="custom", fn=lambda g, p: 0.0)
     )
+    assert custom._columns is None
+    assert metrics.share_patterns([custom, custom], 96, 2) is None
     counting, counts = counted([custom] + scorers, idx, 96)
-    assert not hasattr(custom, "_columns")
     assert counting.width == 2
     assert counting.columns.shape == (2, len(scorers))
     assert counting.spans == (None,) + tuple(slice(i, i + 1) for i in range(len(scorers)))
@@ -373,15 +389,16 @@ def gathered_f1_scores(sums):
 
 
 def assert_scores_equal(scorer, idx, want):
-    """Both entry points, gathering and counting, give ``want``."""
-    assert np.array_equal(scorer.scores(idx), want)
-    assert np.array_equal(scorer.scores(idx, row_sums(scorer, idx)), want)
+    """The gathered sums, and the sums counted as a bootstrap counts, give
+    ``want``."""
+    assert np.array_equal(gathered_scores(scorer, idx), want)
+    assert np.array_equal(counted_scores(scorer, idx), want)
 
 
 def both_sums(scorer, idx):
     """The sums gathered through ``idx`` and weighed from its counts: (W, k)
     float64 rows."""
-    sums = scorer._sums(idx), row_sums(scorer, idx).T
+    sums = gathered_sums(scorer, idx).T, row_sums(scorer, idx).T
     for got in sums:
         assert got.dtype == np.float64
         assert got.shape == (scorer._columns.shape[1], len(idx))
@@ -403,7 +420,7 @@ def test_packed_tally_sums_equal_unpacked_sums(n, labels):
     idx = np.vstack([np.arange(n), g.integers(0, n, size=(3, n))])
     for spec in (ScoreSpec(metric="f1", labels=labels[:1]), ScoreSpec(metric="macro_f1", labels=labels)):
         scorer = ResampleScorer(gold, pred, spec)
-        assert scorer.gathers == len(spec.labels)
+        assert scorer._columns.shape[1] == 2 * len(spec.labels)
         want = unpacked_f1_sums(gold, pred, spec.labels, idx)
         for got in both_sums(scorer, idx):
             assert len(got) == len(want)
@@ -435,7 +452,7 @@ def test_packed_lanes_hold_their_largest_sums(n):
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
         assert_scores_equal(scorer, idx, gathered_f1_scores(want))
-        assert np.array_equal(scorer.scores(idx), np.full(2, 1 / len(order)))
+        assert np.array_equal(counted_scores(scorer, idx), np.full(2, 1 / len(order)))
     acc = ResampleScorer(gold, pred, ScoreSpec(metric="accuracy"))
     for got in both_sums(acc, idx):
         assert np.array_equal(got[0], np.full(2, n))
@@ -505,7 +522,7 @@ def test_scorer_rows_match_row_by_row_oracle(table, subset):
     ]
     for spec, oracle in cases:
         scorer = ResampleScorer(g, p, spec)
-        got = scorer.scores(np.array(idx))
+        got = counted_scores(scorer, np.array(idx))
         for r, row in enumerate(idx):
             want = oracle([gold[i] for i in row], [pred[i] for i in row])
             assert got[r] == pytest.approx(want, abs=1e-12)
@@ -520,7 +537,7 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 def test_scorer_rows_match_row_by_row_oracle_for_mae(table):
     gold, pred, idx = table
     scorer = ResampleScorer(np.array(gold), np.array(pred), ScoreSpec(metric="mae"))
-    got = scorer.scores(np.array(idx))
+    got = counted_scores(scorer, np.array(idx))
     for r, row in enumerate(idx):
         want = naive_mae([gold[i] for i in row], [pred[i] for i in row])
         assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -632,7 +649,7 @@ def test_mae_limb_sums_equal_exact_fraction_sums(name):
     idx = resample_rows(len(column))
     want_hi = [sum(limbs[i][0] for i in row) for row in idx.tolist()]
     want_lo = [sum(limbs[i][1] for i in row) for row in idx.tolist()]
-    for sums in (scorer._sums(idx), row_sums(scorer, idx).T):
+    for sums in (gathered_sums(scorer, idx).T, row_sums(scorer, idx).T):
         hi, lo = sums
         assert [int(v) for v in hi] == want_hi and [int(v) for v in lo] == want_lo
         assert all(float(v) == v for v in want_hi + want_lo)  # below 2**53: exact floats
@@ -658,14 +675,14 @@ def test_mae_rows_match_fsum(name):
     tol = max(2.0 ** (top - 2 * b), math.ulp(0.0))
     idx = resample_rows(n, seed=1)
     want = [fsum_mean(column[row]) for row in idx]
-    for got in (scorer.scores(idx), scorer.scores(idx, row_sums(scorer, idx))):
+    for got in (gathered_scores(scorer, idx), counted_scores(scorer, idx)):
         assert np.isfinite(got).all()
         for g, w in zip(got.tolist(), want):
             assert math.isclose(g, w, rel_tol=1e-15, abs_tol=tol)
     observed = scorer.observed()
-    assert observed == scorer.scores(idx[:1])[0]
+    assert observed == counted_scores(scorer, idx[:1])[0]
     if name == "zeros":
-        assert observed == 0.0 and not scorer.scores(idx).any()
+        assert observed == 0.0 and not counted_scores(scorer, idx).any()
     elif name == "subnormal":
         assert abs(observed - fsum_mean(column)) <= math.ulp(0.0)
     else:
@@ -675,7 +692,7 @@ def test_mae_rows_match_fsum(name):
 def test_mae_keeps_a_non_finite_column_non_finite():
     # an absolute error overflowing to inf has no fixed-point form
     scorer = ResampleScorer(np.array([1e308, 2.0]), np.array([-1e308, 2.0]), ScoreSpec(metric="mae"))
-    assert scorer.gathers == 0
+    assert scorer._columns is None
     assert scorer.observed() == math.inf
     assert np.isinf(scorer.scores(np.array([[1, 1], [0, 1]]))).all()
     assert math.isnan(score([np.nan, 1.0], [0.0, 1.0], ScoreSpec(metric="mae")))
